@@ -11,10 +11,11 @@ or parse problems, 3 unsupported precondition.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import command as cm
 from . import flowchart as fl
@@ -51,9 +52,8 @@ __all__ = ["Session", "main"]
 
 @dataclass
 class Session:
-    """Loaded documents plus the sampling parameters of one CLI run."""
+    """The sampling parameters of one CLI run."""
 
-    docs: dict[str, object] = field(default_factory=dict)
     grid_prefix: int = 4
     grid_period: int = 2
     depth: int = 6
@@ -63,11 +63,6 @@ class Session:
     def __post_init__(self):
         if self.grid_prefix < 1 or self.grid_period < 1 or self.depth < 1:
             raise ValueError("grid parameters must be positive")
-
-    def add(self, name: str, doc):
-        if name in self.docs:
-            raise ValueError("duplicate document name %r" % name)
-        self.docs[name] = doc
 
     def grid(self, space: Space):
         return sample_grid(space, self.grid_prefix, self.grid_period)
@@ -161,12 +156,17 @@ def cmd_check(session: Session, args) -> int:
 # eval
 
 
+def _outcome(doc):
+    """The pointwise evaluator for a flowchart or a command."""
+    return fl.eval_outcome if isinstance(doc, fl.Flowchart) else cm.eval_outcome
+
+
 def cmd_eval(session: Session, args) -> int:
     kind, doc = load_document(args.path)
     if kind not in ("flowchart", "command"):
         raise DocumentError("eval needs a flowchart or command document")
     x = parse_point(doc.space, args.point)
-    outcome = fl.eval_outcome(doc, x) if kind == "flowchart" else cm.eval_outcome(doc, x)
+    outcome = _outcome(doc)(doc, x)
     if outcome[0] == "value":
         print(outcome[1])
         return 0
@@ -193,6 +193,23 @@ def _agreement(pairs) -> tuple[int, int, str | None]:
     return ok, total, first
 
 
+# op -> (input kind, transform(session, doc, transducer)).  Transforms are
+# looked up through their modules at call time, so a patched or wrapped
+# operation is the one that runs.
+_TRANSFORMS = {
+    "monotone": ("flowchart", lambda session, doc, extra: fl.to_monotone(doc)),
+    "reduce": ("flowchart", lambda session, doc, extra: fl.to_reduced(doc)),
+    "pullback": ("flowchart", lambda session, doc, extra: fl.pullback(doc, extra)),
+    "vaught": (
+        "flowchart",
+        lambda session, doc, extra: fl.vaught_transform(doc, extra, session.depth),
+    ),
+    "strongly-total": ("command", lambda session, doc, extra: cm.make_strongly_total(doc)),
+    "to-flowchart": ("command", lambda session, doc, extra: cm.command_to_flowchart(doc)),
+    "to-command": ("flowchart", lambda session, doc, extra: cm.flowchart_to_simple_command(doc)),
+}
+
+
 def cmd_transform(session: Session, args) -> int:
     kind, doc = load_document(args.path)
     extra = None
@@ -202,66 +219,30 @@ def cmd_transform(session: Session, args) -> int:
             raise DocumentError("the second input must be a transducer document")
 
     op = args.op
-    if op in ("monotone", "reduce", "pullback", "vaught", "to-command"):
-        if kind != "flowchart":
-            raise DocumentError("transform %s needs a flowchart document" % op)
-    else:
-        if kind != "command":
-            raise DocumentError("transform %s needs a command document" % op)
+    needs, transform = _TRANSFORMS[op]
+    if kind != needs:
+        raise DocumentError("transform %s needs a %s document" % (op, needs))
     if op in ("pullback", "vaught") and extra is None:
         raise DocumentError("transform %s needs a transducer as second input" % op)
 
-    if op == "monotone":
-        result = fl.to_monotone(doc)
+    result = transform(session, doc, extra)
+    before, after = _outcome(doc), _outcome(result)
+    if op == "pullback":
         pairs = (
-            (x, fl.eval_outcome(doc, x), fl.eval_outcome(result, x))
-            for x in session.grid(doc.space)
-        )
-        encoded = fl.encode_flowchart(result)
-    elif op == "reduce":
-        result = fl.to_reduced(doc)
-        pairs = (
-            (x, fl.eval_outcome(doc, x), fl.eval_outcome(result, x))
-            for x in session.grid(doc.space)
-        )
-        encoded = fl.encode_flowchart(result)
-    elif op == "pullback":
-        result = fl.pullback(doc, extra)
-        pairs = (
-            (x, fl.eval_outcome(doc, tr.apply(extra, x)), fl.eval_outcome(result, x))
+            (x, before(doc, tr.apply(extra, x)), after(result, x))
             for x in session.grid(extra.input_space)
         )
-        encoded = fl.encode_flowchart(result)
     elif op == "vaught":
-        result = fl.vaught_transform(doc, extra, session.depth)
         pairs = (
-            (x, fl.eval_outcome(doc, x), fl.eval_outcome(result, tr.apply(extra, x)))
+            (x, before(doc, x), after(result, tr.apply(extra, x)))
             for x in session.grid(doc.space)
         )
-        encoded = fl.encode_flowchart(result)
-    elif op == "strongly-total":
-        result = cm.make_strongly_total(doc)
-        pairs = (
-            (x, cm.eval_outcome(doc, x), cm.eval_outcome(result, x))
-            for x in session.grid(doc.space)
-        )
-        encoded = cm.encode_command(result)
-    elif op == "to-flowchart":
-        result = cm.command_to_flowchart(doc)
-        pairs = (
-            (x, cm.eval_outcome(doc, x), fl.eval_outcome(result, x))
-            for x in session.grid(doc.space)
-        )
-        encoded = fl.encode_flowchart(result)
-    elif op == "to-command":
-        result = cm.flowchart_to_simple_command(doc)
-        pairs = (
-            (x, fl.eval_outcome(doc, x), cm.eval_outcome(result, x))
-            for x in session.grid(doc.space)
-        )
-        encoded = cm.encode_command(result)
     else:
-        raise DocumentError("unknown transform %r" % op)
+        pairs = ((x, before(doc, x), after(result, x)) for x in session.grid(doc.space))
+    if isinstance(result, fl.Flowchart):
+        encoded = fl.encode_flowchart(result)
+    else:
+        encoded = cm.encode_command(result)
 
     _emit(encoded, args.out)
     if args.verify:
@@ -518,49 +499,37 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("check", help="run the document's predicates")
     c.add_argument("path")
-    c.set_defaults(func=cmd_check)
 
     e = sub.add_parser("eval", help="evaluate a flowchart or command at a point")
     e.add_argument("path")
     e.add_argument("point", help="point literal, e.g. 11(0)")
-    e.set_defaults(func=cmd_eval)
 
     t = sub.add_parser("transform", help="apply a transformation, optionally verifying")
-    t.add_argument(
-        "op",
-        choices=[
-            "monotone",
-            "reduce",
-            "pullback",
-            "vaught",
-            "strongly-total",
-            "to-flowchart",
-            "to-command",
-        ],
-    )
+    t.add_argument("op", choices=list(_TRANSFORMS))
     t.add_argument("path")
     t.add_argument("extra", nargs="?", help="transducer document for pullback/vaught")
     t.add_argument("--out", help="write the result here instead of stdout")
     t.add_argument("--verify", action="store_true", help="check eval agreement on the grid")
-    t.set_defaults(func=cmd_transform)
 
     r = sub.add_parser("rank", help="print every address with its rank")
     r.add_argument("path")
-    r.set_defaults(func=cmd_rank)
 
     d = sub.add_parser("dot", help="emit the syntax tree as a DOT graph")
     d.add_argument("path")
-    d.set_defaults(func=cmd_dot)
 
     f = sub.add_parser("fuzz", help="random cases through the invariant suites")
     f.add_argument("--iters", type=int, default=25, help="cases per suite")
-    f.set_defaults(func=cmd_fuzz)
 
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         session = Session(
             grid_prefix=args.grid_prefix,
@@ -573,7 +542,9 @@ def main(argv=None) -> int:
         print("error: %s" % e, file=sys.stderr)
         return 2
     try:
-        return args.func(session, args)
+        # Looked up by name on each call, not stored in the shared parser, so
+        # a patched or wrapped cmd_* function is the one that runs.
+        return globals()["cmd_" + args.cmd](session, args)
     except (ParseError, DocumentError, OSError, ValueError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2

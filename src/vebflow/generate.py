@@ -14,7 +14,7 @@ import random
 
 from .command import ArrowSite, Command, JoinSite, VeblenSite
 from .flowchart import Flowchart
-from .ordinal import ZERO, CnfOrdinal, add, omega_pow
+from .ordinal import ONE, ZERO, CnfOrdinal, add, omega_pow
 from .space import ClopenSet, Space, UpPoint
 from .term import Arrow, Const, Join, Term, Var, Veblen, syntax_tree, ArrowL, JoinL, VeblenL
 from .transducer import Transducer, drop_first, identity_map, letter_double, parity_merge
@@ -158,7 +158,11 @@ def random_total_det_flowchart(
     rng: random.Random, term: Term, space: Space, set_depth: int
 ) -> Flowchart:
     """Random sets, then each join family padded to cover the running
-    domain and disjointified, forcing a unique true path everywhere."""
+    domain and disjointified, forcing a unique true path everywhere.
+
+    Every set is declared at level 1, which any node's rank admits: the
+    complements taken along the way raise the declared level, but the
+    sets they build are still clopen."""
     tree = syntax_tree(term)
     assign = {}
     domains = {(): ClopenSet.full(space)}
@@ -179,7 +183,7 @@ def random_total_det_flowchart(
             family = []
             seen = ClopenSet.empty(space)
             for s in raw:
-                family.append(s.difference(seen))
+                family.append(s.difference(seen).with_level(ONE))
                 seen = seen.union(s)
             assign[addr] = tuple(family)
             for n, s in enumerate(family):

@@ -182,9 +182,6 @@ class ClopenSet:
     def is_full(self) -> bool:
         return self.antichain == ((),)
 
-    def depth(self) -> int:
-        return max((len(w) for w in self.antichain), default=0)
-
     def with_level(self, level: CnfOrdinal) -> "ClopenSet":
         return ClopenSet(self.space, self.antichain, level)
 

@@ -159,6 +159,32 @@ class SyntaxTree:
         return "SyntaxTree(%d nodes)" % len(self.nodes)
 
 
+def _subterms(t: Term) -> list[tuple[Address, Term]]:
+    """Every (address, subterm) pair of t, breadth first, without recursion."""
+    out: list[tuple[Address, Term]] = [((), t)]
+    for addr, s in out:
+        if isinstance(s, Arrow):
+            out.append((addr + (0,), s.left))
+            out.append((addr + (1,), s.right))
+        elif isinstance(s, Join):
+            out.extend((addr + (n,), c) for n, c in enumerate(s.children))
+        elif isinstance(s, Veblen):
+            out.append((addr + (0,), s.child))
+    return out
+
+
+def _node_label(t: Term) -> NodeLabel:
+    if isinstance(t, Const):
+        return ConstL(t.label)
+    if isinstance(t, Var):
+        return VarL(t.name)
+    if isinstance(t, Arrow):
+        return ArrowL()
+    if isinstance(t, Join):
+        return JoinL()
+    return VeblenL(t.index)
+
+
 def syntax_tree(t: Term) -> SyntaxTree:
     """Embed a term into the address tree.
 
@@ -166,28 +192,7 @@ def syntax_tree(t: Term) -> SyntaxTree:
     its left subtree under 0 and its right subtree under 1, a join puts
     child n under n, and a Veblen node puts its child under 0.
     """
-    nodes: dict[Address, NodeLabel] = {}
-
-    def walk(t: Term, addr: Address):
-        match t:
-            case Const(label):
-                nodes[addr] = ConstL(label)
-            case Var(name):
-                nodes[addr] = VarL(name)
-            case Arrow(left, right):
-                nodes[addr] = ArrowL()
-                walk(left, addr + (0,))
-                walk(right, addr + (1,))
-            case Join(children):
-                nodes[addr] = JoinL()
-                for n, child in enumerate(children):
-                    walk(child, addr + (n,))
-            case Veblen(_, child):
-                nodes[addr] = VeblenL(t.index)
-                walk(child, addr + (0,))
-
-    walk(t, ())
-    return SyntaxTree(nodes)
+    return SyntaxTree({addr: _node_label(s) for addr, s in _subterms(t)})
 
 
 def term_from_tree(st: SyntaxTree) -> Term:
@@ -224,72 +229,28 @@ def term_from_tree(st: SyntaxTree) -> Term:
 
 def is_well_formed(t: Term) -> bool:
     """No Veblen symbol applied directly to a join."""
-    match t:
-        case Const(_) | Var(_):
-            return True
-        case Arrow(left, right):
-            return is_well_formed(left) and is_well_formed(right)
-        case Join(children):
-            return all(is_well_formed(c) for c in children)
-        case Veblen(_, child):
-            return not isinstance(child, Join) and is_well_formed(child)
+    return not any(isinstance(s, Veblen) and isinstance(s.child, Join) for _, s in _subterms(t))
 
 
 def is_normal(t: Term) -> bool:
     """Every arrow tests a leaf or Veblen node and continues into a join."""
-    match t:
-        case Const(_) | Var(_):
-            return True
-        case Arrow(left, right):
-            left_ok = isinstance(left, (Const, Var, Veblen))
-            return left_ok and isinstance(right, Join) and is_normal(left) and is_normal(right)
-        case Join(children):
-            return all(is_normal(c) for c in children)
-        case Veblen(_, child):
-            return is_normal(child)
+    return all(
+        not isinstance(s, Arrow)
+        or (isinstance(s.left, (Const, Var, Veblen)) and isinstance(s.right, Join))
+        for _, s in _subterms(t)
+    )
 
 
 def is_closed(t: Term) -> bool:
-    match t:
-        case Var(_):
-            return False
-        case Const(_):
-            return True
-        case Arrow(left, right):
-            return is_closed(left) and is_closed(right)
-        case Join(children):
-            return all(is_closed(c) for c in children)
-        case Veblen(_, child):
-            return is_closed(child)
+    return not any(isinstance(s, Var) for _, s in _subterms(t))
 
 
 def has_veblen(t: Term) -> bool:
-    match t:
-        case Veblen(_, _):
-            return True
-        case Arrow(left, right):
-            return has_veblen(left) or has_veblen(right)
-        case Join(children):
-            return any(has_veblen(c) for c in children)
-        case _:
-            return False
+    return any(isinstance(s, Veblen) for _, s in _subterms(t))
 
 
 def constant_labels(t: Term) -> set[str]:
-    match t:
-        case Const(label):
-            return {label}
-        case Var(_):
-            return set()
-        case Arrow(left, right):
-            return constant_labels(left) | constant_labels(right)
-        case Join(children):
-            out: set[str] = set()
-            for c in children:
-                out |= constant_labels(c)
-            return out
-        case Veblen(_, child):
-            return constant_labels(child)
+    return {s.label for _, s in _subterms(t) if isinstance(s, Const)}
 
 
 def apply_fixed_point(t: Term) -> Term:
@@ -604,13 +565,13 @@ def decode_tree(doc) -> SyntaxTree:
     for addr in nodes:
         if addr and addr[:-1] not in nodes:
             raise DocumentError("addresses are not prefix closed at %r" % (addr,))
+    # A child i > 0 needs its sibling i-1, so that each node's child indices
+    # are exactly 0..arity-1.
+    gapped = {a[:-1] for a in nodes if a and a[-1] > 0 and a[:-1] + (a[-1] - 1,) not in nodes}
     for addr, label in nodes.items():
-        arity = len(st.children(addr))
-        # Children must be exactly 0..arity-1; any gap breaks prefix closure
-        # of sibling indices.
-        actual = sorted(a[-1] for a in nodes if a[:-1] == addr and len(a) == len(addr) + 1)
-        if actual != list(range(arity)):
+        if addr in gapped:
             raise DocumentError("child indices of %r have gaps" % (addr,))
+        arity = len(st.children(addr))
         if isinstance(label, (ConstL, VarL)) and arity != 0:
             raise DocumentError("arity mismatch: leaf %r has children" % (addr,))
         if isinstance(label, ArrowL) and arity != 2:

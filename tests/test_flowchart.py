@@ -489,6 +489,17 @@ def test_codec_round_trip_byte_stable():
         assert json.dumps(encode_flowchart(g), sort_keys=True) == text
 
 
+def test_total_det_charts_keep_levels_through_codec():
+    # The criterion-1 corpus: Veblen-free normal terms, so every rank is 1.
+    rng = random.Random(416)
+    for _ in range(500):
+        f = random_total_det_flowchart(rng, random_normal_term(rng, 4, veblen=False), SP2, 3)
+        assert check_levels(f)
+        text = json.dumps(encode_flowchart(f), sort_keys=True)
+        g = decode_flowchart(json.loads(text))
+        assert json.dumps(encode_flowchart(g), sort_keys=True) == text
+
+
 def test_codec_levels_survive_round_trip():
     t = parse_term('veb[0](q"a" ~> join(q"b"))')
     lvl2 = cs("{1}").with_level(CnfOrdinal.from_int(2))

@@ -277,6 +277,25 @@ def test_render_quotes_awkward_labels():
     assert parse_term(render_term(t)) == t
 
 
+def test_deep_terms_do_not_recurse():
+    # Deeper than the interpreter's recursion limit.  The dataclasses'
+    # own __eq__ and __repr__ recurse, so the deep term is never compared
+    # or printed.
+    depth = 2000
+    t = Arrow(Var("x"), Join((Const("b"),)))
+    for _ in range(depth):
+        t = Veblen(ONE, t)
+    assert is_well_formed(t)
+    assert is_normal(t)
+    assert not is_closed(t)
+    assert has_veblen(t)
+    assert constant_labels(t) == {"b"}
+    st = syntax_tree(t)
+    assert len(st) == depth + 4
+    assert st.label((0,) * depth) == ArrowL()
+    assert st.label((0,) * depth + (1, 0)) == ConstL("b")
+
+
 # -- tree-side predicate agreement -----------------------------------------
 
 def _wf_tree(st):
@@ -378,11 +397,10 @@ def test_decode_rejects_shape_violations():
 
 
 def test_decode_rejects_child_index_gap():
-    doc = {
-        "nodes": [
-            {"addr": [], "kind": "join"},
-            {"addr": [1], "kind": "const", "payload": "a"},
-        ]
-    }
-    with pytest.raises(DocumentError):
-        decode_tree(doc)
+    for children in ([1], [0, 2]):
+        doc = {
+            "nodes": [{"addr": [], "kind": "join"}]
+            + [{"addr": [i], "kind": "const", "payload": "a"} for i in children]
+        }
+        with pytest.raises(DocumentError, match="child indices of \\(\\) have gaps"):
+            decode_tree(doc)
