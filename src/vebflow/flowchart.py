@@ -270,23 +270,25 @@ def is_total(f: Flowchart) -> tuple[bool, UpPoint | None]:
     failure the witness is the least point with no true path.
     """
     tree = f.tree
-
-    def succeed(addr: Address) -> ClopenSet:
+    succeed: dict[Address, ClopenSet] = {}
+    # Longest addresses first: every child is done before its parent.
+    for addr in sorted(tree.nodes, key=len, reverse=True):
         label = tree.label(addr)
         if isinstance(label, ArrowL):
             s = f.at(addr)
-            left = s.complement().intersect(succeed(addr + (0,)))
-            return left.union(s.intersect(succeed(addr + (1,))))
-        if isinstance(label, JoinL):
+            left = s.complement().intersect(succeed.pop(addr + (0,)))
+            succeed[addr] = left.union(s.intersect(succeed.pop(addr + (1,))))
+        elif isinstance(label, JoinL):
             out = ClopenSet.empty(f.space)
             for n, s in enumerate(f.at(addr)):
-                out = out.union(s.intersect(succeed(addr + (n,))))
-            return out
-        if isinstance(label, VeblenL):
-            return succeed(addr + (0,))
-        return ClopenSet.full(f.space)
+                out = out.union(s.intersect(succeed.pop(addr + (n,))))
+            succeed[addr] = out
+        elif isinstance(label, VeblenL):
+            succeed[addr] = succeed.pop(addr + (0,))
+        else:
+            succeed[addr] = ClopenSet.full(f.space)
 
-    missing = succeed(()).complement()
+    missing = succeed[()].complement()
     if missing.is_empty:
         return True, None
     return False, least_point(missing)
@@ -295,24 +297,26 @@ def is_total(f: Flowchart) -> tuple[bool, UpPoint | None]:
 def is_deterministic(f: Flowchart) -> tuple[bool, UpPoint | None]:
     """Can two true paths ever disagree on the label?
 
-    Exactly when leaf domains with distinct labels all have empty
-    pairwise intersections; same-label overlap is allowed.
+    Exactly when the leaf domains of distinct labels never meet;
+    same-label overlap is allowed.  Leaf domains are first unioned per
+    label, and each label's domain is met with the union of the labels
+    before it.  On failure the witness is the least point reached by two
+    distinct labels.
     """
-    domains = domain_assignment(f)
     tree = f.tree
-    leaves = [
-        (addr, tree.label(addr).label)
-        for addr in tree.addresses()
-        if isinstance(tree.label(addr), ConstL)
-    ]
-    for i, (a1, q1) in enumerate(leaves):
-        for a2, q2 in leaves[i + 1 :]:
-            if q1 == q2:
-                continue
-            both = domains[a1].intersect(domains[a2])
-            if not both.is_empty:
-                return False, least_point(both)
-    return True, None
+    reach: dict[str, ClopenSet] = {}
+    for addr, d in domain_assignment(f).items():
+        label = tree.label(addr)
+        if isinstance(label, ConstL):
+            q = label.label
+            reach[q] = reach[q].union(d) if q in reach else d
+    seen = clash = ClopenSet.empty(f.space)
+    for d in reach.values():
+        clash = clash.union(seen.intersect(d))
+        seen = seen.union(d)
+    if clash.is_empty:
+        return True, None
+    return False, least_point(clash)
 
 
 def is_monotone(f: Flowchart) -> bool:

@@ -3,10 +3,16 @@
 Space(k) is the space of infinite streams over the alphabet {0..k-1}.
 Points are represented exactly when ultimately periodic: a finite prefix
 followed by a repeating period.  Clopen sets are finite unions of basic
-cylinders, stored as the canonical antichain of words: pairwise
-incomparable under the prefix order, never all k siblings present, and
-sorted.  Canonical forms make equality, membership and the Boolean
-algebra exact and decidable.
+cylinders, stored as reduced k-ary decision tries: Bryant's reduced
+ordered decision diagrams (1986) with letters in place of variables.  A
+trie is True (full), False (empty) or one child trie per next letter,
+and a node whose children are all True, or all False, collapses to that
+leaf.  Reduced tries are canonical, so set equality is trie equality.
+Union and intersection are memoised walks over pairs of nodes,
+complement flips the leaves, and membership reads one letter per level.
+The canonical antichain (the words leading to True leaves: pairwise
+incomparable under the prefix order, never all k siblings present,
+sorted) is derived on demand; it is the printed and codec form.
 
 Every clopen set carries a declared_level, an ordinal >= 1 recording the
 additive class the set is *declared* at; the sets themselves are always
@@ -17,7 +23,7 @@ the max of the levels, complement adds one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import EmptySetError, ParseError, SpaceMismatchError
 from .ordinal import ONE, CnfOrdinal, add, cmp
@@ -110,126 +116,277 @@ class UpPoint:
         return "UpPoint(%r, %s)" % (self.space, render_point(self))
 
 
-def _canonical_antichain(k: int, words) -> tuple[Word, ...]:
-    """Dedupe, absorb extensions into prefixes, merge complete sibling sets."""
-    pool = {tuple(w) for w in words}
-    changed = True
-    while changed:
-        changed = False
-        # Drop any word that extends another word in the pool.
-        drop = set()
-        for w in pool:
-            for i in range(len(w)):
-                if w[:i] in pool:
-                    drop.add(w)
-                    break
-        if drop:
-            pool -= drop
-            changed = True
-        # Merge complete sibling families into their parent.
-        parents = {}
-        for w in pool:
-            if w:
-                parents.setdefault(w[:-1], set()).add(w[-1])
-        for parent, kids in parents.items():
-            if len(kids) == k:
-                pool -= {parent + (a,) for a in kids}
-                pool.add(parent)
-                changed = True
+# ---------------------------------------------------------------------------
+# Reduced decision tries.  A trie is True (the whole cylinder), False (none
+# of it) or a k-tuple holding one child trie per next letter; no node has
+# k children that are all True or all False.  Every walk below is a loop
+# over an explicit stack, so a trie may be deeper than the recursion limit.
+# Memo tables key nodes by id() and live for one call, while the tries
+# they index are alive.  A trie built from words shares its equal
+# subtries, so it is a small DAG; walks over it stay memoised.
+
+Trie = bool | tuple
+
+
+def _node(kids: list) -> Trie:
+    """The node with these children, collapsed when they are all one leaf."""
+    first = kids[0]
+    if first.__class__ is bool and kids.count(first) == len(kids):
+        return first
+    return tuple(kids)
+
+
+def _trie(k: int, words) -> Trie:
+    """The reduced trie of the union of the cylinders [w], in linear time."""
+    top = [False] * k
+    for w in words:
+        if not w:
+            return True
+        node = top
+        for a in w[:-1]:
+            nxt = node[a]
+            if nxt is True:
                 break
-    return tuple(sorted(pool))
+            if nxt is False:
+                nxt = node[a] = [False] * k
+            node = nxt
+        else:
+            node[w[-1]] = True
+    # Parents precede their children in `order`; reduce in reverse.
+    order = [(top, None, 0)]
+    for node, _, _ in order:
+        order.extend((c, node, a) for a, c in enumerate(node) if c.__class__ is list)
+    # Equal subtries become one object, keyed by their children's ids.
+    shared: dict = {}
+    for node, parent, a in reversed(order):
+        node = _node(node)
+        if node.__class__ is tuple:
+            node = shared.setdefault(tuple(map(id, node)), node)
+        if parent is None:
+            return node
+        parent[a] = node
 
 
-@dataclass(frozen=True)
+def _words(t: Trie) -> tuple[Word, ...]:
+    """The words leading to True leaves, in lexicographic order."""
+    out: list[Word] = []
+    path: list[int] = []
+    # (n, a, node): node is reached by path[:n], then letter a if any.
+    stack = [(0, None, t)]
+    while stack:
+        n, a, node = stack.pop()
+        del path[n:]
+        if a is not None:
+            path.append(a)
+        if node is True:
+            out.append(tuple(path))
+        elif node is not False:
+            n = len(path)
+            stack.extend((n, b, node[b]) for b in range(len(node) - 1, -1, -1) if node[b] is not False)
+    return tuple(out)
+
+
+def _canonical_antichain(k: int, words) -> tuple[Word, ...]:
+    """Dedupe, absorb extensions into prefixes, merge complete sibling sets:
+    build the reduced trie, then read its True leaves."""
+    return _words(_trie(k, words))
+
+
+def _combine(x: Trie, y: Trie, absorb: bool) -> Trie:
+    """The union (absorb=True) or the intersection (absorb=False) of two
+    tries, memoised on node pairs.  A leaf equal to `absorb` decides its
+    pair; the other leaf leaves the other side as it is."""
+    unit = not absorb
+    if x is absorb or y is absorb:
+        return absorb
+    if x is unit or x is y:
+        return y
+    if y is unit:
+        return x
+    memo: dict[tuple[int, int], Trie] = {}
+    stack = [(x, y)]
+    while stack:
+        p, q = stack[-1]
+        key = (id(p), id(q))
+        if key in memo:
+            stack.pop()
+            continue
+        kids = []
+        ready = True
+        for c, d in zip(p, q):
+            if c is absorb or d is absorb:
+                kids.append(absorb)
+            elif c is unit or c is d:
+                kids.append(d)
+            elif d is unit:
+                kids.append(c)
+            else:
+                r = memo.get((id(c), id(d)))
+                if r is None:
+                    # Build the children first, then revisit this pair.
+                    stack.append((c, d))
+                    ready = False
+                kids.append(r)
+        if ready:
+            stack.pop()
+            memo[key] = _node(kids)
+    return memo[(id(x), id(y))]
+
+
+def _flip(t: Trie) -> Trie:
+    """The complement: every leaf negated.  The result is still reduced."""
+    if t.__class__ is bool:
+        return not t
+    memo: dict[int, Trie] = {}
+    stack = [t]
+    while stack:
+        p = stack[-1]
+        if id(p) in memo:
+            stack.pop()
+            continue
+        kids = []
+        ready = True
+        for c in p:
+            if c.__class__ is bool:
+                kids.append(not c)
+            else:
+                r = memo.get(id(c))
+                if r is None:
+                    stack.append(c)
+                    ready = False
+                kids.append(r)
+        if ready:
+            stack.pop()
+            memo[id(p)] = tuple(kids)
+    return memo[id(t)]
+
+
+def _within(x: Trie, y: Trie) -> bool:
+    """Is the set of trie x contained in the set of trie y?"""
+    seen: set[tuple[int, int]] = set()
+    stack = [(x, y)]
+    while stack:
+        p, q = stack.pop()
+        if p is False or q is True or p is q:
+            continue
+        # A reduced inner node is neither empty nor full.
+        if p is True or q is False:
+            return False
+        key = (id(p), id(q))
+        if key not in seen:
+            seen.add(key)
+            stack.extend(zip(p, q))
+    return True
+
+
+def _check_level(level: CnfOrdinal):
+    if cmp(level, ONE) < 0:
+        raise ValueError("declared_level must be >= 1")
+
+
 class ClopenSet:
-    """A finite union of cylinders, stored as its canonical antichain.
+    """A finite union of cylinders, stored as its reduced decision trie.
 
-    Equality and hashing ignore declared_level: two sets are equal iff
-    they contain the same streams.
+    Built from any finite collection of words; `antichain` reads the
+    canonical antichain back.  Immutable.  Equality and hashing ignore
+    declared_level: two sets are equal iff they contain the same streams.
     """
 
-    space: Space
-    antichain: tuple[Word, ...]
-    declared_level: CnfOrdinal = field(default=ONE, compare=False)
+    __slots__ = ("space", "trie", "declared_level")
 
-    def __post_init__(self):
-        words = tuple(tuple(w) for w in self.antichain)
+    def __init__(self, space: Space, antichain, declared_level: CnfOrdinal = ONE):
+        words = [tuple(w) for w in antichain]
         for w in words:
-            self.space.check_word(w)
-        if cmp(self.declared_level, ONE) < 0:
-            raise ValueError("declared_level must be >= 1")
-        object.__setattr__(
-            self, "antichain", _canonical_antichain(self.space.alphabet_size, words)
-        )
+            space.check_word(w)
+        _check_level(declared_level)
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "trie", _trie(space.alphabet_size, words))
+        object.__setattr__(self, "declared_level", declared_level)
+
+    @classmethod
+    def _of(cls, space: Space, trie: Trie, level: CnfOrdinal) -> "ClopenSet":
+        """Wrap an already reduced trie."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "space", space)
+        object.__setattr__(out, "trie", trie)
+        object.__setattr__(out, "declared_level", level)
+        return out
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ClopenSet is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("ClopenSet is immutable")
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def full(cls, space: Space, level: CnfOrdinal = ONE) -> "ClopenSet":
-        return cls(space, ((),), level)
+        _check_level(level)
+        return cls._of(space, True, level)
 
     @classmethod
     def empty(cls, space: Space, level: CnfOrdinal = ONE) -> "ClopenSet":
-        return cls(space, (), level)
+        _check_level(level)
+        return cls._of(space, False, level)
 
     # -- queries ------------------------------------------------------
 
     @property
+    def antichain(self) -> tuple[Word, ...]:
+        """The canonical antichain: the maximal cylinders, sorted."""
+        return _words(self.trie)
+
+    @property
     def is_empty(self) -> bool:
-        return not self.antichain
+        return self.trie is False
 
     @property
     def is_full(self) -> bool:
-        return self.antichain == ((),)
+        return self.trie is True
 
     def with_level(self, level: CnfOrdinal) -> "ClopenSet":
-        return ClopenSet(self.space, self.antichain, level)
+        _check_level(level)
+        return ClopenSet._of(self.space, self.trie, level)
 
     def _check_space(self, other: "ClopenSet"):
         if self.space != other.space:
             raise SpaceMismatchError("sets live in %r and %r" % (self.space, other.space))
 
+    def _max_level(self, other: "ClopenSet") -> CnfOrdinal:
+        if cmp(self.declared_level, other.declared_level) >= 0:
+            return self.declared_level
+        return other.declared_level
+
     # -- Boolean algebra (exact) ---------------------------------------
 
     def union(self, other: "ClopenSet") -> "ClopenSet":
         self._check_space(other)
-        level = self.declared_level if cmp(self.declared_level, other.declared_level) >= 0 else other.declared_level
-        return ClopenSet(self.space, self.antichain + other.antichain, level)
+        return ClopenSet._of(self.space, _combine(self.trie, other.trie, True), self._max_level(other))
 
     def intersect(self, other: "ClopenSet") -> "ClopenSet":
         self._check_space(other)
-        out = []
-        for u in self.antichain:
-            for v in other.antichain:
-                if u[: len(v)] == v:
-                    out.append(u)
-                elif v[: len(u)] == u:
-                    out.append(v)
-        level = self.declared_level if cmp(self.declared_level, other.declared_level) >= 0 else other.declared_level
-        return ClopenSet(self.space, tuple(out), level)
+        return ClopenSet._of(self.space, _combine(self.trie, other.trie, False), self._max_level(other))
 
     def complement(self) -> "ClopenSet":
-        k = self.space.alphabet_size
-        out: list[Word] = []
-
-        def walk(node: Word, below: list[Word]):
-            # below: antichain words extending node, shifted to be relative.
-            if any(w == () for w in below):
-                return
-            if not below:
-                out.append(node)
-                return
-            for a in range(k):
-                walk(node + (a,), [w[1:] for w in below if w[0] == a])
-
-        walk((), list(self.antichain))
-        return ClopenSet(self.space, tuple(out), add(self.declared_level, ONE))
+        return ClopenSet._of(self.space, _flip(self.trie), add(self.declared_level, ONE))
 
     def difference(self, other: "ClopenSet") -> "ClopenSet":
         return self.intersect(other.complement())
 
     def is_subset(self, other: "ClopenSet") -> bool:
-        return self.difference(other).is_empty
+        self._check_space(other)
+        return _within(self.trie, other.trie)
+
+    def __eq__(self, other):
+        if not isinstance(other, ClopenSet):
+            return NotImplemented
+        x, y = self.trie, other.trie
+        return self.space == other.space and _within(x, y) and _within(y, x)
+
+    def __hash__(self):
+        # Rarely needed; the antichain is as canonical as the trie.
+        return hash((self.space, self.antichain))
 
     def __str__(self):
         return render_clopen(self)
@@ -239,20 +396,29 @@ class ClopenSet:
 
 
 def member(x: UpPoint, a: ClopenSet) -> bool:
-    """Decide x in a: some antichain word is a prefix of the stream."""
+    """Decide x in a: follow the stream's letters down the trie to a leaf."""
     if x.space != a.space:
         raise SpaceMismatchError("point in %r, set in %r" % (x.space, a.space))
-    for w in a.antichain:
-        if all(x.letter(i) == c for i, c in enumerate(w)):
-            return True
-    return False
+    node = a.trie
+    i = 0
+    while node.__class__ is tuple:
+        node = node[x.letter(i)]
+        i += 1
+    return node
 
 
 def least_point(a: ClopenSet) -> UpPoint:
-    """The lexicographically least point: least antichain word, then zeros."""
+    """The lexicographically least point: the leftmost path to a True
+    leaf (the least antichain word), then zeros."""
     if a.is_empty:
         raise EmptySetError("an empty set has no least point")
-    return UpPoint(a.space, min(a.antichain), (0,))
+    path: list[int] = []
+    node = a.trie
+    while node is not True:
+        letter = next(n for n, c in enumerate(node) if c is not False)
+        path.append(letter)
+        node = node[letter]
+    return UpPoint(a.space, tuple(path), (0,))
 
 
 def enumerate_cylinders(a: ClopenSet) -> list[Word]:

@@ -196,35 +196,48 @@ def syntax_tree(t: Term) -> SyntaxTree:
 
 
 def term_from_tree(st: SyntaxTree) -> Term:
-    """Rebuild the term from its syntax tree (inverse of syntax_tree)."""
+    """Rebuild the term from its syntax tree (inverse of syntax_tree).
 
-    def build(addr: Address) -> Term:
+    Nodes are checked in depth-first order from the root, so the first
+    malformed node met is the one reported, then built bottom up;
+    neither pass recurses.
+    """
+    order: list[tuple[Address, NodeLabel, list[Address]]] = []
+    stack: list[Address] = [()]
+    while stack:
+        addr = stack.pop()
         label = st.label(addr)
         kids = st.children(addr)
-        match label:
-            case ConstL(lbl):
-                if kids:
-                    raise DocumentError("constant node %r has children" % (addr,))
-                return Const(lbl)
-            case VarL(name):
-                if kids:
-                    raise DocumentError("variable node %r has children" % (addr,))
-                return Var(name)
-            case ArrowL():
-                if len(kids) != 2:
-                    raise DocumentError("arrow node %r needs exactly 2 children" % (addr,))
-                return Arrow(build(addr + (0,)), build(addr + (1,)))
-            case JoinL():
-                if not kids:
-                    raise DocumentError("join node %r needs at least 1 child" % (addr,))
-                return Join(tuple(build(k) for k in kids))
-            case VeblenL(index):
-                if len(kids) != 1:
-                    raise DocumentError("veblen node %r needs exactly 1 child" % (addr,))
-                return Veblen(index, build(addr + (0,)))
-        raise DocumentError("unknown label at %r" % (addr,))
-
-    return build(())
+        if isinstance(label, (ConstL, VarL)):
+            if kids:
+                kind = "constant" if isinstance(label, ConstL) else "variable"
+                raise DocumentError("%s node %r has children" % (kind, addr))
+        elif isinstance(label, ArrowL):
+            if len(kids) != 2:
+                raise DocumentError("arrow node %r needs exactly 2 children" % (addr,))
+        elif isinstance(label, JoinL):
+            if not kids:
+                raise DocumentError("join node %r needs at least 1 child" % (addr,))
+        elif isinstance(label, VeblenL):
+            if len(kids) != 1:
+                raise DocumentError("veblen node %r needs exactly 1 child" % (addr,))
+        else:
+            raise DocumentError("unknown label at %r" % (addr,))
+        order.append((addr, label, kids))
+        stack.extend(reversed(kids))
+    built: dict[Address, Term] = {}
+    for addr, label, kids in reversed(order):
+        if isinstance(label, ConstL):
+            built[addr] = Const(label.label)
+        elif isinstance(label, VarL):
+            built[addr] = Var(label.name)
+        elif isinstance(label, ArrowL):
+            built[addr] = Arrow(built.pop(kids[0]), built.pop(kids[1]))
+        elif isinstance(label, JoinL):
+            built[addr] = Join(tuple(built.pop(k) for k in kids))
+        else:
+            built[addr] = Veblen(label.index, built.pop(kids[0]))
+    return built[()]
 
 
 def is_well_formed(t: Term) -> bool:

@@ -25,7 +25,19 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import DocumentError, EmptySetError, SpaceMismatchError, UndecidedImageError
-from .space import ClopenSet, Space, UpPoint, Word, least_point, parse_clopen, parse_word, render_clopen, render_word
+from .space import (
+    ClopenSet,
+    Space,
+    Trie,
+    UpPoint,
+    Word,
+    _node,
+    least_point,
+    parse_clopen,
+    parse_word,
+    render_clopen,
+    render_word,
+)
 
 __all__ = [
     "Transducer",
@@ -305,46 +317,46 @@ def apply(f: Transducer, x: UpPoint) -> UpPoint:
 def preimage(f: Transducer, a: ClopenSet) -> ClopenSet:
     """The exact preimage of a clopen set, as a clopen set.
 
-    Explores the input tree while matching emitted output against the
-    antichain trie of `a`.  Along any input branch the output grows
-    (productivity), so every branch is decided at bounded depth: either
-    the output has entered a cylinder of `a` (accept the input word) or
-    it has become incomparable with every antichain word (reject).
+    A memoised product of machine states and trie nodes of `a`: the
+    preimage of (state s, node n) has, for each input letter, the node
+    reached from n by following the output emitted from s, paired with
+    the next state.  Along any input branch the output grows
+    (productivity), so every branch reaches a leaf of the trie at
+    bounded depth: True accepts the input cylinder, False rejects it.
     """
     if a.space != f.output_space:
         raise SpaceMismatchError("set in %r, map emits %r" % (a.space, f.output_space))
-    if a.is_empty:
-        return ClopenSet.empty(f.input_space, a.declared_level)
-    words = set(a.antichain)
-    prefixes = {w[:i] for w in a.antichain for i in range(len(w))}
-
-    def advance(pos, emitted):
-        # pos is a proper prefix of some antichain word, or None once the
-        # output is known to sit inside `a`.
-        for c in emitted:
-            nxt = pos + (c,)
-            if nxt in words:
-                return "accept"
-            if nxt not in prefixes:
-                return "reject"
-            pos = nxt
-        return pos
-
-    if () in words:
-        return ClopenSet.full(f.input_space, a.declared_level)
     k_in = f.input_space.alphabet_size
-    result: list[Word] = []
-    stack: list[tuple[int, Word, Word]] = [(f.init, (), ())]
+    memo: dict[tuple[int, int], Trie] = {}
+    stack = [(f.init, a.trie)] if a.trie.__class__ is tuple else []
     while stack:
-        state, w, pos = stack.pop()
+        state, node = stack[-1]
+        key = (state, id(node))
+        if key in memo:
+            stack.pop()
+            continue
+        kids = []
+        ready = True
         for letter in range(k_in):
-            nxt_state, emitted = f.step(state, letter)
-            verdict = advance(pos, emitted)
-            if verdict == "accept":
-                result.append(w + (letter,))
-            elif verdict != "reject":
-                stack.append((nxt_state, w + (letter,), verdict))
-    return ClopenSet(f.input_space, tuple(result), a.declared_level)
+            nxt, out = f.step(state, letter)
+            sub = node
+            for c in out:
+                sub = sub[c]
+                if sub.__class__ is bool:
+                    break
+            if sub.__class__ is tuple:
+                pair = (nxt, sub)
+                sub = memo.get((nxt, id(sub)))
+                if sub is None:
+                    # Build the children first, then revisit this pair.
+                    stack.append(pair)
+                    ready = False
+            kids.append(sub)
+        if ready:
+            stack.pop()
+            memo[key] = _node(kids)
+    trie = memo[(f.init, id(a.trie))] if memo else a.trie
+    return ClopenSet._of(f.input_space, trie, a.declared_level)
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from vebflow.generate import (
 )
 from vebflow.ordinal import CnfOrdinal, ONE
 from vebflow.space import ClopenSet, Space, member, parse_clopen, parse_point, sample_grid
-from vebflow.term import ArrowL, ConstL, JoinL, Var, parse_term, syntax_tree
+from vebflow.term import Arrow, ArrowL, Const, ConstL, Join, JoinL, Var, parse_term, syntax_tree
 from vebflow.transducer import (
     Transducer,
     apply,
@@ -207,6 +207,20 @@ def test_is_deterministic_examples():
     g = Flowchart(t, SP2, {(): cs("{1}"),
                            (1,): (ClopenSet.full(SP2), ClopenSet.full(SP2))})
     assert is_deterministic(g) == (True, None)
+
+
+def test_deciders_on_deep_chain():
+    # A 2000-deep ~> chain, each node testing {1}, ending in a join whose
+    # one member {0} misses every point that gets there.
+    depth = 2000
+    t = Join((Const("a"),))
+    for n in range(depth):
+        t = Arrow(Const("ab"[n % 2]), t)
+    assign = {(1,) * n: cs("{1}") for n in range(depth)}
+    assign[(1,) * depth] = (cs("{0}"),)
+    f = Flowchart(t, SP2, assign)
+    assert is_total(f) == (False, pt("1(0)"))
+    assert is_deterministic(f) == (True, None)
 
 
 def _labels_at(f, x):

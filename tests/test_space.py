@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from vebflow.generate import random_clopen
 from vebflow.ordinal import CnfOrdinal, ONE
 from vebflow.space import (
     ClopenSet,
+    _canonical_antichain,
     Space,
     UpPoint,
     enumerate_cylinders,
@@ -296,3 +298,120 @@ def test_sample_grid_separates_distinct_points():
         key = tuple(x.letter(i) for i in range(16))
         assert key not in seen, (x, seen.get(key))
         seen[key] = x
+
+
+# -- the word-list algebra the tries replaced, kept as an oracle ---------------
+
+def _oracle_canonical(k, words):
+    # Rescan the pool after every change: drop extensions, merge one
+    # complete sibling family at a time.
+    pool = {tuple(w) for w in words}
+    changed = True
+    while changed:
+        changed = False
+        drop = {w for w in pool if any(w[:i] in pool for i in range(len(w)))}
+        if drop:
+            pool -= drop
+            changed = True
+        parents = {}
+        for w in pool:
+            if w:
+                parents.setdefault(w[:-1], set()).add(w[-1])
+        for parent, kids in parents.items():
+            if len(kids) == k:
+                pool -= {parent + (a,) for a in kids}
+                pool.add(parent)
+                changed = True
+                break
+    return tuple(sorted(pool))
+
+
+def _oracle_intersect(k, us, vs):
+    out = []
+    for u in us:
+        for v in vs:
+            if u[: len(v)] == v:
+                out.append(u)
+            elif v[: len(u)] == u:
+                out.append(v)
+    return _oracle_canonical(k, out)
+
+
+def _oracle_complement(k, words):
+    out = []
+
+    def walk(node, below):
+        if () in below:
+            return
+        if not below:
+            out.append(node)
+            return
+        for a in range(k):
+            walk(node + (a,), [w[1:] for w in below if w[0] == a])
+
+    walk((), list(words))
+    return _oracle_canonical(k, out)
+
+
+def _oracle_member(x, words):
+    return any(all(x.letter(i) == c for i, c in enumerate(w)) for w in words)
+
+
+# Fixed examples and seed, so the suite's run time and outcome do not vary.
+ORACLE = settings(derandomize=True, max_examples=300, deadline=None)
+
+
+@st.composite
+def _oracle_cases(draw):
+    k = draw(st.integers(min_value=1, max_value=3))
+    letter = st.integers(min_value=0, max_value=k - 1)
+    words = st.lists(st.lists(letter, max_size=5).map(tuple), max_size=8)
+    prefix = draw(st.lists(letter, max_size=5))
+    period = draw(st.lists(letter, min_size=1, max_size=3))
+    return k, draw(words), draw(words), UpPoint(Space(k), prefix, period)
+
+
+@ORACLE
+@given(_oracle_cases())
+def test_trie_algebra_matches_word_oracle(case):
+    k, u, v, x = case
+    space = Space(k)
+    a, b = ClopenSet(space, u), ClopenSet(space, v)
+    us, vs = _oracle_canonical(k, u), _oracle_canonical(k, v)
+    assert a.antichain == us
+    assert _canonical_antichain(k, u) == us
+    assert (a == b) == (us == vs)
+    if a == b:
+        assert hash(a) == hash(b)
+    assert a.union(b).antichain == _oracle_canonical(k, us + vs)
+    assert a.intersect(b).antichain == _oracle_intersect(k, us, vs)
+    assert a.complement().antichain == _oracle_complement(k, us)
+    assert a.is_subset(b) == (not _oracle_intersect(k, us, _oracle_complement(k, vs)))
+    assert member(x, a) == _oracle_member(x, us)
+    if us:
+        assert least_point(a) == UpPoint(space, min(us), (0,))
+
+
+# -- deep and wide sets ----------------------------------------------------------
+
+def test_deep_set_literal_does_not_recurse():
+    # One 3000-letter word: a trie far deeper than the recursion limit.
+    word = "01" * 1500
+    a = parse_clopen(SP2, "{%s}" % word)
+    assert render_clopen(a) == "{%s}" % word
+    c = a.complement()
+    assert len(c.antichain) == 3000
+    inside = pt(word + "(0)")
+    assert member(inside, a) and not member(inside, c)
+    assert member(pt("(1)"), c) and not member(pt("(1)"), a)
+    assert least_point(a) == inside
+    assert c.complement() == a and hash(c.complement()) == hash(a)
+    assert c.union(a).is_full and c.intersect(a).is_empty
+    assert a.is_subset(c.complement()) and not c.is_subset(a)
+
+
+def test_all_words_of_length_12_merge_to_the_full_space():
+    words = tuple(itertools.product((0, 1), repeat=12))
+    start = time.perf_counter()
+    assert ClopenSet(SP2, words) == ClopenSet.full(SP2)
+    assert time.perf_counter() - start < 1.0

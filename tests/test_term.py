@@ -296,6 +296,18 @@ def test_deep_terms_do_not_recurse():
     assert st.label((0,) * depth + (1, 0)) == ConstL("b")
 
 
+def test_term_from_tree_on_deep_chain():
+    # A 2000-deep ~> chain; compared through its flat syntax tree, since
+    # the dataclasses' own __eq__ recurses.
+    t = Const("a")
+    for n in range(2000):
+        t = Arrow(Const("ab"[n % 2]), t)
+    st = syntax_tree(t)
+    back = term_from_tree(st)
+    assert syntax_tree(back) == st
+    assert back.left == Const("b") and back.right.left == Const("a")
+
+
 # -- tree-side predicate agreement -----------------------------------------
 
 def _wf_tree(st):

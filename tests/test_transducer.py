@@ -286,6 +286,62 @@ def test_preimage_exactness_on_grid():
                 assert member(x, pre) == member(apply(f, x), a)
 
 
+def _oracle_preimage(f, a):
+    # The input-tree search the trie product replaced: extend input words
+    # until their output enters a cylinder of `a` or leaves all of them.
+    words = set(a.antichain)
+    prefixes = {w[:i] for w in words for i in range(len(w))}
+    if not words:
+        return ClopenSet.empty(f.input_space)
+    if () in words:
+        return ClopenSet.full(f.input_space)
+
+    def advance(pos, emitted):
+        for c in emitted:
+            pos += (c,)
+            if pos in words:
+                return "accept"
+            if pos not in prefixes:
+                return "reject"
+        return pos
+
+    out = []
+    stack = [(f.init, (), ())]
+    while stack:
+        state, w, pos = stack.pop()
+        for letter in range(f.input_space.alphabet_size):
+            nxt, emitted = f.step(state, letter)
+            verdict = advance(pos, emitted)
+            if verdict == "accept":
+                out.append(w + (letter,))
+            elif verdict != "reject":
+                stack.append((nxt, w + (letter,), verdict))
+    return ClopenSet(f.input_space, tuple(out))
+
+
+def _random_machine(rng):
+    # Silent steps only go to a higher state, so no cycle is silent.
+    k_in, n = rng.randint(1, 3), rng.randint(1, 4)
+    delta = {}
+    for s in range(n):
+        for a in range(k_in):
+            nxt = rng.randrange(n)
+            size = rng.randint(0 if nxt > s else 1, 2)
+            delta[(s, a)] = (nxt, tuple(rng.randrange(2) for _ in range(size)))
+    return Transducer.build(Space(k_in), SP2, 0, delta)
+
+
+def test_preimage_matches_input_search():
+    rng = random.Random(83)
+    machines = [identity_map(SP2), drop_first(SP2), letter_double(SP2),
+                parity_merge(), out_map(cs("{01}")), in_map(cs("{0, 10, 110}"))]
+    machines += [_random_machine(rng) for _ in range(40)]
+    for f in machines:
+        for _ in range(20):
+            a = random_clopen(rng, SP2, 4)
+            assert preimage(f, a) == _oracle_preimage(f, a)
+
+
 # -- image --------------------------------------------------------------------------
 
 def test_image_identity():
