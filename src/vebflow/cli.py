@@ -38,7 +38,7 @@ from .term import (
     JoinL,
     VarL,
     VeblenL,
-    borel_rank,
+    borel_ranks,
     is_closed,
     is_normal,
     is_well_formed,
@@ -266,9 +266,9 @@ def cmd_rank(session: Session, args) -> int:
         term = doc.term
     else:
         raise DocumentError("rank needs a term, flowchart, or command document")
-    tree = syntax_tree(term)
-    for addr in tree.addresses():
-        print("%s\t%s" % (_addr_text(addr), render_ordinal(borel_rank(term, addr))))
+    ranks = borel_ranks(term)
+    for addr in sorted(ranks):
+        print("%s\t%s" % (_addr_text(addr), render_ordinal(ranks[addr])))
     return 0
 
 
@@ -305,10 +305,11 @@ def cmd_dot(session: Session, args) -> int:
     else:
         raise DocumentError("dot needs a term, flowchart, or command document")
     tree = syntax_tree(term)
+    ranks = borel_ranks(term)
     lines = ["digraph term {", "  node [shape=box];"]
     for addr in tree.addresses():
         label = tree.label(addr)
-        parts = [_node_caption(label), "rank %s" % render_ordinal(borel_rank(term, addr))]
+        parts = [_node_caption(label), "rank %s" % render_ordinal(ranks[addr])]
         if annotate is not None and not isinstance(label, (ConstL, VarL)):
             if kind == "flowchart" and isinstance(label, (ArrowL, JoinL)):
                 sets = annotate.at(addr)

@@ -9,6 +9,12 @@ reassignment and goes right; a join node branches to every member whose
 test passes, applying that member's map; a Veblen edge applies its map
 unconditionally.  val gives the composite map accumulated along a path.
 
+The value at a node is val applied to the input, so testing it against
+U is testing the input against preimage(val, U).  Evaluation is defined
+by that translation: a command is lowered once, top down, to val at
+every address and the flowchart of its pulled-back tests
+(command_to_flowchart), and the flowchart evaluators run on that chart.
+
 A simple command reassigns nothing at ~>/join edges, which makes it a
 flowchart in disguise; translation in both directions is provided, plus
 the padding construction that upgrades a total simple command to a
@@ -19,18 +25,17 @@ the same evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
-    AmbiguousLabelsError,
     DocumentError,
     InvalidAddressError,
-    NoTruePathError,
     OpenTermError,
     SpaceMismatchError,
     UnsupportedError,
 )
 from .ordinal import ONE
-from .space import ClopenSet, Space, UpPoint, least_point, member, render_point
+from .space import ClopenSet, Space, UpPoint, least_point, render_point
 from .term import (
     Address,
     ArrowL,
@@ -46,7 +51,7 @@ from .term import (
     syntax_tree,
     term_from_tree,
 )
-from .transducer import Transducer, apply, compose, decode_map, encode_map, identity_map, preimage
+from .transducer import Transducer, compose, decode_map, encode_map, identity_map, preimage
 from . import flowchart as fc
 
 __all__ = [
@@ -214,6 +219,30 @@ class Command:
             return site.child_map
         raise InvalidAddressError("no edge into %r" % (addr,))
 
+    @cached_property
+    def _lowered(self) -> tuple[dict[Address, Transducer], fc.Flowchart]:
+        """val at every address, and the flowchart of every test pulled
+        back to the input, from one top-down pass on first use."""
+        vals: dict[Address, Transducer] = {(): identity_map(self.space)}
+        sets: dict[Address, fc.NodeSets] = {}
+        # Sorted addresses put every parent before its children.
+        for addr in self._tree.addresses():
+            acc = vals[addr]
+            label = self._tree.label(addr)
+            if isinstance(label, ArrowL):
+                site = self._at[addr]
+                sets[addr] = preimage(acc, site.test).with_level(ONE)
+                vals[addr + (0,)] = acc
+                vals[addr + (1,)] = compose(site.then_map, acc)
+            elif isinstance(label, JoinL):
+                members = self._at[addr].members
+                sets[addr] = tuple(preimage(acc, test).with_level(ONE) for test, _ in members)
+                for n, (_, m) in enumerate(members):
+                    vals[addr + (n,)] = compose(m, acc)
+            elif isinstance(label, VeblenL):
+                vals[addr + (0,)] = compose(self._at[addr].child_map, acc)
+        return vals, fc.Flowchart(self.term, self.space, sets)
+
     def __repr__(self):
         return "Command(%d sites, %r)" % (len(self.assign), self.space)
 
@@ -226,69 +255,30 @@ def val(c: Command, addr: Address) -> Transducer:
     """
     if addr not in c.tree:
         raise InvalidAddressError("no node at address %r" % (addr,))
-    out = identity_map(c.space)
-    for i in range(1, len(addr) + 1):
-        out = compose(c.edge_map(addr[:i]), out)
-    return out
+    return c._lowered[0][addr]
 
 
 # ---------------------------------------------------------------------------
-# Evaluation: the same branching recursion as flowcharts, but carrying
-# the current value and testing it (rather than the input) at each node.
+# Evaluation: the flowchart evaluators, run on the translation.
 
 
 def true_positions(c: Command, x: UpPoint) -> list[Address]:
     if x.space != c.space:
         raise SpaceMismatchError("point in %r, command in %r" % (x.space, c.space))
-    out: list[Address] = []
-
-    def walk(addr: Address, value: UpPoint):
-        out.append(addr)
-        label = c.tree.label(addr)
-        if isinstance(label, ArrowL):
-            site = c.at(addr)
-            if member(value, site.test):
-                walk(addr + (1,), apply(site.then_map, value))
-            else:
-                walk(addr + (0,), value)
-        elif isinstance(label, JoinL):
-            for n, (test, m) in enumerate(c.at(addr).members):
-                if member(value, test):
-                    walk(addr + (n,), apply(m, value))
-        elif isinstance(label, VeblenL):
-            walk(addr + (0,), apply(c.at(addr).child_map, value))
-
-    walk((), x)
-    return sorted(out)
+    return fc.true_positions(command_to_flowchart(c), x)
 
 
 def true_paths(c: Command, x: UpPoint) -> list[tuple[Address, str]]:
-    out = []
-    for addr in true_positions(c, x):
-        label = c.tree.label(addr)
-        if isinstance(label, ConstL):
-            out.append((addr, label.label))
-    return out
+    return fc.true_paths(command_to_flowchart(c), x)
 
 
 def eval_command(c: Command, x: UpPoint) -> str:
-    paths = true_paths(c, x)
-    if not paths:
-        raise NoTruePathError("no true path at %s" % x)
-    labels = {label for _, label in paths}
-    if len(labels) > 1:
-        raise AmbiguousLabelsError(labels)
-    return labels.pop()
+    return fc.eval_flowchart(command_to_flowchart(c), x)
 
 
 def eval_outcome(c: Command, x: UpPoint) -> tuple:
     """("value", label) | ("no-true-path",) | ("ambiguous", labels)."""
-    try:
-        return ("value", eval_command(c, x))
-    except NoTruePathError:
-        return ("no-true-path",)
-    except AmbiguousLabelsError as e:
-        return ("ambiguous", e.labels)
+    return fc.eval_outcome(command_to_flowchart(c), x)
 
 
 # ---------------------------------------------------------------------------
@@ -337,31 +327,10 @@ def is_deterministic(c: Command) -> tuple[bool, UpPoint | None]:
 def command_to_flowchart(c: Command) -> fc.Flowchart:
     """Pull every test back to the input: S = preimage(val, U).
 
-    The translated flowchart evaluates exactly like the command,
-    errors included; its declared levels are all 1 (every set here is
-    clopen).
+    The command's evaluators run on this chart, built once per command;
+    its declared levels are all 1 (every set here is clopen).
     """
-    assign: dict[Address, object] = {}
-
-    def walk(addr: Address, acc: Transducer):
-        label = c.tree.label(addr)
-        if isinstance(label, ArrowL):
-            site = c.at(addr)
-            assign[addr] = preimage(acc, site.test).with_level(ONE)
-            walk(addr + (0,), acc)
-            walk(addr + (1,), compose(site.then_map, acc))
-        elif isinstance(label, JoinL):
-            site = c.at(addr)
-            assign[addr] = tuple(
-                preimage(acc, test).with_level(ONE) for test, _ in site.members
-            )
-            for n, (_, m) in enumerate(site.members):
-                walk(addr + (n,), compose(m, acc))
-        elif isinstance(label, VeblenL):
-            walk(addr + (0,), compose(c.at(addr).child_map, acc))
-
-    walk((), identity_map(c.space))
-    return fc.Flowchart(c.term, c.space, assign)
+    return c._lowered[1]
 
 
 def flowchart_to_simple_command(f: fc.Flowchart) -> Command:

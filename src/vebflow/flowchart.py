@@ -46,7 +46,7 @@ from .term import (
     SyntaxTree,
     Term,
     VeblenL,
-    borel_rank,
+    borel_ranks,
     decode_tree,
     encode_tree,
     is_closed,
@@ -197,25 +197,22 @@ def domain_assignment(f: Flowchart) -> dict[Address, ClopenSet]:
 
 
 def true_positions(f: Flowchart, x: UpPoint) -> list[Address]:
-    """All addresses the point reaches, by the branching recursion."""
+    """All addresses the point reaches, branching down from the root."""
     if x.space != f.space:
         raise SpaceMismatchError("point in %r, flowchart in %r" % (x.space, f.space))
     tree = f.tree
     out: list[Address] = []
-
-    def walk(addr: Address):
+    stack: list[Address] = [()]
+    while stack:
+        addr = stack.pop()
         out.append(addr)
         label = tree.label(addr)
         if isinstance(label, ArrowL):
-            walk(addr + ((1,) if member(x, f.at(addr)) else (0,)))
+            stack.append(addr + ((1,) if member(x, f.at(addr)) else (0,)))
         elif isinstance(label, JoinL):
-            for n, s in enumerate(f.at(addr)):
-                if member(x, s):
-                    walk(addr + (n,))
+            stack.extend(addr + (n,) for n, s in enumerate(f.at(addr)) if member(x, s))
         elif isinstance(label, VeblenL):
-            walk(addr + (0,))
-
-    walk(())
+            stack.append(addr + (0,))
     return sorted(out)
 
 
@@ -423,8 +420,9 @@ def _image_assign(f: Flowchart, delta: Transducer, depth_bound: int):
 
 def check_levels(f: Flowchart) -> bool:
     """Is every declared level within its node's rank?"""
+    ranks = borel_ranks(f.term)
     for addr, sets in f.assign:
-        rank = borel_rank(f.term, addr)
+        rank = ranks[addr]
         family = sets if isinstance(sets, tuple) else (sets,)
         if any(cmp(s.declared_level, rank) > 0 for s in family):
             return False

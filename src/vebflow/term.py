@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DocumentError, InvalidAddressError, ParseError
-from .ordinal import CnfOrdinal, cmp, parse_ordinal, rank_sum, render_ordinal
+from .ordinal import ONE, CnfOrdinal, add, cmp, omega_pow, parse_ordinal, rank_sum, render_ordinal
 
 __all__ = [
     "Const",
@@ -42,6 +42,7 @@ __all__ = [
     "apply_fixed_point",
     "neck",
     "borel_rank",
+    "borel_ranks",
     "constant_labels",
     "parse_term",
     "render_term",
@@ -331,6 +332,17 @@ def borel_rank(t: Term, addr: Address) -> CnfOrdinal:
             case _:
                 raise InvalidAddressError("address %r walks past a leaf" % (addr,))
     return rank_sum(indices)
+
+
+def borel_ranks(t: Term) -> dict[Address, CnfOrdinal]:
+    """borel_rank at every address of t, in one top-down pass."""
+    ranks: dict[Address, CnfOrdinal] = {}
+    below: dict[Address, CnfOrdinal] = {}  # the rank each node passes to its children
+    for addr, s in _subterms(t):
+        rank = below[addr[:-1]] if addr else ONE
+        ranks[addr] = rank
+        below[addr] = add(rank, omega_pow(s.index)) if isinstance(s, Veblen) else rank
+    return ranks
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,36 @@ def test_eval_ambiguous(capsys, tmp_path):
     assert (code, out) == (1, "ambiguous: q1, q2\n")
 
 
+@pytest.fixture(scope="module")
+def deep_dir(tmp_path_factory, deep_chain):
+    # deeper than the default recursion limit; written compactly, since
+    # the indenting JSON encoder is slow on documents this size
+    f = deep_chain(1500)
+    tmp = tmp_path_factory.mktemp("deep")
+    write_doc(tmp, "deep.fc", json.dumps(fl.encode_flowchart(f)))
+    c = cm.flowchart_to_simple_command(f)
+    write_doc(tmp, "deep.cmd", json.dumps(cm.encode_command(c)))
+    return tmp
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["eval", "deep.fc", "(1)"], "no-true-path\n"),
+        (["eval", "deep.cmd", "(1)"], "no-true-path\n"),
+        (
+            ["check", "deep.cmd"],
+            "well_formed: pass\nnormal: fail\nsimple: pass\nstrongly_total: fail\n"
+            "total: fail witness 1(0)\ndeterministic: pass\n",
+        ),
+    ],
+    ids=["eval-fc", "eval-cmd", "check-cmd"],
+)
+def test_deep_chain_runs_to_its_verdict(capsys, monkeypatch, deep_dir, argv, want):
+    monkeypatch.chdir(deep_dir)
+    assert run(capsys, argv) == (1, want, "")
+
+
 def test_eval_bad_point_literal(capsys, fc_path):
     code, _, err = run(capsys, ["eval", fc_path, "banana"])
     assert code == 2

@@ -7,6 +7,7 @@ import pytest
 
 from vebflow import command as cm
 from vebflow import flowchart as fl
+from vebflow import generate as gen
 from vebflow.command import (
     ArrowSite,
     Command,
@@ -39,11 +40,12 @@ from vebflow.generate import (
     random_total_det_flowchart,
 )
 from vebflow.ordinal import ONE, ZERO
-from vebflow.space import ClopenSet, Space, parse_clopen, parse_point, sample_grid
-from vebflow.term import parse_term
+from vebflow.space import ClopenSet, Space, member, parse_clopen, parse_point, sample_grid
+from vebflow.term import ArrowL, ConstL, JoinL, VeblenL, parse_term
 from vebflow.transducer import (
     apply,
     compose,
+    const_zero,
     drop_first,
     identity_map,
     letter_double,
@@ -186,6 +188,84 @@ def test_true_paths_and_no_true_path():
 def test_eval_space_mismatch():
     with pytest.raises(SpaceMismatchError):
         eval_command(SIMPLE, pt("(0)", space=Space(3)))
+
+
+def test_eval_on_deep_simple_command(deep_chain):
+    c = flowchart_to_simple_command(deep_chain(2000))
+    assert eval_outcome(c, pt("(1)")) == ("no-true-path",)
+
+
+# -- the lowering against the walker it replaced ----------------------------------
+#
+# Before evaluation went through command_to_flowchart, a command carried
+# its current value down the tree and tested that, and val recomposed
+# the edge maps from the root on every call.  Both are kept here as the
+# reference for the one-pass lowering.
+
+def ref_val(c, addr):
+    out = identity_map(c.space)
+    for i in range(1, len(addr) + 1):
+        out = compose(c.edge_map(addr[:i]), out)
+    return out
+
+
+def ref_true_positions(c, x):
+    out = []
+
+    def walk(addr, value):
+        out.append(addr)
+        label = c.tree.label(addr)
+        if isinstance(label, ArrowL):
+            site = c.at(addr)
+            if member(value, site.test):
+                walk(addr + (1,), apply(site.then_map, value))
+            else:
+                walk(addr + (0,), value)
+        elif isinstance(label, JoinL):
+            for n, (test, m) in enumerate(c.at(addr).members):
+                if member(value, test):
+                    walk(addr + (n,), apply(m, value))
+        elif isinstance(label, VeblenL):
+            walk(addr + (0,), apply(c.at(addr).child_map, value))
+
+    walk((), x)
+    return sorted(out)
+
+
+def ref_eval_outcome(c, x):
+    labels = set()
+    for addr in ref_true_positions(c, x):
+        label = c.tree.label(addr)
+        if isinstance(label, ConstL):
+            labels.add(label.label)
+    if not labels:
+        return ("no-true-path",)
+    if len(labels) > 1:
+        return ("ambiguous", frozenset(labels))
+    return ("value", labels.pop())
+
+
+def test_lowering_matches_reference_walker(monkeypatch):
+    # random_command draws its maps from map_palette; widen the palette
+    # with two out_map retractions so that reassignments also land
+    # points in a set's complement
+    palette = gen.map_palette(SP2) + [out_map(cs("{1}")), out_map(cs("{01, 10}"))]
+    monkeypatch.setattr(gen, "map_palette", lambda space: palette)
+    rng = random.Random(173)
+    commands = [random_command(rng, random_term(rng, 3), SP2, 3) for _ in range(60)]
+    sp1 = Space(1)
+    commands.append(Command(parse_term('q"a" ~> join(q"b", veb[0](q"c"))'), SP2, {
+        (): ArrowSite(cs("{1}"), const_zero(SP2, sp1)),
+        (1,): JoinSite(((ClopenSet.full(sp1), identity_map(sp1)),
+                        (ClopenSet.full(sp1), identity_map(sp1)))),
+        (1, 1): VeblenSite(identity_map(sp1)),
+    }))
+    for c in commands:
+        for addr in c.tree.addresses():
+            assert val(c, addr) == ref_val(c, addr)
+        for x in GRID:
+            assert true_positions(c, x) == ref_true_positions(c, x)
+            assert eval_outcome(c, x) == ref_eval_outcome(c, x)
 
 
 # -- predicates -----------------------------------------------------------------------

@@ -223,6 +223,13 @@ def test_deciders_on_deep_chain():
     assert is_deterministic(f) == (True, None)
 
 
+def test_eval_on_deep_chain(deep_chain):
+    f = deep_chain(2000)
+    x = pt("(1)")
+    assert true_positions(f, x) == [(1,) * n for n in range(2001)]
+    assert eval_outcome(f, x) == ("no-true-path",)
+
+
 def _labels_at(f, x):
     return {q for _, q in true_paths(f, x)}
 

@@ -21,6 +21,7 @@ from vebflow.term import (
     VeblenL,
     apply_fixed_point,
     borel_rank,
+    borel_ranks,
     constant_labels,
     decode_tree,
     encode_tree,
@@ -224,6 +225,16 @@ def test_rank_weakly_increasing_along_paths():
         for addr in st.addresses():
             for cut in range(len(addr) + 1):
                 assert cmp(borel_rank(t, addr[:cut]), borel_rank(t, addr)) <= 0
+
+
+def test_borel_ranks_match_borel_rank():
+    rng = random.Random(23)
+    for _ in range(300):
+        t = random_term(rng, 6)
+        ranks = borel_ranks(t)
+        assert sorted(ranks) == syntax_tree(t).addresses()
+        for addr, rank in ranks.items():
+            assert rank == borel_rank(t, addr)
 
 
 # -- parse / render --------------------------------------------------------
