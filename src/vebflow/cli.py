@@ -435,14 +435,26 @@ def _fuzz_translation(rng, session, space) -> str | None:
     return None
 
 
+def _walked_outcome(f, x) -> tuple:
+    """eval_outcome read off the pointwise walker's leaves instead of the
+    compiled reach sets."""
+    labels = {label for _, label in fl.true_paths(f, x)}
+    if not labels:
+        return ("no-true-path",)
+    if len(labels) > 1:
+        return ("ambiguous", frozenset(labels))
+    return ("value", labels.pop())
+
+
 def _fuzz_decisions(rng, session, space) -> str | None:
     term = gen.random_term(rng, 3)
     f = gen.random_flowchart(rng, term, space, 3)
     total, tw = fl.is_total(f)
     det, dw = fl.is_deterministic(f)
     grid = session.grid(space)
-    saw_no_path = any(fl.eval_outcome(f, x) == ("no-true-path",) for x in grid)
-    saw_ambiguous = any(fl.eval_outcome(f, x)[0] == "ambiguous" for x in grid)
+    outcomes = [fl.eval_outcome(f, x) for x in grid]
+    saw_no_path = ("no-true-path",) in outcomes
+    saw_ambiguous = any(o[0] == "ambiguous" for o in outcomes)
     if total and saw_no_path:
         return "is_total said yes but a grid point has no true path"
     if det and saw_ambiguous:
@@ -451,6 +463,9 @@ def _fuzz_decisions(rng, session, space) -> str | None:
         return "totality witness %s does have a true path" % render_point(tw)
     if not det and fl.eval_outcome(f, dw)[0] != "ambiguous":
         return "determinism witness %s is not ambiguous" % render_point(dw)
+    for x, got in zip(grid, outcomes):
+        if got != _walked_outcome(f, x):
+            return "eval at %s differs from the walker's leaves" % render_point(x)
     return None
 
 

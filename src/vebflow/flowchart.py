@@ -9,9 +9,15 @@ to every member whose set contains the point, a Veblen node passes
 through.  The labels of the leaves reached this way are the value.
 
 The domain assignment D gives each address the set of points that
-reach it; totality and determinism are clopen inclusion and
-disjointness conditions on D, decided exactly, with least-point
-witnesses on failure.
+reach it.  A chart is compiled once, on first use: D, and for each
+label the union of the domains of the leaves carrying it, its reach
+set.  The reach sets are the chart's multi-terminal decision diagram
+sliced per label, so evaluation reads one letter per trie level of
+each label's set, and totality, determinism and whole-space
+equivalence are Boolean operations on them, decided exactly, with
+least-point witnesses on failure.  The pointwise walker
+(true_positions, true_paths) reports which nodes a point passes; it
+serves traces and is not used by evaluation.
 
 Transformations: to_monotone shrinks every assigned set into its
 domain (normal terms only), to_reduced makes join families pairwise
@@ -23,6 +29,7 @@ along an open surjection of name spaces.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     DocumentError,
@@ -63,6 +70,7 @@ __all__ = [
     "true_paths",
     "eval_flowchart",
     "eval_outcome",
+    "equivalent",
     "is_total",
     "is_deterministic",
     "is_monotone",
@@ -162,6 +170,40 @@ class Flowchart:
                 new[addr] = rewrite(addr, sets)
         return Flowchart(self.term, self.space, new)
 
+    @cached_property
+    def _domains(self) -> dict[Address, ClopenSet]:
+        """The domain assignment, computed top down on first use."""
+        tree = self._tree
+        domains: dict[Address, ClopenSet] = {(): ClopenSet.full(self.space)}
+        for addr in tree.addresses():
+            if not addr:
+                continue
+            parent, i = addr[:-1], addr[-1]
+            label = tree.label(parent)
+            if isinstance(label, ArrowL):
+                s = self._at[parent]
+                domains[addr] = (
+                    domains[parent].difference(s) if i == 0 else domains[parent].intersect(s)
+                )
+            elif isinstance(label, JoinL):
+                domains[addr] = domains[parent].intersect(self._at[parent][i])
+            else:
+                domains[addr] = domains[parent]
+        return domains
+
+    @cached_property
+    def _reach(self) -> dict[str, ClopenSet]:
+        """Each label's reach set: the union of the domains of the leaves
+        carrying it, in address order of first appearance."""
+        tree = self._tree
+        reach: dict[str, ClopenSet] = {}
+        for addr, d in self._domains.items():
+            label = tree.label(addr)
+            if isinstance(label, ConstL):
+                q = label.label
+                reach[q] = reach[q].union(d) if q in reach else d
+        return reach
+
     def __repr__(self):
         return "Flowchart(%d assigned nodes, %r)" % (len(self.assign), self.space)
 
@@ -175,25 +217,10 @@ def domain_assignment(f: Flowchart) -> dict[Address, ClopenSet]:
 
     The root gets the full space.  A ~> node sends its set's complement
     left and its set right, a join node intersects with each family
-    member, a Veblen node passes its domain through unchanged.
+    member, a Veblen node passes its domain through unchanged.  Returns
+    a copy of the chart's compiled domains.
     """
-    tree = f.tree
-    domains: dict[Address, ClopenSet] = {(): ClopenSet.full(f.space)}
-    for addr in tree.addresses():
-        if not addr:
-            continue
-        parent, i = addr[:-1], addr[-1]
-        label = tree.label(parent)
-        if isinstance(label, ArrowL):
-            s = f.at(parent)
-            domains[addr] = (
-                domains[parent].difference(s) if i == 0 else domains[parent].intersect(s)
-            )
-        elif isinstance(label, JoinL):
-            domains[addr] = domains[parent].intersect(f.at(parent)[i])
-        else:
-            domains[addr] = domains[parent]
-    return domains
+    return dict(f._domains)
 
 
 def true_positions(f: Flowchart, x: UpPoint) -> list[Address]:
@@ -227,15 +254,31 @@ def true_paths(f: Flowchart, x: UpPoint) -> list[tuple[Address, str]]:
     return out
 
 
+def _labels_at(f: Flowchart, x: UpPoint) -> list[str]:
+    """The labels of the leaves the point reaches: those whose reach
+    trie leads to True along the point's letters."""
+    if x.space != f.space:
+        raise SpaceMismatchError("point in %r, flowchart in %r" % (x.space, f.space))
+    labels = []
+    for q, s in f._reach.items():
+        node = s.trie
+        i = 0
+        while node.__class__ is tuple:
+            node = node[x.letter(i)]
+            i += 1
+        if node:
+            labels.append(q)
+    return labels
+
+
 def eval_flowchart(f: Flowchart, x: UpPoint) -> str:
     """The unique true-path label; all true paths must agree on it."""
-    paths = true_paths(f, x)
-    if not paths:
+    labels = _labels_at(f, x)
+    if not labels:
         raise NoTruePathError("no true path at %s" % x)
-    labels = {label for _, label in paths}
     if len(labels) > 1:
         raise AmbiguousLabelsError(labels)
-    return labels.pop()
+    return labels[0]
 
 
 def eval_outcome(f: Flowchart, x: UpPoint) -> tuple:
@@ -244,12 +287,27 @@ def eval_outcome(f: Flowchart, x: UpPoint) -> tuple:
     ("value", label) | ("no-true-path",) | ("ambiguous", frozenset).
     Lets transforms assert exact agreement of outputs and error kinds.
     """
-    try:
-        return ("value", eval_flowchart(f, x))
-    except NoTruePathError:
+    labels = _labels_at(f, x)
+    if not labels:
         return ("no-true-path",)
-    except AmbiguousLabelsError as e:
-        return ("ambiguous", e.labels)
+    if len(labels) > 1:
+        return ("ambiguous", frozenset(labels))
+    return ("value", labels[0])
+
+
+def equivalent(f: Flowchart, g: Flowchart) -> bool:
+    """Do two charts evaluate alike at every point of the space?
+
+    Exactly when they live in the same space and every label has the
+    same reach set in both, a label missing from one chart reaching
+    nothing there.  Decided on the whole space, not on a sample.
+    """
+    if f.space != g.space:
+        return False
+    empty = ClopenSet.empty(f.space)
+    return all(
+        f._reach.get(q, empty) == g._reach.get(q, empty) for q in f._reach.keys() | g._reach.keys()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -259,33 +317,16 @@ def eval_outcome(f: Flowchart, x: UpPoint) -> tuple:
 def is_total(f: Flowchart) -> tuple[bool, UpPoint | None]:
     """Does every point have a true path?
 
-    Computed backwards as the success set of each subtree: leaves
-    succeed everywhere, a ~> node succeeds where its taken branch does,
-    a join succeeds under any member whose branch does.  A join family
-    that misses part of its domain is not by itself a failure; the
-    point may still ride an overlapping sibling branch to a leaf.  On
-    failure the witness is the least point with no true path.
+    The points with a true path are those reaching some leaf: the union
+    of the reach sets.  A join family that misses part of its domain is
+    not by itself a failure; the point may still ride an overlapping
+    sibling branch to a leaf.  On failure the witness is the least point
+    with no true path.
     """
-    tree = f.tree
-    succeed: dict[Address, ClopenSet] = {}
-    # Longest addresses first: every child is done before its parent.
-    for addr in sorted(tree.nodes, key=len, reverse=True):
-        label = tree.label(addr)
-        if isinstance(label, ArrowL):
-            s = f.at(addr)
-            left = s.complement().intersect(succeed.pop(addr + (0,)))
-            succeed[addr] = left.union(s.intersect(succeed.pop(addr + (1,))))
-        elif isinstance(label, JoinL):
-            out = ClopenSet.empty(f.space)
-            for n, s in enumerate(f.at(addr)):
-                out = out.union(s.intersect(succeed.pop(addr + (n,))))
-            succeed[addr] = out
-        elif isinstance(label, VeblenL):
-            succeed[addr] = succeed.pop(addr + (0,))
-        else:
-            succeed[addr] = ClopenSet.full(f.space)
-
-    missing = succeed[()].complement()
+    reached = ClopenSet.empty(f.space)
+    for d in f._reach.values():
+        reached = reached.union(d)
+    missing = reached.complement()
     if missing.is_empty:
         return True, None
     return False, least_point(missing)
@@ -294,21 +335,13 @@ def is_total(f: Flowchart) -> tuple[bool, UpPoint | None]:
 def is_deterministic(f: Flowchart) -> tuple[bool, UpPoint | None]:
     """Can two true paths ever disagree on the label?
 
-    Exactly when the leaf domains of distinct labels never meet;
-    same-label overlap is allowed.  Leaf domains are first unioned per
-    label, and each label's domain is met with the union of the labels
-    before it.  On failure the witness is the least point reached by two
-    distinct labels.
+    Exactly when the reach sets of distinct labels never meet;
+    same-label overlap is allowed.  Each label's reach set is met with
+    the union of the labels before it.  On failure the witness is the
+    least point reached by two distinct labels.
     """
-    tree = f.tree
-    reach: dict[str, ClopenSet] = {}
-    for addr, d in domain_assignment(f).items():
-        label = tree.label(addr)
-        if isinstance(label, ConstL):
-            q = label.label
-            reach[q] = reach[q].union(d) if q in reach else d
     seen = clash = ClopenSet.empty(f.space)
-    for d in reach.values():
+    for d in f._reach.values():
         clash = clash.union(seen.intersect(d))
         seen = seen.union(d)
     if clash.is_empty:

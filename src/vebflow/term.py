@@ -468,11 +468,14 @@ def _parse_atom(sc: _TermScanner, alphabet) -> Term:
 
 
 def _parse_term(sc: _TermScanner, alphabet) -> Term:
-    left = _parse_atom(sc, alphabet)
-    if sc.try_word("~>"):
-        right = _parse_term(sc, alphabet)
-        return Arrow(left, right)
-    return left
+    # a ~> b ~> c is read as a chain of atoms, then folded from the right.
+    atoms = [_parse_atom(sc, alphabet)]
+    while sc.try_word("~>"):
+        atoms.append(_parse_atom(sc, alphabet))
+    t = atoms.pop()
+    while atoms:
+        t = Arrow(atoms.pop(), t)
+    return t
 
 
 def parse_term(text: str, alphabet=None) -> Term:
@@ -495,21 +498,37 @@ def _quote(label: str) -> str:
 
 
 def render_term(t: Term) -> str:
-    """Canonical text; parse_term(render_term(t)) == t."""
-    match t:
-        case Const(label):
-            return "q" + _quote(label)
-        case Var(name):
-            return "x" + _quote(name)
-        case Arrow(left, right):
-            ls = render_term(left)
-            if isinstance(left, Arrow):
-                ls = "(" + ls + ")"
-            return "%s ~> %s" % (ls, render_term(right))
-        case Join(children):
-            return "join(%s)" % ", ".join(render_term(c) for c in children)
-        case Veblen(index, child):
-            return "veb[%s](%s)" % (render_ordinal(index), render_term(child))
+    """Canonical text; parse_term(render_term(t)) == t.
+
+    A loop over an explicit stack of pending text pieces and subterms,
+    so terms deeper than the recursion limit render too.
+    """
+    out: list[str] = []
+    stack: list[str | Term] = [t]
+    while stack:
+        item = stack.pop()
+        match item:
+            case str():
+                out.append(item)
+            case Const(label):
+                out.append("q" + _quote(label))
+            case Var(name):
+                out.append("x" + _quote(name))
+            case Arrow(left, right):
+                if isinstance(left, Arrow):
+                    stack += [right, ") ~> ", left, "("]
+                else:
+                    stack += [right, " ~> ", left]
+            case Join(children):
+                stack.append(")")
+                for n in range(len(children) - 1, -1, -1):
+                    stack.append(children[n])
+                    if n:
+                        stack.append(", ")
+                stack.append("join(")
+            case Veblen(index, child):
+                stack += [")", child, "veb[%s](" % render_ordinal(index)]
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

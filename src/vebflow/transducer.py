@@ -193,13 +193,46 @@ def const_zero(input_space: Space, output_space: Space) -> Transducer:
     return Transducer.build(input_space, output_space, 0, delta)
 
 
+def _is_identity(f: Transducer) -> bool:
+    """Is f the machine identity_map builds: one state echoing each letter?"""
+    return (
+        len(f.steps) == 1
+        and f.input_space == f.output_space
+        and all(step == (0, (a,)) for a, step in enumerate(f.steps[0]))
+    )
+
+
+def _normalized(f: Transducer) -> Transducer:
+    """f renumbered breadth first from its initial state, as build does;
+    f itself when it already is."""
+    order = [f.init]
+    seen = {f.init}
+    for s in order:
+        for nxt, _ in f.steps[s]:
+            if nxt not in seen:
+                seen.add(nxt)
+                order.append(nxt)
+    if order == list(range(len(f.steps))):
+        return f
+    delta = {(s, a): step for s, row in enumerate(f.steps) for a, step in enumerate(row)}
+    return Transducer.build(f.input_space, f.output_space, f.init, delta)
+
+
 def compose(outer: Transducer, inner: Transducer) -> Transducer:
-    """The map x -> outer(inner(x)), as a product machine."""
+    """The map x -> outer(inner(x)), as a product machine.
+
+    When either side is the identity the product machine is the other
+    side, renumbered from its initial state, so that is returned.
+    """
     if inner.output_space != outer.input_space:
         raise SpaceMismatchError(
             "cannot compose: inner emits %r, outer reads %r"
             % (inner.output_space, outer.input_space)
         )
+    if _is_identity(inner):
+        return _normalized(outer)
+    if _is_identity(outer):
+        return _normalized(inner)
     k_in = inner.input_space.alphabet_size
     delta = {}
     start = (inner.init, outer.init)

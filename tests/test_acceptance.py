@@ -16,6 +16,7 @@ import time
 
 import pytest
 
+from test_flowchart import assert_eval_matches_walker, walk_outcome
 from test_ordinal import E1, POOL, to_ordinal, x_add, x_cmp
 
 from vebflow import command as cm
@@ -93,6 +94,16 @@ def test_criterion_1_translation_round_trip(clopen_corpus):
     )
 
 
+def test_round_trips_are_equivalent_on_the_whole_space(clopen_corpus):
+    # Criterion 1 compares on the grid; here the charts are compared as
+    # reach sets, which decides agreement at every point.
+    charts, _ = clopen_corpus
+    for f in charts:
+        c = cm.flowchart_to_simple_command(f)
+        assert fl.equivalent(f, cm.command_to_flowchart(c))
+        assert fl.equivalent(f, cm.command_to_flowchart(cm.make_strongly_total(c)))
+
+
 def test_criterion_2_strongly_total_outputs(clopen_corpus):
     charts, _ = clopen_corpus
     good = sum(
@@ -122,6 +133,12 @@ def test_criterion_3_monotone_lemma():
                 first = "case %d (%s)" % (i, "containment" if not contained else "eval")
     note = "" if not failures else "; %d failures, first %s" % (failures, first)
     announce(3, failures == 0, "%d flowcharts with Veblen nodes%s" % (cases, note))
+
+
+def test_monotone_output_is_equivalent_on_the_whole_space(clopen_corpus):
+    charts, _ = clopen_corpus
+    for f in charts:
+        assert fl.equivalent(f, fl.to_monotone(f))
 
 
 def test_criterion_4_reduced_proposition(mixed_corpus, clopen_corpus):
@@ -155,6 +172,12 @@ def test_criterion_4_reduced_proposition(mixed_corpus, clopen_corpus):
         "%d structural + %d deterministic-eval cases; %d/%d violations"
         % (len(mixed_corpus), len(det_charts), failures, eval_failures),
     )
+
+
+def test_reduced_output_is_equivalent_on_the_whole_space(clopen_corpus):
+    charts, _ = clopen_corpus
+    for f in charts:
+        assert fl.equivalent(f, fl.to_reduced(f))
 
 
 def test_criterion_5_domain_trace_equivalence(mixed_corpus, clopen_corpus):
@@ -260,6 +283,37 @@ def test_criterion_8_decision_procedures(mixed_corpus, clopen_corpus):
                 first = "chart %d" % i
     note = "" if not failures else "; %d disagreements, first %s" % (failures, first)
     announce(8, failures == 0, "%d verdict pairs vs exhaustive grid%s" % (len(charts), note))
+
+
+def _first_letters(x, n=16):
+    return [x.letter(i) for i in range(n)]
+
+
+def test_decision_procedures_against_the_walker(mixed_corpus, clopen_corpus):
+    # Criterion 8 checks the deciders against eval_outcome, which reads
+    # the same compiled reach sets they do; this checks them against the
+    # pointwise walker instead.  A witness is a point that fails, and no
+    # failing grid point comes before it (16 letters tell any two of
+    # these points apart).
+    for f in mixed_corpus + clopen_corpus[0]:
+        walked = {x: walk_outcome(f, x) for x in GRID}
+        no_path = [x for x, o in walked.items() if o == ("no-true-path",)]
+        ambiguous = [x for x, o in walked.items() if o[0] == "ambiguous"]
+        total, tw = fl.is_total(f)
+        det, dw = fl.is_deterministic(f)
+        assert total == (not no_path)
+        assert det == (not ambiguous)
+        if not total:
+            assert walk_outcome(f, tw) == ("no-true-path",)
+            assert all(_first_letters(tw) <= _first_letters(x) for x in no_path)
+        if not det:
+            assert walk_outcome(f, dw)[0] == "ambiguous"
+            assert all(_first_letters(dw) <= _first_letters(x) for x in ambiguous)
+
+
+def test_compiled_eval_matches_walker_on_corpora(mixed_corpus, clopen_corpus):
+    for f in mixed_corpus + clopen_corpus[0]:
+        assert_eval_matches_walker(f, GRID)
 
 
 def test_criterion_9_codec_round_trips():

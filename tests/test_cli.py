@@ -402,6 +402,15 @@ def test_dot_plain_term(capsys, tmp_path):
     assert "S =" not in out  # no annotations without an assignment
 
 
+@pytest.mark.parametrize("cmd, lines", [("rank", 4001), ("dot", 8004)])
+def test_deep_term_document(capsys, tmp_path, cmd, lines):
+    # 2000 right-nested ~> nodes, deeper than the recursion limit:
+    # 4001 nodes, and dot adds one line per edge plus three.
+    path = write_doc(tmp_path, "deep.term", 'q"b" ~> ' * 2000 + 'q"a"')
+    code, out, err = run(capsys, [cmd, path])
+    assert (code, len(out.splitlines()), err) == (0, lines, "")
+
+
 # -- fuzz --------------------------------------------------------------------
 
 def test_fuzz_clean_run(capsys):
@@ -424,6 +433,22 @@ def test_fuzz_catches_broken_transform(capsys, monkeypatch):
     code, out, _ = run(capsys, ["--seed", "1", "fuzz", "--iters", "25"])
     assert code == 1
     assert "monotone: FAIL seed=" in out
+
+
+def test_fuzz_checks_eval_against_the_walker(capsys, monkeypatch):
+    # Renaming every value keeps the error kinds and agrees with itself,
+    # so only the comparison with the walker's leaves can catch it.
+    real = fl.eval_outcome
+
+    def renamed(f, x):
+        out = real(f, x)
+        return ("value", out[1] + "'") if out[0] == "value" else out
+
+    monkeypatch.setattr(fl, "eval_outcome", renamed)
+    code, out, _ = run(capsys, ["--seed", "1", "fuzz", "--iters", "3"])
+    assert code == 1
+    failing = [line for line in out.splitlines() if not line.endswith(": 3 cases, ok")]
+    assert len(failing) == 1 and failing[0].startswith("decisions: FAIL seed=")
 
 
 # -- plumbing ----------------------------------------------------------------

@@ -14,6 +14,7 @@ from vebflow.errors import (
     OpenTermError,
     SpaceMismatchError,
     UnsupportedError,
+    VebflowError,
 )
 from vebflow.flowchart import (
     Flowchart,
@@ -21,6 +22,7 @@ from vebflow.flowchart import (
     decode_flowchart,
     domain_assignment,
     encode_flowchart,
+    equivalent,
     eval_flowchart,
     eval_outcome,
     is_deterministic,
@@ -35,7 +37,9 @@ from vebflow.flowchart import (
     true_positions,
     vaught_transform,
 )
+from vebflow import command as cm
 from vebflow.generate import (
+    random_command,
     random_flowchart,
     random_normal_term,
     random_term,
@@ -254,6 +258,104 @@ def test_decisions_agree_with_grid_evaluation():
         assert det == grid_det
         if not det:
             assert len(_labels_at(f, dw)) > 1
+
+
+# -- compiled evaluation against the walker ---------------------------------------
+
+def walk_outcome(f, x):
+    """eval_outcome read off the pointwise walker: the labels of the
+    leaves true_paths reaches.  The reference for the compiled
+    evaluator, which reads the reach sets instead."""
+    labels = {q for _, q in true_paths(f, x)}
+    if not labels:
+        return ("no-true-path",)
+    if len(labels) > 1:
+        return ("ambiguous", frozenset(labels))
+    return ("value", labels.pop())
+
+
+def walk_eval(f, x):
+    """What eval_flowchart returns, or the type and message of what it
+    raises, according to the walker."""
+    want = walk_outcome(f, x)
+    if want[0] == "value":
+        return want[1]
+    if want[0] == "no-true-path":
+        return NoTruePathError, "no true path at %s" % x
+    return AmbiguousLabelsError, "true paths carry distinct labels: %s" % ", ".join(sorted(want[1]))
+
+
+def _raised(fn, f, x):
+    try:
+        return fn(f, x)
+    except VebflowError as e:
+        return type(e), str(e)
+
+
+def assert_eval_matches_walker(f, grid):
+    for x in grid:
+        assert eval_outcome(f, x) == walk_outcome(f, x), x
+        assert _raised(eval_flowchart, f, x) == walk_eval(f, x), x
+
+
+@pytest.mark.parametrize("k, seed", [(2, 103), (3, 104)])
+def test_compiled_eval_matches_walker_on_random_charts(k, seed):
+    # random_term draws Veblen nodes and non-normal shapes as well
+    space = Space(k)
+    grid = GRID if k == 2 else sample_grid(space, 3, 2)
+    rng = random.Random(seed)
+    for _ in range(120):
+        assert_eval_matches_walker(random_flowchart(rng, random_term(rng, 4), space, 3), grid)
+
+
+@pytest.mark.parametrize("k, seed", [(2, 105), (3, 106)])
+def test_compiled_eval_matches_walker_on_random_commands(k, seed):
+    space = Space(k)
+    grid = GRID if k == 2 else sample_grid(space, 3, 2)
+    rng = random.Random(seed)
+    for _ in range(60):
+        c = random_command(rng, random_term(rng, 3), space, 3)
+        f = cm.command_to_flowchart(c)
+        assert_eval_matches_walker(f, grid)
+        for x in grid:
+            assert cm.eval_outcome(c, x) == walk_outcome(f, x)
+            assert _raised(cm.eval_command, c, x) == walk_eval(f, x)
+
+
+def test_compiled_eval_rejects_points_of_another_space():
+    x = pt("(0)", space=Space(3))
+    c = cm.flowchart_to_simple_command(FC)
+    for fn, doc in ((eval_outcome, FC), (eval_flowchart, FC), (true_positions, FC),
+                    (cm.eval_outcome, c), (cm.eval_command, c)):
+        with pytest.raises(SpaceMismatchError):
+            fn(doc, x)
+
+
+# -- whole-space equivalence -----------------------------------------------------------
+
+def test_equivalent_examples():
+    assert equivalent(FC, FC)
+    # the same function written with the join family in the other order
+    swapped = Flowchart(parse_term('q"q0" ~> join(q"q2", q"q1")'), SP2,
+                        {(): cs("{1}"), (1,): (cs("{11}"), cs("{10}"))})
+    assert equivalent(FC, swapped)
+    # a label that no point reaches counts as absent
+    dead = Flowchart(parse_term('q"a" ~> q"b"'), SP2, {(): ClopenSet.empty(SP2)})
+    assert equivalent(dead, Flowchart(Const("a"), SP2, {}))
+    assert not equivalent(dead, Flowchart(Const("b"), SP2, {}))
+    # charts over different spaces are never equivalent
+    assert not equivalent(Flowchart(Const("a"), SP2, {}), Flowchart(Const("a"), Space(3), {}))
+
+
+def test_equivalent_sees_past_the_grid():
+    # No grid point enters [0000011]: a period of length <= 2 starting
+    # within the first five letters cannot continue 0, 1, 1.
+    t = parse_term('q"a" ~> q"b"')
+    f = Flowchart(t, SP2, {(): cs("{0000011}")})
+    g = Flowchart(t, SP2, {(): ClopenSet.empty(SP2)})
+    assert all(eval_outcome(f, x) == eval_outcome(g, x) == ("value", "a") for x in GRID)
+    assert eval_outcome(f, pt("0000011(0)")) == ("value", "b")
+    assert not equivalent(f, g)
 
 
 def test_domain_true_position_equivalence():

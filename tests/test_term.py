@@ -319,6 +319,17 @@ def test_term_from_tree_on_deep_chain():
     assert back.left == Const("b") and back.right.left == Const("a")
 
 
+def test_text_form_of_deep_chain():
+    # A 2000-deep right-nested ~> chain renders and parses without
+    # recursion; compared through syntax trees, as above.
+    t = Const("a")
+    for n in range(2000):
+        t = Arrow(Const("ab"[n % 2]), t)
+    text = render_term(t)
+    assert text == 'q"b" ~> q"a" ~> ' * 1000 + 'q"a"'
+    assert syntax_tree(parse_term(text)) == syntax_tree(t)
+
+
 # -- tree-side predicate agreement -----------------------------------------
 
 def _wf_tree(st):

@@ -11,7 +11,7 @@ from vebflow.errors import (
     SpaceMismatchError,
     UndecidedImageError,
 )
-from vebflow.generate import random_clopen
+from vebflow.generate import map_palette, random_clopen
 from vebflow.space import (
     ClopenSet,
     Space,
@@ -160,6 +160,54 @@ def test_compose_extensionally_associative():
 def test_compose_space_mismatch():
     with pytest.raises(SpaceMismatchError):
         compose(in_map(cs("{10}")), identity_map(SP2))
+
+
+def _product(outer, inner):
+    # The product-machine construction compose uses when neither side
+    # is the identity.
+    delta = {}
+    start = (inner.init, outer.init)
+    queue = [start]
+    for si, so in queue:
+        for a in range(inner.input_space.alphabet_size):
+            si2, w = inner.step(si, a)
+            so2, out = outer.run_word(so, w)
+            delta[((si, so), a)] = ((si2, so2), out)
+            if (si2, so2) not in queue:
+                queue.append((si2, so2))
+    return Transducer.build(inner.input_space, outer.output_space, start, delta)
+
+
+def test_compose_with_identity_matches_product():
+    rng = random.Random(88)
+    machines = map_palette(SP2) + [drop_first(SP2), letter_double(SP2), parity_merge()]
+    while len(machines) < 14:
+        v = random_clopen(rng, SP2, 3)
+        if not (v.is_empty or v.is_full):
+            machines.append(out_map(v))
+    ident = identity_map(SP2)
+    for m in machines:
+        assert compose(m, ident) == _product(m, ident)
+        assert compose(ident, m) == _product(ident, m)
+        # A normalised machine comes back as itself.
+        assert compose(m, ident) is m
+        assert compose(ident, m) is (ident if m == ident else m)
+    assert compose(ident, ident) == _product(ident, ident) == ident
+
+
+def test_compose_with_identity_normalises_the_other_side():
+    # Two states, started in state 1: the product machine renumbers it.
+    steps = (((0, (1,)), (0, (0,))), ((0, (0,)), (1, (1,))))
+    t = Transducer(SP2, SP2, 1, steps)
+    normal = Transducer.build(
+        SP2, SP2, 1, {(s, a): step for s, row in enumerate(steps) for a, step in enumerate(row)}
+    )
+    ident = identity_map(SP2)
+    for outer, inner in ((t, ident), (ident, t)):
+        got = compose(outer, inner)
+        assert got == _product(outer, inner) == normal
+        assert got != t
+        assert all(apply(got, x) == apply(t, x) for x in GRID)
 
 
 # -- in_map ---------------------------------------------------------------------
