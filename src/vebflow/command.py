@@ -9,6 +9,11 @@ reassignment and goes right; a join node branches to every member whose
 test passes, applying that member's map; a Veblen edge applies its map
 unconditionally.  val gives the composite map accumulated along a path.
 
+Each node works in the output space of the map on the edge into it.
+One top-down walk, _wire, gives every node its working space; the
+constructor runs it with _fit checking each site against its node, and
+decode_command runs it to read each site in its node's space.
+
 The value at a node is val applied to the input, so testing it against
 U is testing the input against preimage(val, U).  Evaluation is defined
 by that translation: a command is lowered once, top down, to val at
@@ -44,14 +49,20 @@ from .term import (
     SyntaxTree,
     Term,
     VeblenL,
-    decode_tree,
     encode_tree,
     has_veblen,
     is_closed,
     syntax_tree,
-    term_from_tree,
 )
-from .transducer import Transducer, compose, decode_map, encode_map, identity_map, preimage
+from .transducer import (
+    Transducer,
+    _is_identity,
+    compose,
+    decode_map,
+    encode_map,
+    identity_map,
+    preimage,
+)
 from . import flowchart as fc
 
 __all__ = [
@@ -111,10 +122,8 @@ Site = ArrowSite | JoinSite | VeblenSite
 class Command:
     """A closed term plus sites; leaves carry nothing.
 
-    The constructor checks the space wiring: each node has a working
-    space (the root works in `space`), every test must live in its
-    node's working space, every map must read it, and a child's working
-    space is the output space of the edge map leading to it.
+    The constructor checks the space wiring: the root works in `space`,
+    and every site must fit its node's working space (see _wire).
     """
 
     term: Term
@@ -124,70 +133,18 @@ class Command:
     def __post_init__(self):
         if not is_closed(self.term):
             raise OpenTermError("commands need closed terms")
-        raw = self.assign
-        if isinstance(raw, dict):
-            raw = raw.items()
-        cooked: dict[Address, Site] = {}
-        for addr, site in raw:
-            addr = tuple(addr)
-            if addr in cooked:
-                raise ValueError("duplicate site at %r" % (addr,))
-            cooked[addr] = site
+        cooked: dict[Address, Site] = fc._cook(self.assign, "site")
         tree = syntax_tree(self.term)
-        spaces: dict[Address, Space] = {(): self.space}
-        for addr in tree.addresses():
-            here = spaces[addr]
-            label = tree.label(addr)
-            site = cooked.get(addr)
-            if isinstance(label, ArrowL):
-                if not isinstance(site, ArrowSite):
-                    raise ValueError("~> node %r needs a test and a map" % (addr,))
-                self._check_test(site.test, here, addr)
-                self._check_map(site.then_map, here, addr)
-                spaces[addr + (0,)] = here
-                spaces[addr + (1,)] = site.then_map.output_space
-            elif isinstance(label, JoinL):
-                arity = len(tree.children(addr))
-                if not isinstance(site, JoinSite) or len(site.members) != arity:
-                    raise ValueError(
-                        "join node %r needs %d (test, map) pairs" % (addr, arity)
-                    )
-                for n, (test, m) in enumerate(site.members):
-                    self._check_test(test, here, addr)
-                    self._check_map(m, here, addr)
-                    spaces[addr + (n,)] = m.output_space
-            elif isinstance(label, VeblenL):
-                if not isinstance(site, VeblenSite):
-                    raise ValueError("veblen node %r needs a map" % (addr,))
-                self._check_map(site.child_map, here, addr)
-                spaces[addr + (0,)] = site.child_map.output_space
-            elif site is not None:
-                raise ValueError("leaf %r takes no site" % (addr,))
-        extra = set(cooked) - set(tree.addresses())
-        if extra:
-            raise ValueError("sites at addresses outside the tree: %r" % sorted(extra))
+        _, spaces = _wire(
+            tree,
+            self.space,
+            cooked,
+            lambda addr, label, here, arity: _fit(cooked.get(addr), addr, label, here, arity),
+        )
         object.__setattr__(self, "assign", tuple(sorted(cooked.items())))
         object.__setattr__(self, "_tree", tree)
         object.__setattr__(self, "_at", cooked)
         object.__setattr__(self, "_spaces", spaces)
-
-    @staticmethod
-    def _check_test(test, space, addr):
-        if not isinstance(test, ClopenSet):
-            raise ValueError("test at %r is not a set" % (addr,))
-        if test.space != space:
-            raise SpaceMismatchError(
-                "test at %r lives in %r but the node works in %r" % (addr, test.space, space)
-            )
-
-    @staticmethod
-    def _check_map(m, space, addr):
-        if not isinstance(m, Transducer):
-            raise ValueError("map at %r is not a transducer" % (addr,))
-        if m.input_space != space:
-            raise SpaceMismatchError(
-                "map at %r reads %r but the node works in %r" % (addr, m.input_space, space)
-            )
 
     @property
     def tree(self) -> SyntaxTree:
@@ -247,6 +204,71 @@ class Command:
         return "Command(%d sites, %r)" % (len(self.assign), self.space)
 
 
+def _wire(tree: SyntaxTree, space: Space, keys, site_at, error=ValueError):
+    """Give every node its working space and its site, top down.
+
+    The root works in `space`, a child in the output space of the map
+    on the edge into it (a ~> node's fallthrough edge keeps the space).
+    site_at(addr, label, here, arity) gives the site of each node but a
+    constant leaf.  `keys` are the addresses given a site; a constant
+    leaf or an address outside the tree among them raises `error`.
+    """
+    spaces: dict[Address, Space] = {(): space}
+    sites: dict[Address, Site] = {}
+    for addr in tree.addresses():
+        here = spaces[addr]
+        label = tree.label(addr)
+        if isinstance(label, ConstL):
+            if addr in keys:
+                raise error("leaf %r takes no site" % (addr,))
+            continue
+        site = sites[addr] = site_at(addr, label, here, len(tree.children(addr)))
+        if isinstance(label, ArrowL):
+            spaces[addr + (0,)] = here
+            spaces[addr + (1,)] = site.then_map.output_space
+        elif isinstance(label, JoinL):
+            for n, (_, m) in enumerate(site.members):
+                spaces[addr + (n,)] = m.output_space
+        elif isinstance(label, VeblenL):
+            spaces[addr + (0,)] = site.child_map.output_space
+    extra = set(keys) - tree.nodes.keys()
+    if extra:
+        raise error("sites at addresses outside the tree: %r" % sorted(extra))
+    return sites, spaces
+
+
+def _fit(site, addr: Address, label, here: Space, arity: int) -> Site:
+    """Check a site against its node: the node's kind and arity, every
+    test living in the node's working space, every map reading it."""
+    if isinstance(label, ArrowL):
+        if not isinstance(site, ArrowSite):
+            raise ValueError("~> node %r needs a test and a map" % (addr,))
+        edges = ((site.test, site.then_map),)
+    elif isinstance(label, JoinL):
+        if not isinstance(site, JoinSite) or len(site.members) != arity:
+            raise ValueError("join node %r needs %d (test, map) pairs" % (addr, arity))
+        edges = site.members
+    else:
+        if not isinstance(site, VeblenSite):
+            raise ValueError("veblen node %r needs a map" % (addr,))
+        edges = ((None, site.child_map),)
+    for test, m in edges:
+        if test is not None:
+            if not isinstance(test, ClopenSet):
+                raise ValueError("test at %r is not a set" % (addr,))
+            if test.space != here:
+                raise SpaceMismatchError(
+                    "test at %r lives in %r but the node works in %r" % (addr, test.space, here)
+                )
+        if not isinstance(m, Transducer):
+            raise ValueError("map at %r is not a transducer" % (addr,))
+        if m.input_space != here:
+            raise SpaceMismatchError(
+                "map at %r reads %r but the node works in %r" % (addr, m.input_space, here)
+            )
+    return site
+
+
 def val(c: Command, addr: Address) -> Transducer:
     """The composite reassignment along the path to an address.
 
@@ -301,11 +323,10 @@ def is_strongly_total(c: Command) -> bool:
 def is_simple(c: Command) -> bool:
     """Does every ~>/join edge keep the identity map?  (Veblen edges
     are unconstrained.)"""
-    for addr, site in c.assign:
-        ident = identity_map(c.space_at(addr))
-        if isinstance(site, ArrowSite) and site.then_map != ident:
+    for _, site in c.assign:
+        if isinstance(site, ArrowSite) and not _is_identity(site.then_map):
             return False
-        if isinstance(site, JoinSite) and any(m != ident for _, m in site.members):
+        if isinstance(site, JoinSite) and not all(_is_identity(m) for _, m in site.members):
             return False
     return True
 
@@ -340,24 +361,22 @@ def flowchart_to_simple_command(f: fc.Flowchart) -> Command:
     have no continuous realization; only index 0 (whose edge may keep
     the identity) is accepted.
     """
-    tree = f.tree
-    for addr in tree.addresses():
-        label = tree.label(addr)
-        if isinstance(label, VeblenL) and not label.index.is_zero:
-            raise UnsupportedError(
-                "veblen node %r has positive index; only continuous reassignments exist here"
-                % (addr,)
-            )
     ident = identity_map(f.space)
     assign: dict[Address, Site] = {}
+    for addr in f.tree.addresses():
+        label = f.tree.label(addr)
+        if isinstance(label, VeblenL):
+            if not label.index.is_zero:
+                raise UnsupportedError(
+                    "veblen node %r has positive index; only continuous reassignments exist here"
+                    % (addr,)
+                )
+            assign[addr] = VeblenSite(ident)
     for addr, sets in f.assign:
         if isinstance(sets, tuple):
             assign[addr] = JoinSite(tuple((s, ident) for s in sets))
         else:
             assign[addr] = ArrowSite(sets, ident)
-    for addr in tree.addresses():
-        if isinstance(tree.label(addr), VeblenL):
-            assign[addr] = VeblenSite(ident)
     return Command(f.term, f.space, assign)
 
 
@@ -448,7 +467,7 @@ def encode_command(c: Command) -> dict:
     return {
         "kind": "command",
         "space": c.space.alphabet_size,
-        "term": encode_tree(syntax_tree(c.term)),
+        "term": encode_tree(c.tree),
         "assign": assign,
     }
 
@@ -472,58 +491,28 @@ def _decode_site_record(entry, space: Space, want_test: bool):
 
 
 def decode_command(doc) -> Command:
-    if not isinstance(doc, dict) or doc.get("kind") != "command":
-        raise DocumentError("a command document has kind 'command'")
-    if not isinstance(doc.get("space"), int):
-        raise DocumentError("command document needs an integer space")
-    try:
-        space = Space(doc["space"])
-    except ValueError as e:
-        raise DocumentError(str(e)) from None
-    term = term_from_tree(decode_tree(doc.get("term")))
-    raw = doc.get("assign")
-    if not isinstance(raw, dict):
-        raise DocumentError("command document needs an assign object")
-    tree = syntax_tree(term)
-    # Working spaces depend on the decoded maps, so decode top-down.
+    """Decode the JSON side of a command: record keys, the `else` edge,
+    map references and set literals, each read in its node's working
+    space.  The Command built from the sites then checks them, so a map
+    that does not read its node's space is reported after every
+    decoding error, whatever its address."""
+    space, tree, term, raw = fc._decode_header(doc, "command")
     entries = {fc.parse_address(key): entry for key, entry in raw.items()}
-    spaces: dict[Address, Space] = {(): space}
-    assign: dict[Address, Site] = {}
-    for addr in tree.addresses():
-        if addr not in spaces:
-            raise DocumentError("space wiring is dangling at %r" % (addr,))
-        here = spaces[addr]
-        label = tree.label(addr)
-        if isinstance(label, ConstL):
-            if addr in entries:
-                raise DocumentError("leaf %r takes no site" % (addr,))
-            continue
+
+    def read(addr, label, here, arity):
         if addr not in entries:
             raise DocumentError("missing site at %r" % (addr,))
         entry = entries[addr]
         if isinstance(label, ArrowL):
-            test, m = _decode_site_record(entry, here, want_test=True)
-            assign[addr] = ArrowSite(test, m)
-            spaces[addr + (0,)] = here
-            spaces[addr + (1,)] = m.output_space
-        elif isinstance(label, JoinL):
-            arity = len(tree.children(addr))
+            return ArrowSite(*_decode_site_record(entry, here, want_test=True))
+        if isinstance(label, JoinL):
             if not isinstance(entry, list) or len(entry) != arity:
                 raise DocumentError("join node %r needs %d site records" % (addr, arity))
-            members = []
-            for n, rec in enumerate(entry):
-                test, m = _decode_site_record(rec, here, want_test=True)
-                members.append((test, m))
-                spaces[addr + (n,)] = m.output_space
-            assign[addr] = JoinSite(tuple(members))
-        else:
-            _, m = _decode_site_record(entry, here, want_test=False)
-            assign[addr] = VeblenSite(m)
-            spaces[addr + (0,)] = m.output_space
-    extra = set(entries) - set(tree.addresses())
-    if extra:
-        raise DocumentError("sites at addresses outside the tree: %r" % sorted(extra))
+            return JoinSite(tuple(_decode_site_record(r, here, want_test=True) for r in entry))
+        return VeblenSite(_decode_site_record(entry, here, want_test=False)[1])
+
+    sites, _ = _wire(tree, space, entries, read, DocumentError)
     try:
-        return Command(term, space, assign)
+        return Command(term, space, sites)
     except (ValueError, OpenTermError, SpaceMismatchError) as e:
         raise DocumentError(str(e)) from None

@@ -53,8 +53,8 @@ from .term import (
     SyntaxTree,
     Term,
     VeblenL,
+    _read_nodes,
     borel_ranks,
-    decode_tree,
     encode_tree,
     is_closed,
     is_normal,
@@ -107,15 +107,7 @@ class Flowchart:
     def __post_init__(self):
         if not is_closed(self.term):
             raise OpenTermError("flowcharts need closed terms")
-        raw = self.assign
-        if isinstance(raw, dict):
-            raw = raw.items()
-        cooked: dict[Address, NodeSets] = {}
-        for addr, sets in raw:
-            addr = tuple(addr)
-            if addr in cooked:
-                raise ValueError("duplicate assignment at %r" % (addr,))
-            cooked[addr] = tuple(sets) if isinstance(sets, (tuple, list)) else sets
+        cooked: dict[Address, NodeSets] = _cook(self.assign, "assignment")
         tree = syntax_tree(self.term)
         for addr in tree.addresses():
             label = tree.label(addr)
@@ -162,13 +154,7 @@ class Flowchart:
 
     def replace_sets(self, rewrite) -> "Flowchart":
         """A copy with every assigned set passed through `rewrite(addr, s)`."""
-        new = {}
-        for addr, sets in self.assign:
-            if isinstance(sets, tuple):
-                new[addr] = tuple(rewrite(addr, s) for s in sets)
-            else:
-                new[addr] = rewrite(addr, sets)
-        return Flowchart(self.term, self.space, new)
+        return _map_sets(self, rewrite, self.space)
 
     @cached_property
     def _domains(self) -> dict[Address, ClopenSet]:
@@ -206,6 +192,31 @@ class Flowchart:
 
     def __repr__(self):
         return "Flowchart(%d assigned nodes, %r)" % (len(self.assign), self.space)
+
+
+def _cook(raw, what: str) -> dict:
+    """An assignment given as a dict or as (address, value) pairs, keyed
+    by address tuples, each address once; list values become tuples."""
+    if isinstance(raw, dict):
+        raw = raw.items()
+    cooked = {}
+    for addr, value in raw:
+        addr = tuple(addr)
+        if addr in cooked:
+            raise ValueError("duplicate %s at %r" % (what, addr))
+        cooked[addr] = tuple(value) if isinstance(value, (tuple, list)) else value
+    return cooked
+
+
+def _map_sets(f: Flowchart, rewrite, space: Space) -> Flowchart:
+    """The chart over `space` whose every assigned set is `rewrite(addr, s)`."""
+    new: dict[Address, NodeSets] = {}
+    for addr, sets in f.assign:
+        if isinstance(sets, tuple):
+            new[addr] = tuple(rewrite(addr, s) for s in sets)
+        else:
+            new[addr] = rewrite(addr, sets)
+    return Flowchart(f.term, space, new)
 
 
 # ---------------------------------------------------------------------------
@@ -409,15 +420,7 @@ def pullback(f: Flowchart, theta: Transducer) -> Flowchart:
         raise SpaceMismatchError(
             "map lands in %r, flowchart lives in %r" % (theta.output_space, f.space)
         )
-    return Flowchart(f.term, theta.input_space, dict(_preimage_assign(f, theta)))
-
-
-def _preimage_assign(f: Flowchart, theta: Transducer):
-    for addr, sets in f.assign:
-        if isinstance(sets, tuple):
-            yield addr, tuple(preimage(theta, s) for s in sets)
-        else:
-            yield addr, preimage(theta, sets)
+    return _map_sets(f, lambda addr, s: preimage(theta, s), theta.input_space)
 
 
 def vaught_transform(f: Flowchart, delta: Transducer, depth_bound: int) -> Flowchart:
@@ -439,16 +442,7 @@ def vaught_transform(f: Flowchart, delta: Transducer, depth_bound: int) -> Flowc
     onto = image(delta, ClopenSet.full(f.space), depth_bound)
     if not onto.is_full:
         raise UnsupportedError("the name map is not surjective; its range is %s" % onto)
-    new = dict(_image_assign(f, delta, depth_bound))
-    return Flowchart(f.term, delta.output_space, new)
-
-
-def _image_assign(f: Flowchart, delta: Transducer, depth_bound: int):
-    for addr, sets in f.assign:
-        if isinstance(sets, tuple):
-            yield addr, tuple(image(delta, s, depth_bound) for s in sets)
-        else:
-            yield addr, image(delta, sets, depth_bound)
+    return _map_sets(f, lambda addr, s: image(delta, s, depth_bound), delta.output_space)
 
 
 def check_levels(f: Flowchart) -> bool:
@@ -519,25 +513,33 @@ def encode_flowchart(f: Flowchart) -> dict:
     return {
         "kind": "flowchart",
         "space": f.space.alphabet_size,
-        "term": encode_tree(syntax_tree(f.term)),
+        "term": encode_tree(f.tree),
         "assign": assign,
     }
 
 
-def decode_flowchart(doc) -> Flowchart:
-    """Decode and validate: shapes, spaces, and the level discipline."""
-    if not isinstance(doc, dict) or doc.get("kind") != "flowchart":
-        raise DocumentError("a flowchart document has kind 'flowchart'")
+def _decode_header(doc, kind: str) -> tuple[Space, SyntaxTree, Term, dict]:
+    """What every document kind checks first: its kind, an integer space,
+    the term, and an assign object."""
+    if not isinstance(doc, dict) or doc.get("kind") != kind:
+        raise DocumentError("a %s document has kind '%s'" % (kind, kind))
     if not isinstance(doc.get("space"), int):
-        raise DocumentError("flowchart document needs an integer space")
+        raise DocumentError("%s document needs an integer space" % kind)
     try:
         space = Space(doc["space"])
     except ValueError as e:
         raise DocumentError(str(e)) from None
-    term = term_from_tree(decode_tree(doc.get("term")))
+    tree = _read_nodes(doc.get("term"))
+    term = term_from_tree(tree)
     raw = doc.get("assign")
     if not isinstance(raw, dict):
-        raise DocumentError("flowchart document needs an assign object")
+        raise DocumentError("%s document needs an assign object" % kind)
+    return space, tree, term, raw
+
+
+def decode_flowchart(doc) -> Flowchart:
+    """Decode and validate: shapes, spaces, and the level discipline."""
+    space, _, term, raw = _decode_header(doc, "flowchart")
     assign: dict[Address, NodeSets] = {}
     for key, entry in raw.items():
         addr = parse_address(key)

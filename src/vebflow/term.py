@@ -10,6 +10,10 @@ Two shape predicates matter downstream.  A term is well formed when no
 Veblen node sits directly on a join.  It is normal when every ~> node
 has a leaf or a Veblen node on the left and a join on the right; the
 monotone transform is only available over normal terms.
+
+The node rules of a tree (a root, prefix closure, no gaps in child
+indices, each label's arity) are stated once, in _check_nodes, which
+decode_tree, term_from_tree and the document decoders all go through.
 """
 
 from __future__ import annotations
@@ -199,45 +203,23 @@ def syntax_tree(t: Term) -> SyntaxTree:
 def term_from_tree(st: SyntaxTree) -> Term:
     """Rebuild the term from its syntax tree (inverse of syntax_tree).
 
-    Nodes are checked in depth-first order from the root, so the first
-    malformed node met is the one reported, then built bottom up;
-    neither pass recurses.
+    The tree is held to decode_tree's rules, then built bottom up
+    without recursion.
     """
-    order: list[tuple[Address, NodeLabel, list[Address]]] = []
-    stack: list[Address] = [()]
-    while stack:
-        addr = stack.pop()
-        label = st.label(addr)
-        kids = st.children(addr)
-        if isinstance(label, (ConstL, VarL)):
-            if kids:
-                kind = "constant" if isinstance(label, ConstL) else "variable"
-                raise DocumentError("%s node %r has children" % (kind, addr))
-        elif isinstance(label, ArrowL):
-            if len(kids) != 2:
-                raise DocumentError("arrow node %r needs exactly 2 children" % (addr,))
-        elif isinstance(label, JoinL):
-            if not kids:
-                raise DocumentError("join node %r needs at least 1 child" % (addr,))
-        elif isinstance(label, VeblenL):
-            if len(kids) != 1:
-                raise DocumentError("veblen node %r needs exactly 1 child" % (addr,))
-        else:
-            raise DocumentError("unknown label at %r" % (addr,))
-        order.append((addr, label, kids))
-        stack.extend(reversed(kids))
+    arity = _check_nodes(st.nodes)
     built: dict[Address, Term] = {}
-    for addr, label, kids in reversed(order):
+    for addr in sorted(st.nodes, key=len, reverse=True):
+        label = st.nodes[addr]
         if isinstance(label, ConstL):
             built[addr] = Const(label.label)
         elif isinstance(label, VarL):
             built[addr] = Var(label.name)
         elif isinstance(label, ArrowL):
-            built[addr] = Arrow(built.pop(kids[0]), built.pop(kids[1]))
+            built[addr] = Arrow(built.pop(addr + (0,)), built.pop(addr + (1,)))
         elif isinstance(label, JoinL):
-            built[addr] = Join(tuple(built.pop(k) for k in kids))
+            built[addr] = Join(tuple(built.pop(addr + (n,)) for n in range(arity[addr])))
         else:
-            built[addr] = Veblen(label.index, built.pop(kids[0]))
+            built[addr] = Veblen(label.index, built.pop(addr + (0,)))
     return built[()]
 
 
@@ -566,6 +548,14 @@ def decode_tree(doc) -> SyntaxTree:
     Checks the closed kind set, address shapes, prefix-closedness and
     per-kind arities; any violation raises DocumentError.
     """
+    st = _read_nodes(doc)
+    _check_nodes(st.nodes)
+    return st
+
+
+def _read_nodes(doc) -> SyntaxTree:
+    """The node table of a coded document: entry shapes, addresses, kinds
+    and payloads are checked here, the shape of the tree is not."""
     if not isinstance(doc, dict) or "nodes" not in doc or not isinstance(doc["nodes"], list):
         raise DocumentError("a tree document is {'nodes': [...]}")
     nodes: dict[Address, NodeLabel] = {}
@@ -603,25 +593,35 @@ def decode_tree(doc) -> SyntaxTree:
                 nodes[addr] = VeblenL(parse_ordinal(payload))
             except ParseError as e:
                 raise DocumentError("bad veblen index: %s" % e) from None
+    return SyntaxTree(nodes)
+
+
+def _check_nodes(nodes: dict[Address, NodeLabel]) -> dict[Address, int]:
+    """The node rules, stated once: a root, prefix closure, child indices
+    0..n-1 under every node, and the arity of each label.  Returns the
+    arity of every node."""
     if () not in nodes:
         raise DocumentError("missing root node")
-    st = SyntaxTree(nodes)
+    arity = dict.fromkeys(nodes, 0)
     for addr in nodes:
-        if addr and addr[:-1] not in nodes:
-            raise DocumentError("addresses are not prefix closed at %r" % (addr,))
-    # A child i > 0 needs its sibling i-1, so that each node's child indices
-    # are exactly 0..arity-1.
+        if addr:
+            if addr[:-1] not in nodes:
+                raise DocumentError("addresses are not prefix closed at %r" % (addr,))
+            arity[addr[:-1]] += 1
+    # A child i > 0 needs its sibling i-1.
     gapped = {a[:-1] for a in nodes if a and a[-1] > 0 and a[:-1] + (a[-1] - 1,) not in nodes}
     for addr, label in nodes.items():
+        n = arity[addr]
         if addr in gapped:
             raise DocumentError("child indices of %r have gaps" % (addr,))
-        arity = len(st.children(addr))
-        if isinstance(label, (ConstL, VarL)) and arity != 0:
+        if isinstance(label, (ConstL, VarL)) and n:
             raise DocumentError("arity mismatch: leaf %r has children" % (addr,))
-        if isinstance(label, ArrowL) and arity != 2:
-            raise DocumentError("arity mismatch: arrow %r has %d children" % (addr, arity))
-        if isinstance(label, JoinL) and arity < 1:
+        if isinstance(label, ArrowL) and n != 2:
+            raise DocumentError("arity mismatch: arrow %r has %d children" % (addr, n))
+        if isinstance(label, JoinL) and not n:
             raise DocumentError("arity mismatch: join %r has no children" % (addr,))
-        if isinstance(label, VeblenL) and arity != 1:
-            raise DocumentError("arity mismatch: veblen %r has %d children" % (addr, arity))
-    return st
+        if isinstance(label, VeblenL) and n != 1:
+            raise DocumentError("arity mismatch: veblen %r has %d children" % (addr, n))
+        if not isinstance(label, (ConstL, VarL, ArrowL, JoinL, VeblenL)):
+            raise DocumentError("unknown label at %r" % (addr,))
+    return arity

@@ -359,6 +359,8 @@ def preimage(f: Transducer, a: ClopenSet) -> ClopenSet:
     """
     if a.space != f.output_space:
         raise SpaceMismatchError("set in %r, map emits %r" % (a.space, f.output_space))
+    if _is_identity(f):
+        return a
     k_in = f.input_space.alphabet_size
     memo: dict[tuple[int, int], Trie] = {}
     stack = [(f.init, a.trie)] if a.trie.__class__ is tuple else []
@@ -631,7 +633,7 @@ def decode_transducer(doc) -> Transducer:
 
 
 def encode_map(f: Transducer, space: Space):
-    if f == identity_map(space):
+    if f.input_space == space and _is_identity(f):
         return "identity"
     return encode_transducer(f)
 

@@ -47,6 +47,7 @@ from vebflow.transducer import (
     compose,
     const_zero,
     drop_first,
+    encode_map,
     identity_map,
     letter_double,
     out_map,
@@ -76,18 +77,25 @@ FC = fl.Flowchart(TERM, SP2, {(): cs("{1}"), (1,): (cs("{10}"), cs("{11}"))})
 # -- construction -----------------------------------------------------------
 
 def test_rejects_bad_sites():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="join node \\(1,\\) needs 2 \\(test, map\\) pairs"):
         Command(TERM, SP2, {(): ArrowSite(cs("{1}"), IDENT)})  # join missing
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="join node \\(1,\\) needs 2 \\(test, map\\) pairs"):
         Command(TERM, SP2, {
             (): ArrowSite(cs("{1}"), IDENT),
             (1,): JoinSite(((cs("{10}"), IDENT),)),  # arity
         })
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="leaf \\(0,\\) takes no site"):
         Command(TERM, SP2, {
             (): ArrowSite(cs("{1}"), IDENT),
             (1,): JoinSite(((cs("{10}"), IDENT), (cs("{11}"), IDENT))),
             (0,): VeblenSite(IDENT),  # leaf takes no site
+        })
+    with pytest.raises(ValueError, match="outside the tree: \\[\\(1, 2\\), \\(2,\\)\\]"):
+        Command(TERM, SP2, {
+            (): ArrowSite(cs("{1}"), IDENT),
+            (1,): JoinSite(((cs("{10}"), IDENT), (cs("{11}"), IDENT))),
+            (2,): VeblenSite(IDENT),
+            (1, 2): VeblenSite(IDENT),
         })
 
 
@@ -298,6 +306,37 @@ def test_is_simple_examples():
         (): VeblenSite(drop_first(SP2)),
     })
     assert is_simple(v)
+
+
+def _is_simple_by_comparison(c):
+    # The reference: each ~>/join edge map against a freshly built identity.
+    for addr, site in c.assign:
+        ident = identity_map(c.space_at(addr))
+        if isinstance(site, ArrowSite) and site.then_map != ident:
+            return False
+        if isinstance(site, JoinSite) and any(m != ident for _, m in site.members):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_is_simple_matches_machine_comparison(k):
+    sp = Space(k)
+    rng = random.Random(1300 + k)
+    seen = set()
+    for _ in range(150):
+        term = random_term(rng, 3)
+        c = random_command(rng, term, sp, 3)
+        seen.add(is_simple(c))
+        assert is_simple(c) == _is_simple_by_comparison(c)
+        for _, site in c.assign:
+            if isinstance(site, JoinSite):
+                maps = [m for _, m in site.members]
+            else:
+                maps = [site.then_map if isinstance(site, ArrowSite) else site.child_map]
+            for m in maps:
+                assert (encode_map(m, sp) == "identity") == (m == identity_map(sp))
+    assert seen == {True, False}
 
 
 def test_totality_and_determinism_via_flowchart():
@@ -514,11 +553,11 @@ def test_decode_rejects_malformed():
         decode_command(b)
 
     b = json.loads(json.dumps(good)); b["assign"]["1"] = b["assign"]["1"][:1]
-    with pytest.raises(DocumentError):
+    with pytest.raises(DocumentError, match="join node \\(1,\\) needs 2 site records"):
         decode_command(b)
 
     b = json.loads(json.dumps(good)); b["assign"]["0"] = {"map": "identity"}
-    with pytest.raises(DocumentError):
+    with pytest.raises(DocumentError, match="leaf \\(0,\\) takes no site"):
         decode_command(b)
 
     b = json.loads(json.dumps(good)); b["assign"][""]["weird"] = 1
@@ -530,11 +569,25 @@ def test_decode_rejects_malformed():
         decode_command(b)
 
     b = json.loads(json.dumps(good)); b["space"] = 0
-    with pytest.raises(DocumentError):
+    with pytest.raises(DocumentError, match="alphabet_size must be an int >= 1"):
         decode_command(b)
 
-    with pytest.raises(DocumentError):
+    with pytest.raises(DocumentError, match="a command document has kind 'command'"):
         decode_command({"kind": "flowchart"})
+
+    b = json.loads(json.dumps(good)); b["space"] = "2"
+    with pytest.raises(DocumentError, match="command document needs an integer space"):
+        decode_command(b)
+
+    b = json.loads(json.dumps(good)); del b["assign"]
+    with pytest.raises(DocumentError, match="command document needs an assign object"):
+        decode_command(b)
+
+    b = json.loads(json.dumps(good))
+    b["assign"]["2"] = {"map": "identity"}
+    b["assign"]["1.2"] = {"map": "identity"}
+    with pytest.raises(DocumentError, match="outside the tree: \\[\\(1, 2\\), \\(2,\\)\\]"):
+        decode_command(b)
 
 
 def test_decode_resolves_maps_in_working_spaces():

@@ -98,6 +98,13 @@ def test_rejects_shape_violations():
     with pytest.raises((ValueError, SpaceMismatchError)):
         Flowchart(TERM, SP2, {(): cs("{1}", space=Space(3)),
                               (1,): (cs("{10}"), cs("{11}"))})
+    with pytest.raises(ValueError, match="outside the tree: \\[\\(1, 2\\), \\(2,\\)\\]"):
+        Flowchart(TERM, SP2, {
+            (): cs("{1}"),
+            (1,): (cs("{10}"), cs("{11}")),
+            (2,): cs("{1}"),
+            (1, 2): cs("{1}"),
+        })
 
 
 # -- domains -------------------------------------------------------------------
@@ -637,31 +644,45 @@ def test_decode_rejects_malformed_documents():
     good = encode_flowchart(FC)
 
     b = json.loads(json.dumps(good)); del b["assign"]["1"]
-    with pytest.raises(DocumentError):
+    with pytest.raises(DocumentError, match="join node \\(1,\\) needs a family of 2 sets"):
         decode_flowchart(b)
 
     b = json.loads(json.dumps(good)); b["assign"][""] = ["{1}"]
-    with pytest.raises(DocumentError):
+    with pytest.raises(DocumentError, match="~> node \\(\\) needs exactly one set"):
         decode_flowchart(b)
 
     b = json.loads(json.dumps(good)); b["assign"]["0"] = "{1}"
-    with pytest.raises(DocumentError):
+    with pytest.raises(DocumentError, match="node \\(0,\\) takes no assignment"):
         decode_flowchart(b)
 
     b = json.loads(json.dumps(good)); b["assign"]["1"] = ["{10}"]
-    with pytest.raises(DocumentError):
+    with pytest.raises(DocumentError, match="join node \\(1,\\) needs a family of 2 sets"):
         decode_flowchart(b)
 
     b = json.loads(json.dumps(good)); b["assign"][""] = "{2}"
-    with pytest.raises(DocumentError):
+    with pytest.raises(DocumentError, match="bad set entry"):
         decode_flowchart(b)
 
     b = json.loads(json.dumps(good)); b["space"] = 0
-    with pytest.raises(DocumentError):
+    with pytest.raises(DocumentError, match="alphabet_size must be an int >= 1"):
         decode_flowchart(b)
 
-    with pytest.raises(DocumentError):
+    with pytest.raises(DocumentError, match="a flowchart document has kind 'flowchart'"):
         decode_flowchart("nope")
+
+    b = json.loads(json.dumps(good)); b["space"] = 2.0
+    with pytest.raises(DocumentError, match="flowchart document needs an integer space"):
+        decode_flowchart(b)
+
+    b = json.loads(json.dumps(good)); b["assign"] = ["{1}"]
+    with pytest.raises(DocumentError, match="flowchart document needs an assign object"):
+        decode_flowchart(b)
+
+    b = json.loads(json.dumps(good))
+    b["assign"]["2"] = "{1}"
+    b["assign"]["1.2"] = "{1}"
+    with pytest.raises(DocumentError, match="outside the tree: \\[\\(1, 2\\), \\(2,\\)\\]"):
+        decode_flowchart(b)
 
 
 def test_decode_rejects_level_violations():

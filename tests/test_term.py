@@ -402,11 +402,11 @@ def test_decode_rejects_unknown_kind():
 
 
 def test_decode_rejects_shape_violations():
-    with pytest.raises(DocumentError):
-        decode_tree({"nodes": []})  # missing root
-    with pytest.raises(DocumentError):
-        decode_tree({"nodes": [{"addr": [], "kind": "arrow"}]})  # arity
-    with pytest.raises(DocumentError):
+    with pytest.raises(DocumentError, match="missing root node"):
+        decode_tree({"nodes": []})
+    with pytest.raises(DocumentError, match="arity mismatch: arrow \\(\\) has 0 children"):
+        decode_tree({"nodes": [{"addr": [], "kind": "arrow"}]})
+    with pytest.raises(DocumentError, match="not prefix closed at \\(0, 0\\)"):
         decode_tree(
             {
                 "nodes": [
@@ -414,8 +414,8 @@ def test_decode_rejects_shape_violations():
                     {"addr": [0, 0], "kind": "const", "payload": "b"},
                 ]
             }
-        )  # not prefix closed
-    with pytest.raises(DocumentError):
+        )
+    with pytest.raises(DocumentError, match="duplicate address \\(\\)"):
         decode_tree(
             {
                 "nodes": [
@@ -423,11 +423,50 @@ def test_decode_rejects_shape_violations():
                     {"addr": [], "kind": "const", "payload": "a"},
                 ]
             }
-        )  # duplicate address
-    with pytest.raises(DocumentError):
+        )
+    with pytest.raises(DocumentError, match="bad veblen index"):
         decode_tree({"nodes": [{"addr": [], "kind": "veblen", "payload": "q"}]})
-    with pytest.raises(DocumentError):
+    with pytest.raises(DocumentError, match="a tree document is"):
         decode_tree("nope")
+
+
+@pytest.mark.parametrize(
+    "root, children, message",
+    [
+        ("const", 1, "arity mismatch: leaf \\(\\) has children"),
+        ("var", 2, "arity mismatch: leaf \\(\\) has children"),
+        ("arrow", 1, "arity mismatch: arrow \\(\\) has 1 children"),
+        ("arrow", 3, "arity mismatch: arrow \\(\\) has 3 children"),
+        ("join", 0, "arity mismatch: join \\(\\) has no children"),
+        ("veblen", 0, "arity mismatch: veblen \\(\\) has 0 children"),
+        ("veblen", 2, "arity mismatch: veblen \\(\\) has 2 children"),
+    ],
+)
+def test_decode_rejects_arity_mismatch(root, children, message):
+    payload = {"const": "a", "var": "x", "veblen": "1"}
+    root_node = {"addr": [], "kind": root}
+    if root in payload:
+        root_node["payload"] = payload[root]
+    doc = {
+        "nodes": [root_node]
+        + [{"addr": [i], "kind": "const", "payload": "b"} for i in range(children)]
+    }
+    with pytest.raises(DocumentError, match=message):
+        decode_tree(doc)
+
+
+def test_term_from_tree_holds_trees_to_the_decoder_rules():
+    cases = [
+        ({}, "missing root node"),
+        ({(): ConstL("a"), (0, 0): ConstL("b")}, "not prefix closed at \\(0, 0\\)"),
+        ({(): JoinL(), (1,): ConstL("a")}, "child indices of \\(\\) have gaps"),
+        ({(): ArrowL(), (0,): ConstL("a")}, "arity mismatch: arrow \\(\\) has 1 children"),
+        ({(): VarL("x"), (0,): ConstL("a")}, "arity mismatch: leaf \\(\\) has children"),
+        ({(): "bogus"}, "unknown label at \\(\\)"),
+    ]
+    for nodes, message in cases:
+        with pytest.raises(DocumentError, match=message):
+            term_from_tree(SyntaxTree(nodes))
 
 
 def test_decode_rejects_child_index_gap():

@@ -24,6 +24,7 @@ from vebflow.space import (
 )
 from vebflow.transducer import (
     Transducer,
+    _is_identity,
     apply,
     compose,
     const_zero,
@@ -298,8 +299,49 @@ def test_out_map_is_a_retraction():
 # -- preimage -----------------------------------------------------------------------
 
 def test_preimage_identity():
+    from vebflow.ordinal import CnfOrdinal
+
     a = cs("{0, 11}")
     assert preimage(identity_map(SP2), a) == a
+    for k in (2, 3):
+        sp = Space(k)
+        # The same map as a two-state machine, which the product walk handles.
+        echo = Transducer(sp, sp, 0, tuple(tuple((1 - s, (a,)) for a in range(k)) for s in (0, 1)))
+        rng = random.Random(900 + k)
+        for n in range(150):
+            a = random_clopen(rng, sp, 4).with_level(CnfOrdinal.from_int(1 + n % 4))
+            got = preimage(identity_map(sp), a)
+            assert got == a and got.declared_level == a.declared_level
+            ref = preimage(echo, a)
+            assert ref == got and ref.declared_level == got.declared_level
+        with pytest.raises(SpaceMismatchError):
+            preimage(identity_map(sp), cs("{0}", space=SP1))
+
+
+def test_identity_check_matches_machine_comparison():
+    # encode_map names a machine "identity" exactly when it is == to
+    # identity_map of the node's space.
+    rng = random.Random(1201)
+    spaces = [SP1, SP2, Space(3)]
+    machines = []
+    for sp in spaces:
+        machines += map_palette(sp)
+        machines += [const_zero(sp, sp), const_zero(sp, SP1), out_map(ClopenSet.empty(sp))]
+        for _ in range(12):
+            v = random_clopen(rng, sp, 3)
+            if not v.is_full:
+                machines.append(out_map(v))
+            if not v.is_empty:
+                machines.append(in_map(v))
+    seen = set()
+    for m in machines:
+        for sp in spaces:
+            old = m == identity_map(sp)
+            seen.add(old)
+            assert (encode_map(m, sp) == "identity") == old
+            if m.input_space == sp:
+                assert _is_identity(m) == old
+    assert seen == {True, False}
 
 
 def test_preimage_letter_double_examples():
