@@ -34,10 +34,9 @@ from .ordinal import render_ordinal
 from .space import Space, member, parse_point, render_clopen, render_point, sample_grid
 from .term import (
     ArrowL,
-    ConstL,
+    Const,
     JoinL,
-    VarL,
-    VeblenL,
+    Var,
     borel_ranks,
     is_closed,
     is_normal,
@@ -277,9 +276,9 @@ def cmd_rank(session: Session, args) -> int:
 
 
 def _node_caption(label) -> str:
-    if isinstance(label, ConstL):
+    if isinstance(label, Const):
         return 'q"%s"' % label.label
-    if isinstance(label, VarL):
+    if isinstance(label, Var):
         return 'x"%s"' % label.name
     if isinstance(label, ArrowL):
         return "~>"
@@ -310,7 +309,7 @@ def cmd_dot(session: Session, args) -> int:
     for addr in tree.addresses():
         label = tree.label(addr)
         parts = [_node_caption(label), "rank %s" % render_ordinal(ranks[addr])]
-        if annotate is not None and not isinstance(label, (ConstL, VarL)):
+        if annotate is not None and not isinstance(label, (Const, Var)):
             if kind == "flowchart" and isinstance(label, (ArrowL, JoinL)):
                 sets = annotate.at(addr)
                 if isinstance(sets, tuple):

@@ -44,7 +44,7 @@ from .space import ClopenSet, Space, UpPoint, least_point, render_point
 from .term import (
     Address,
     ArrowL,
-    ConstL,
+    Const,
     JoinL,
     SyntaxTree,
     Term,
@@ -134,21 +134,20 @@ class Command:
         if not is_closed(self.term):
             raise OpenTermError("commands need closed terms")
         cooked: dict[Address, Site] = fc._cook(self.assign, "site")
-        tree = syntax_tree(self.term)
         _, spaces = _wire(
-            tree,
+            self.tree,
             self.space,
             cooked,
             lambda addr, label, here, arity: _fit(cooked.get(addr), addr, label, here, arity),
         )
         object.__setattr__(self, "assign", tuple(sorted(cooked.items())))
-        object.__setattr__(self, "_tree", tree)
         object.__setattr__(self, "_at", cooked)
         object.__setattr__(self, "_spaces", spaces)
 
     @property
     def tree(self) -> SyntaxTree:
-        return self._tree
+        """The term's own syntax tree, shared with every chart on it."""
+        return syntax_tree(self.term)
 
     def at(self, addr: Address) -> Site:
         try:
@@ -167,7 +166,7 @@ class Command:
         """The reassignment applied when stepping from addr[:-1] to addr."""
         parent, i = addr[:-1], addr[-1]
         label = self.tree.label(parent)
-        site = self.at(parent) if not isinstance(label, ConstL) else None
+        site = self.at(parent) if not isinstance(label, Const) else None
         if isinstance(label, ArrowL):
             return identity_map(self.space_at(parent)) if i == 0 else site.then_map
         if isinstance(label, JoinL):
@@ -182,10 +181,11 @@ class Command:
         back to the input, from one top-down pass on first use."""
         vals: dict[Address, Transducer] = {(): identity_map(self.space)}
         sets: dict[Address, fc.NodeSets] = {}
+        tree = self.tree
         # Sorted addresses put every parent before its children.
-        for addr in self._tree.addresses():
+        for addr in tree.addresses():
             acc = vals[addr]
-            label = self._tree.label(addr)
+            label = tree.label(addr)
             if isinstance(label, ArrowL):
                 site = self._at[addr]
                 sets[addr] = preimage(acc, site.test).with_level(ONE)
@@ -218,7 +218,7 @@ def _wire(tree: SyntaxTree, space: Space, keys, site_at, error=ValueError):
     for addr in tree.addresses():
         here = spaces[addr]
         label = tree.label(addr)
-        if isinstance(label, ConstL):
+        if isinstance(label, Const):
             if addr in keys:
                 raise error("leaf %r takes no site" % (addr,))
             continue
@@ -496,7 +496,7 @@ def decode_command(doc) -> Command:
     space.  The Command built from the sites then checks them, so a map
     that does not read its node's space is reported after every
     decoding error, whatever its address."""
-    space, tree, term, raw = fc._decode_header(doc, "command")
+    space, term, raw = fc._decode_header(doc, "command")
     entries = {fc.parse_address(key): entry for key, entry in raw.items()}
 
     def read(addr, label, here, arity):
@@ -511,7 +511,7 @@ def decode_command(doc) -> Command:
             return JoinSite(tuple(_decode_site_record(r, here, want_test=True) for r in entry))
         return VeblenSite(_decode_site_record(entry, here, want_test=False)[1])
 
-    sites, _ = _wire(tree, space, entries, read, DocumentError)
+    sites, _ = _wire(syntax_tree(term), space, entries, read, DocumentError)
     try:
         return Command(term, space, sites)
     except (ValueError, OpenTermError, SpaceMismatchError) as e:

@@ -48,7 +48,7 @@ from .space import ClopenSet, Space, UpPoint, least_point, member, parse_clopen,
 from .term import (
     Address,
     ArrowL,
-    ConstL,
+    Const,
     JoinL,
     SyntaxTree,
     Term,
@@ -108,7 +108,7 @@ class Flowchart:
         if not is_closed(self.term):
             raise OpenTermError("flowcharts need closed terms")
         cooked: dict[Address, NodeSets] = _cook(self.assign, "assignment")
-        tree = syntax_tree(self.term)
+        tree = self.tree
         for addr in tree.addresses():
             label = tree.label(addr)
             if isinstance(label, ArrowL):
@@ -131,7 +131,6 @@ class Flowchart:
         if extra:
             raise ValueError("assignment at addresses outside the tree: %r" % sorted(extra))
         object.__setattr__(self, "assign", tuple(sorted(cooked.items())))
-        object.__setattr__(self, "_tree", tree)
         object.__setattr__(self, "_at", cooked)
 
     def _check_set(self, s, addr):
@@ -144,7 +143,8 @@ class Flowchart:
 
     @property
     def tree(self) -> SyntaxTree:
-        return self._tree
+        """The term's own syntax tree, shared with every chart on it."""
+        return syntax_tree(self.term)
 
     def at(self, addr: Address) -> NodeSets:
         try:
@@ -159,7 +159,7 @@ class Flowchart:
     @cached_property
     def _domains(self) -> dict[Address, ClopenSet]:
         """The domain assignment, computed top down on first use."""
-        tree = self._tree
+        tree = self.tree
         domains: dict[Address, ClopenSet] = {(): ClopenSet.full(self.space)}
         for addr in tree.addresses():
             if not addr:
@@ -181,11 +181,11 @@ class Flowchart:
     def _reach(self) -> dict[str, ClopenSet]:
         """Each label's reach set: the union of the domains of the leaves
         carrying it, in address order of first appearance."""
-        tree = self._tree
+        tree = self.tree
         reach: dict[str, ClopenSet] = {}
         for addr, d in self._domains.items():
             label = tree.label(addr)
-            if isinstance(label, ConstL):
+            if isinstance(label, Const):
                 q = label.label
                 reach[q] = reach[q].union(d) if q in reach else d
         return reach
@@ -260,7 +260,7 @@ def true_paths(f: Flowchart, x: UpPoint) -> list[tuple[Address, str]]:
     out = []
     for addr in true_positions(f, x):
         label = tree.label(addr)
-        if isinstance(label, ConstL):
+        if isinstance(label, Const):
             out.append((addr, label.label))
     return out
 
@@ -397,7 +397,6 @@ def to_reduced(f: Flowchart) -> Flowchart:
     clopen.
     """
     new: dict[Address, NodeSets] = {}
-    tree = f.tree
     for addr, sets in f.assign:
         if not isinstance(sets, tuple):
             new[addr] = sets
@@ -462,8 +461,9 @@ def check_levels(f: Flowchart) -> bool:
 #   {"kind": "flowchart", "space": k, "term": {"nodes": [...]},
 #    "assign": {"": "{1}", "1": ["{10}", "{11}"]}}
 #
-# Addresses are dotted digit strings ("" is the root).  A set is its
-# literal when at level 1, else {"set": literal, "level": ordinal}.
+# Addresses are dotted ASCII decimals without leading zeros ("" is the
+# root), so each address has one key.  A set is its literal when at
+# level 1, else {"set": literal, "level": ordinal}.
 
 
 def render_address(addr: Address) -> str:
@@ -474,7 +474,7 @@ def parse_address(text: str) -> Address:
     if text == "":
         return ()
     parts = text.split(".")
-    if not all(p.isdigit() for p in parts):
+    if not all(p.isascii() and p.isdigit() and (p == "0" or p[0] != "0") for p in parts):
         raise DocumentError("bad address key %r" % text)
     return tuple(int(p) for p in parts)
 
@@ -518,7 +518,7 @@ def encode_flowchart(f: Flowchart) -> dict:
     }
 
 
-def _decode_header(doc, kind: str) -> tuple[Space, SyntaxTree, Term, dict]:
+def _decode_header(doc, kind: str) -> tuple[Space, Term, dict]:
     """What every document kind checks first: its kind, an integer space,
     the term, and an assign object."""
     if not isinstance(doc, dict) or doc.get("kind") != kind:
@@ -529,17 +529,16 @@ def _decode_header(doc, kind: str) -> tuple[Space, SyntaxTree, Term, dict]:
         space = Space(doc["space"])
     except ValueError as e:
         raise DocumentError(str(e)) from None
-    tree = _read_nodes(doc.get("term"))
-    term = term_from_tree(tree)
+    term = term_from_tree(_read_nodes(doc.get("term")))
     raw = doc.get("assign")
     if not isinstance(raw, dict):
         raise DocumentError("%s document needs an assign object" % kind)
-    return space, tree, term, raw
+    return space, term, raw
 
 
 def decode_flowchart(doc) -> Flowchart:
     """Decode and validate: shapes, spaces, and the level discipline."""
-    space, _, term, raw = _decode_header(doc, "flowchart")
+    space, term, raw = _decode_header(doc, "flowchart")
     assign: dict[Address, NodeSets] = {}
     for key, entry in raw.items():
         addr = parse_address(key)

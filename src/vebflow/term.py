@@ -6,6 +6,11 @@ veb[a] indexed by ordinals below epsilon_0.  The syntax tree embeds a
 term into the finitely branching address tree: addresses are tuples of
 child indices, the root is ().
 
+The syntax tree is a term's one stored form: one table, built on first
+request without recursion and kept on the term, which every reader of
+the term shares.  A leaf is its own label; inner nodes carry ArrowL,
+JoinL or VeblenL.
+
 Two shape predicates matter downstream.  A term is well formed when no
 Veblen node sits directly on a join.  It is normal when every ~> node
 has a leaf or a Veblen node on the left and a join on the right; the
@@ -19,6 +24,7 @@ decode_tree, term_from_tree and the document decoders all go through.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DocumentError, InvalidAddressError, ParseError
 from .ordinal import ONE, CnfOrdinal, add, cmp, omega_pow, parse_ordinal, rank_sum, render_ordinal
@@ -30,8 +36,6 @@ __all__ = [
     "Join",
     "Veblen",
     "Term",
-    "ConstL",
-    "VarL",
     "ArrowL",
     "JoinL",
     "VeblenL",
@@ -57,24 +61,60 @@ __all__ = [
 Address = tuple[int, ...]
 
 
+class _Node:
+    @cached_property
+    def _tree(self) -> SyntaxTree:
+        """The node's syntax tree, built on first request and kept."""
+        nodes: dict[Address, NodeLabel] = {}
+        # Children are pushed last first, so addresses come out sorted.
+        stack: list[tuple[Address, Term]] = [((), self)]
+        while stack:
+            addr, s = stack.pop()
+            if isinstance(s, Arrow):
+                nodes[addr] = ArrowL()
+                stack += [(addr + (1,), s.right), (addr + (0,), s.left)]
+            elif isinstance(s, Join):
+                nodes[addr] = JoinL()
+                stack += [(addr + (n,), s.children[n]) for n in range(len(s.children) - 1, -1, -1)]
+            elif isinstance(s, Veblen):
+                nodes[addr] = VeblenL(s.index)
+                stack.append((addr + (0,), s.child))
+            else:
+                nodes[addr] = s
+        return SyntaxTree(nodes)
+
+
+class _Inner(_Node):
+    """Arrow, Join and Veblen compare and hash through their syntax
+    trees, so neither recurses, however deep the term."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return syntax_tree(self).nodes == syntax_tree(other).nodes
+
+    def __hash__(self):
+        return hash(frozenset(syntax_tree(self).nodes.items()))
+
+
 @dataclass(frozen=True)
-class Const:
+class Const(_Node):
     label: str
 
 
 @dataclass(frozen=True)
-class Var:
+class Var(_Node):
     name: str
 
 
-@dataclass(frozen=True)
-class Arrow:
+@dataclass(frozen=True, eq=False)
+class Arrow(_Inner):
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True)
-class Join:
+@dataclass(frozen=True, eq=False)
+class Join(_Inner):
     children: tuple["Term", ...]
 
     def __post_init__(self):
@@ -83,8 +123,8 @@ class Join:
             raise ValueError("a join needs at least one child")
 
 
-@dataclass(frozen=True)
-class Veblen:
+@dataclass(frozen=True, eq=False)
+class Veblen(_Inner):
     index: CnfOrdinal
     child: "Term"
 
@@ -92,19 +132,9 @@ class Veblen:
 Term = Const | Var | Arrow | Join | Veblen
 
 
-# Node labels of the syntax tree.  The numeric codec kinds are
-# const=0, var=1, arrow=2, join=3, veblen=4, mirrored by the string
-# kinds in encode_tree.
-
-
-@dataclass(frozen=True)
-class ConstL:
-    label: str
-
-
-@dataclass(frozen=True)
-class VarL:
-    name: str
+# Labels of the inner nodes of a syntax tree; a leaf is its own label.
+# The numeric codec kinds are const=0, var=1, arrow=2, join=3, veblen=4,
+# mirrored by the string kinds in encode_tree.
 
 
 @dataclass(frozen=True)
@@ -122,7 +152,7 @@ class VeblenL:
     index: CnfOrdinal
 
 
-NodeLabel = ConstL | VarL | ArrowL | JoinL | VeblenL
+NodeLabel = Const | Var | ArrowL | JoinL | VeblenL
 
 
 class SyntaxTree:
@@ -164,40 +194,31 @@ class SyntaxTree:
         return "SyntaxTree(%d nodes)" % len(self.nodes)
 
 
-def _subterms(t: Term) -> list[tuple[Address, Term]]:
-    """Every (address, subterm) pair of t, breadth first, without recursion."""
-    out: list[tuple[Address, Term]] = [((), t)]
-    for addr, s in out:
-        if isinstance(s, Arrow):
-            out.append((addr + (0,), s.left))
-            out.append((addr + (1,), s.right))
-        elif isinstance(s, Join):
-            out.extend((addr + (n,), c) for n, c in enumerate(s.children))
-        elif isinstance(s, Veblen):
-            out.append((addr + (0,), s.child))
-    return out
-
-
-def _node_label(t: Term) -> NodeLabel:
-    if isinstance(t, Const):
-        return ConstL(t.label)
-    if isinstance(t, Var):
-        return VarL(t.name)
-    if isinstance(t, Arrow):
-        return ArrowL()
-    if isinstance(t, Join):
-        return JoinL()
-    return VeblenL(t.index)
-
-
 def syntax_tree(t: Term) -> SyntaxTree:
-    """Embed a term into the address tree.
+    """Embed a term into the address tree: the term's stored table.
 
     A constant or variable occupies the single address ().  An arrow puts
     its left subtree under 0 and its right subtree under 1, a join puts
     child n under n, and a Veblen node puts its child under 0.
     """
-    return SyntaxTree({addr: _node_label(s) for addr, s in _subterms(t)})
+    return t._tree
+
+
+def _assemble(st: SyntaxTree, order, veblen) -> Term:
+    """Build a term bottom up, without recursion, visiting addresses in
+    `order` (children first); veblen(index, child) builds Veblen nodes."""
+    built: dict[Address, Term] = {}
+    for addr in order:
+        label = st.nodes[addr]
+        if isinstance(label, ArrowL):
+            built[addr] = Arrow(built.pop(addr + (0,)), built.pop(addr + (1,)))
+        elif isinstance(label, JoinL):
+            built[addr] = Join(tuple(built.pop(c) for c in st.children(addr)))
+        elif isinstance(label, VeblenL):
+            built[addr] = veblen(label.index, built.pop(addr + (0,)))
+        else:
+            built[addr] = label
+    return built[()]
 
 
 def term_from_tree(st: SyntaxTree) -> Term:
@@ -206,71 +227,56 @@ def term_from_tree(st: SyntaxTree) -> Term:
     The tree is held to decode_tree's rules, then built bottom up
     without recursion.
     """
-    arity = _check_nodes(st.nodes)
-    built: dict[Address, Term] = {}
-    for addr in sorted(st.nodes, key=len, reverse=True):
-        label = st.nodes[addr]
-        if isinstance(label, ConstL):
-            built[addr] = Const(label.label)
-        elif isinstance(label, VarL):
-            built[addr] = Var(label.name)
-        elif isinstance(label, ArrowL):
-            built[addr] = Arrow(built.pop(addr + (0,)), built.pop(addr + (1,)))
-        elif isinstance(label, JoinL):
-            built[addr] = Join(tuple(built.pop(addr + (n,)) for n in range(arity[addr])))
-        else:
-            built[addr] = Veblen(label.index, built.pop(addr + (0,)))
-    return built[()]
+    _check_nodes(st.nodes)
+    return _assemble(st, sorted(st.nodes, key=len, reverse=True), Veblen)
 
 
 def is_well_formed(t: Term) -> bool:
     """No Veblen symbol applied directly to a join."""
-    return not any(isinstance(s, Veblen) and isinstance(s.child, Join) for _, s in _subterms(t))
+    nodes = syntax_tree(t).nodes
+    veblens = [addr for addr, label in nodes.items() if isinstance(label, VeblenL)]
+    return not any(isinstance(nodes[addr + (0,)], JoinL) for addr in veblens)
 
 
 def is_normal(t: Term) -> bool:
     """Every arrow tests a leaf or Veblen node and continues into a join."""
+    nodes = syntax_tree(t).nodes
+    arrows = [addr for addr, label in nodes.items() if isinstance(label, ArrowL)]
     return all(
-        not isinstance(s, Arrow)
-        or (isinstance(s.left, (Const, Var, Veblen)) and isinstance(s.right, Join))
-        for _, s in _subterms(t)
+        isinstance(nodes[addr + (0,)], (Const, Var, VeblenL)) and isinstance(nodes[addr + (1,)], JoinL)
+        for addr in arrows
     )
 
 
 def is_closed(t: Term) -> bool:
-    return not any(isinstance(s, Var) for _, s in _subterms(t))
+    return not any(isinstance(label, Var) for label in syntax_tree(t).nodes.values())
 
 
 def has_veblen(t: Term) -> bool:
-    return any(isinstance(s, Veblen) for _, s in _subterms(t))
+    return any(isinstance(label, VeblenL) for label in syntax_tree(t).nodes.values())
 
 
 def constant_labels(t: Term) -> set[str]:
-    return {s.label for _, s in _subterms(t) if isinstance(s, Const)}
+    return {label.label for label in syntax_tree(t).nodes.values() if isinstance(label, Const)}
+
+
+def _collapse(index: CnfOrdinal, child: Term) -> Term:
+    # child is already rewritten, so one step down reaches the fixed point.
+    if isinstance(child, Veblen) and cmp(index, child.index) < 0:
+        return child
+    return Veblen(index, child)
 
 
 def apply_fixed_point(t: Term) -> Term:
     """Collapse towers veb[b](veb[a](s)) with b < a down to veb[a](s).
 
-    Rewrites bottom-up to a fixed point; the result has no such tower
-    anywhere.  Equal indices are left alone.
+    Rewrites bottom-up to a fixed point, over the syntax tree and
+    without recursion; the result has no such tower anywhere.  Equal
+    indices are left alone.
     """
-    match t:
-        case Const(_) | Var(_):
-            return t
-        case Arrow(left, right):
-            return Arrow(apply_fixed_point(left), apply_fixed_point(right))
-        case Join(children):
-            return Join(tuple(apply_fixed_point(c) for c in children))
-        case Veblen(index, child):
-            new = Veblen(index, apply_fixed_point(child))
-            while (
-                isinstance(new, Veblen)
-                and isinstance(new.child, Veblen)
-                and cmp(new.index, new.child.index) < 0
-            ):
-                new = new.child
-            return new
+    st = syntax_tree(t)
+    # The table lists parents first, so reversed it lists children first.
+    return _assemble(st, reversed(st.nodes), _collapse)
 
 
 def neck(t: Term) -> tuple[list[CnfOrdinal], Term]:
@@ -288,42 +294,21 @@ def borel_rank(t: Term, addr: Address) -> CnfOrdinal:
     Only Veblen symbols on proper initial segments of the address
     contribute; the node's own label does not.
     """
-    indices: list[CnfOrdinal] = []
-    node = t
-    for step in addr:
-        if isinstance(node, Veblen):
-            indices.append(node.index)
-        match node:
-            case Arrow(left, right):
-                if step == 0:
-                    node = left
-                elif step == 1:
-                    node = right
-                else:
-                    raise InvalidAddressError("no child %d of an arrow node" % step)
-            case Join(children):
-                if step < len(children):
-                    node = children[step]
-                else:
-                    raise InvalidAddressError("join node has no child %d" % step)
-            case Veblen(_, child):
-                if step == 0:
-                    node = child
-                else:
-                    raise InvalidAddressError("no child %d of a veblen node" % step)
-            case _:
-                raise InvalidAddressError("address %r walks past a leaf" % (addr,))
-    return rank_sum(indices)
+    nodes = syntax_tree(t).nodes
+    if addr not in nodes:
+        raise InvalidAddressError("no node at address %r" % (addr,))
+    above = [nodes[addr[:n]] for n in range(len(addr))]
+    return rank_sum([label.index for label in above if isinstance(label, VeblenL)])
 
 
 def borel_ranks(t: Term) -> dict[Address, CnfOrdinal]:
     """borel_rank at every address of t, in one top-down pass."""
     ranks: dict[Address, CnfOrdinal] = {}
     below: dict[Address, CnfOrdinal] = {}  # the rank each node passes to its children
-    for addr, s in _subterms(t):
+    for addr, label in syntax_tree(t).nodes.items():
         rank = below[addr[:-1]] if addr else ONE
         ranks[addr] = rank
-        below[addr] = add(rank, omega_pow(s.index)) if isinstance(s, Veblen) else rank
+        below[addr] = add(rank, omega_pow(label.index)) if isinstance(label, VeblenL) else rank
     return ranks
 
 
@@ -525,10 +510,10 @@ def encode_tree(st: SyntaxTree) -> dict:
         label = st.label(addr)
         entry: dict = {"addr": list(addr)}
         match label:
-            case ConstL(lbl):
+            case Const(lbl):
                 entry["kind"] = "const"
                 entry["payload"] = lbl
-            case VarL(name):
+            case Var(name):
                 entry["kind"] = "var"
                 entry["payload"] = name
             case ArrowL():
@@ -577,11 +562,11 @@ def _read_nodes(doc) -> SyntaxTree:
         if kind == "const":
             if not isinstance(payload, str):
                 raise DocumentError("const payload must be a string")
-            nodes[addr] = ConstL(payload)
+            nodes[addr] = Const(payload)
         elif kind == "var":
             if not isinstance(payload, str):
                 raise DocumentError("var payload must be a string")
-            nodes[addr] = VarL(payload)
+            nodes[addr] = Var(payload)
         elif kind == "arrow":
             nodes[addr] = ArrowL()
         elif kind == "join":
@@ -596,10 +581,9 @@ def _read_nodes(doc) -> SyntaxTree:
     return SyntaxTree(nodes)
 
 
-def _check_nodes(nodes: dict[Address, NodeLabel]) -> dict[Address, int]:
+def _check_nodes(nodes: dict[Address, NodeLabel]) -> None:
     """The node rules, stated once: a root, prefix closure, child indices
-    0..n-1 under every node, and the arity of each label.  Returns the
-    arity of every node."""
+    0..n-1 under every node, and the arity of each label."""
     if () not in nodes:
         raise DocumentError("missing root node")
     arity = dict.fromkeys(nodes, 0)
@@ -614,7 +598,7 @@ def _check_nodes(nodes: dict[Address, NodeLabel]) -> dict[Address, int]:
         n = arity[addr]
         if addr in gapped:
             raise DocumentError("child indices of %r have gaps" % (addr,))
-        if isinstance(label, (ConstL, VarL)) and n:
+        if isinstance(label, (Const, Var)) and n:
             raise DocumentError("arity mismatch: leaf %r has children" % (addr,))
         if isinstance(label, ArrowL) and n != 2:
             raise DocumentError("arity mismatch: arrow %r has %d children" % (addr, n))
@@ -622,6 +606,5 @@ def _check_nodes(nodes: dict[Address, NodeLabel]) -> dict[Address, int]:
             raise DocumentError("arity mismatch: join %r has no children" % (addr,))
         if isinstance(label, VeblenL) and n != 1:
             raise DocumentError("arity mismatch: veblen %r has %d children" % (addr, n))
-        if not isinstance(label, (ConstL, VarL, ArrowL, JoinL, VeblenL)):
+        if not isinstance(label, (Const, Var, ArrowL, JoinL, VeblenL)):
             raise DocumentError("unknown label at %r" % (addr,))
-    return arity

@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import DocumentError, EmptySetError, SpaceMismatchError, UndecidedImageError
+from .errors import DocumentError, EmptySetError, ParseError, SpaceMismatchError, UndecidedImageError
 from .space import (
     ClopenSet,
     Space,
@@ -651,10 +651,15 @@ def decode_map(ref, space: Space) -> Transducer:
                 raise DocumentError("parity-merge needs a binary space")
             return parity_merge()
         raise DocumentError("unknown map reference %r" % ref)
-    if isinstance(ref, dict) and set(ref) == {"in"}:
-        return in_map(parse_clopen(space, ref["in"]))
-    if isinstance(ref, dict) and set(ref) == {"out"}:
-        return out_map(parse_clopen(space, ref["out"]))
+    if isinstance(ref, dict) and set(ref) in ({"in"}, {"out"}):
+        ((side, text),) = ref.items()
+        if not isinstance(text, str):
+            raise DocumentError("an %r reference is a set literal string, got %r" % (side, text))
+        try:
+            v = parse_clopen(space, text)
+            return in_map(v) if side == "in" else out_map(v)
+        except (ParseError, ValueError, EmptySetError) as e:
+            raise DocumentError("bad map reference %r: %s" % (ref, e)) from None
     if isinstance(ref, dict):
         return decode_transducer(ref)
     raise DocumentError("a map is a name, an in/out reference, or an inline machine")

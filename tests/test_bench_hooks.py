@@ -1,10 +1,15 @@
-"""The benchmark harness still finds every library function it traces.
+"""The benchmark harness still finds every library function it traces,
+and its workloads still run on the library.
 
-`bench/tracing.py` wraps functions by name; renaming or removing one
-would otherwise surface only when a traced benchmark run starts.
+`bench/tracing.py` wraps functions by name, and `bench/workloads.py`
+reads syntax trees, their labels and `Command.tree`; a change that broke
+either would otherwise surface only when a benchmark run starts.
 """
 
+import random
 from pathlib import Path
+
+import pytest
 
 from vebflow import term
 
@@ -25,3 +30,17 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     finally:
         tracer.uninstall()
     assert dict(vars(term)) == before
+
+
+@pytest.mark.parametrize("name", ["roundtrip", "wide-sets", "maps", "documents"])
+def test_workload_items_pass(monkeypatch, tmp_path, name):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    rng = random.Random("%s:0" % name)
+    workload = workloads.WORKLOADS[name](rng, str(tmp_path))
+    # Three items each, and one per slot of documents, whose slot (the
+    # operation run) cycles with the item index.
+    for i in range(len(workloads.Documents.SLOTS) if name == "documents" else 3):
+        item, _ = workload.make(rng, i)
+        assert workload.run(item) is None

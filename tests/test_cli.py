@@ -132,6 +132,15 @@ def test_check_command_all_pass(capsys, tmp_path):
     assert "simple: pass" in out
 
 
+@pytest.mark.parametrize("ref", [{"in": 5}, {"out": ["x"]}, {"in": "{5}"}, {"in": "{}"}, {"out": "{e}"}])
+def test_check_command_bad_map_reference(capsys, tmp_path, ref):
+    doc = cm.encode_command(SIMPLE)
+    doc["assign"][""]["map"] = ref
+    code, out, err = run(capsys, ["check", write_doc(tmp_path, "c.cmd", doc)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "reference" in err
+
+
 # -- eval --------------------------------------------------------------------
 
 def test_eval_flowchart_values(capsys, fc_path):

@@ -41,7 +41,7 @@ from vebflow.generate import (
 )
 from vebflow.ordinal import ONE, ZERO
 from vebflow.space import ClopenSet, Space, member, parse_clopen, parse_point, sample_grid
-from vebflow.term import ArrowL, ConstL, JoinL, VeblenL, parse_term
+from vebflow.term import ArrowL, Const, JoinL, VeblenL, parse_term
 from vebflow.transducer import (
     apply,
     compose,
@@ -198,6 +198,17 @@ def test_eval_space_mismatch():
         eval_command(SIMPLE, pt("(0)", space=Space(3)))
 
 
+def test_translations_share_the_term_tree():
+    rng = random.Random(173)
+    for _ in range(30):
+        term = gen.random_normal_term(rng, 4, veblen=False)
+        f = gen.random_total_det_flowchart(rng, term, SP2, 3)
+        c = flowchart_to_simple_command(f)
+        assert c.tree is f.tree
+        assert command_to_flowchart(c).tree is c.tree
+        assert make_strongly_total(c).tree is c.tree
+
+
 def test_eval_on_deep_simple_command(deep_chain):
     c = flowchart_to_simple_command(deep_chain(2000))
     assert eval_outcome(c, pt("(1)")) == ("no-true-path",)
@@ -244,7 +255,7 @@ def ref_eval_outcome(c, x):
     labels = set()
     for addr in ref_true_positions(c, x):
         label = c.tree.label(addr)
-        if isinstance(label, ConstL):
+        if isinstance(label, Const):
             labels.add(label.label)
     if not labels:
         return ("no-true-path",)

@@ -47,7 +47,7 @@ from vebflow.generate import (
 )
 from vebflow.ordinal import CnfOrdinal, ONE
 from vebflow.space import ClopenSet, Space, member, parse_clopen, parse_point, sample_grid
-from vebflow.term import Arrow, ArrowL, Const, ConstL, Join, JoinL, Var, parse_term, syntax_tree
+from vebflow.term import Arrow, ArrowL, Const, Join, JoinL, Var, parse_term, syntax_tree
 from vebflow.transducer import (
     Transducer,
     apply,
@@ -428,6 +428,15 @@ def test_to_reduced_example():
     assert dict(r.assign)[(1,)] == (cs("{0, 10}"), cs("{11}"))
 
 
+def test_derived_charts_share_the_term_tree():
+    rng = random.Random(109)
+    for _ in range(30):
+        f = random_flowchart(rng, random_normal_term(rng, 4), SP2, 3)
+        assert f.tree is syntax_tree(f.term)
+        for g in (to_monotone(f), to_reduced(f), f.replace_sets(lambda addr, s: s)):
+            assert g.tree is f.tree
+
+
 def test_to_reduced_properties_random():
     rng = random.Random(107)
     for _ in range(120):
@@ -594,8 +603,27 @@ def test_address_literals():
     assert render_address((1, 0, 2)) == "1.0.2"
     assert parse_address("") == ()
     assert parse_address("1.0.2") == (1, 0, 2)
+    assert parse_address("10.0.100") == (10, 0, 100)
     with pytest.raises((ValueError, DocumentError)):
         parse_address("1..2")
+
+
+@pytest.mark.parametrize("key", ["01", "²", "١"])
+def test_address_keys_are_canonical_ascii_decimals(key):
+    for text in (key, "1." + key):
+        with pytest.raises(DocumentError, match="bad address key"):
+            parse_address(text)
+
+
+def test_decoders_reject_a_second_key_for_an_address():
+    # "01" beside "1" would name (1,) twice, and one entry would be lost.
+    for doc, decode in (
+        (encode_flowchart(FC), decode_flowchart),
+        (cm.encode_command(cm.flowchart_to_simple_command(FC)), cm.decode_command),
+    ):
+        doc["assign"]["01"] = doc["assign"]["1"]
+        with pytest.raises(DocumentError, match="bad address key '01'"):
+            decode(doc)
 
 
 def test_encode_flowchart_shape():

@@ -6,17 +6,15 @@ import pytest
 
 from vebflow.errors import DocumentError, InvalidAddressError, ParseError
 from vebflow.generate import random_term
-from vebflow.ordinal import CnfOrdinal, OMEGA, ONE, ZERO, add, cmp, parse_ordinal
+from vebflow.ordinal import CnfOrdinal, OMEGA, ONE, ZERO, add, cmp, omega_pow, parse_ordinal, render_ordinal
 from vebflow.term import (
     Arrow,
     ArrowL,
     Const,
-    ConstL,
     Join,
     JoinL,
     SyntaxTree,
     Var,
-    VarL,
     Veblen,
     VeblenL,
     apply_fixed_point,
@@ -43,23 +41,23 @@ TWO = CnfOrdinal.from_int(2)
 
 def test_syntax_tree_single_constant():
     st = syntax_tree(Const("q"))
-    assert st.nodes == {(): ConstL("q")}
+    assert st.nodes == {(): Const("q")}
 
 
 def test_syntax_tree_arrow_over_join():
     st = syntax_tree(parse_term("1 ~> join(0, 2)"))
     assert st.nodes == {
         (): ArrowL(),
-        (0,): ConstL("1"),
+        (0,): Const("1"),
         (1,): JoinL(),
-        (1, 0): ConstL("0"),
-        (1, 1): ConstL("2"),
+        (1, 0): Const("0"),
+        (1, 1): Const("2"),
     }
 
 
 def test_syntax_tree_veblen():
     st = syntax_tree(Veblen(ONE, Const("q")))
-    assert st.nodes == {(): VeblenL(ONE), (0,): ConstL("q")}
+    assert st.nodes == {(): VeblenL(ONE), (0,): Const("q")}
 
 
 def test_term_from_tree_inverts_syntax_tree():
@@ -290,8 +288,7 @@ def test_render_quotes_awkward_labels():
 
 def test_deep_terms_do_not_recurse():
     # Deeper than the interpreter's recursion limit.  The dataclasses'
-    # own __eq__ and __repr__ recurse, so the deep term is never compared
-    # or printed.
+    # own __repr__ recurses, so the deep term is never printed.
     depth = 2000
     t = Arrow(Var("x"), Join((Const("b"),)))
     for _ in range(depth):
@@ -304,12 +301,11 @@ def test_deep_terms_do_not_recurse():
     st = syntax_tree(t)
     assert len(st) == depth + 4
     assert st.label((0,) * depth) == ArrowL()
-    assert st.label((0,) * depth + (1, 0)) == ConstL("b")
+    assert st.label((0,) * depth + (1, 0)) == Const("b")
 
 
 def test_term_from_tree_on_deep_chain():
-    # A 2000-deep ~> chain; compared through its flat syntax tree, since
-    # the dataclasses' own __eq__ recurses.
+    # A 2000-deep ~> chain; compared through its flat syntax tree.
     t = Const("a")
     for n in range(2000):
         t = Arrow(Const("ab"[n % 2]), t)
@@ -330,6 +326,163 @@ def test_text_form_of_deep_chain():
     assert syntax_tree(parse_term(text)) == syntax_tree(t)
 
 
+def test_deep_terms_compare_and_hash(deep_chain):
+    # Two 2000-deep ~> charts built apart: == and hash read the terms'
+    # syntax trees instead of recursing.
+    a, b = deep_chain(2000), deep_chain(2000)
+    assert a.term is not b.term
+    assert a.term == b.term and a == b
+    assert hash(a.term) == hash(b.term) and hash(a) == hash(b)
+    assert a.term != Arrow(Const("b"), a.term)
+
+
+def test_fixed_point_on_deep_tower():
+    # 2000 Veblen nodes, veb[0] on veb[1] on veb[0] ... down to veb[1](q"a"):
+    # every veb[0] sits on a veb[1] and collapses into it.
+    t = Const("a")
+    for n in range(2000):
+        t = Veblen(ZERO if n % 2 else ONE, t)
+    want = Const("a")
+    for _ in range(1000):
+        want = Veblen(ONE, want)
+    assert apply_fixed_point(t) == want
+
+
+# -- the stored table against the walk it replaced ---------------------------
+#
+# Before a term kept its syntax tree, every predicate walked the term
+# again through _subterms, and leaves were labelled by copies.  That walk
+# and its predicates are kept here as the reference for the one table.
+
+def ref_subterms(t):
+    out = [((), t)]
+    for addr, s in out:
+        if isinstance(s, Arrow):
+            out.append((addr + (0,), s.left))
+            out.append((addr + (1,), s.right))
+        elif isinstance(s, Join):
+            out.extend((addr + (n,), c) for n, c in enumerate(s.children))
+        elif isinstance(s, Veblen):
+            out.append((addr + (0,), s.child))
+    return out
+
+
+def ref_node_label(t):
+    if isinstance(t, Const):
+        return Const(t.label)
+    if isinstance(t, Var):
+        return Var(t.name)
+    if isinstance(t, Arrow):
+        return ArrowL()
+    if isinstance(t, Join):
+        return JoinL()
+    return VeblenL(t.index)
+
+
+def ref_syntax_tree(t):
+    return {addr: ref_node_label(s) for addr, s in ref_subterms(t)}
+
+
+def ref_is_well_formed(t):
+    return not any(isinstance(s, Veblen) and isinstance(s.child, Join) for _, s in ref_subterms(t))
+
+
+def ref_is_normal(t):
+    return all(
+        not isinstance(s, Arrow)
+        or (isinstance(s.left, (Const, Var, Veblen)) and isinstance(s.right, Join))
+        for _, s in ref_subterms(t)
+    )
+
+
+def ref_is_closed(t):
+    return not any(isinstance(s, Var) for _, s in ref_subterms(t))
+
+
+def ref_has_veblen(t):
+    return any(isinstance(s, Veblen) for _, s in ref_subterms(t))
+
+
+def ref_constant_labels(t):
+    return {s.label for _, s in ref_subterms(t) if isinstance(s, Const)}
+
+
+def ref_borel_ranks(t):
+    ranks, below = {}, {}
+    for addr, s in ref_subterms(t):
+        rank = below[addr[:-1]] if addr else ONE
+        ranks[addr] = rank
+        below[addr] = add(rank, omega_pow(s.index)) if isinstance(s, Veblen) else rank
+    return ranks
+
+
+def ref_encode_tree(t):
+    nodes = []
+    for addr, s in sorted(ref_subterms(t), key=lambda pair: pair[0]):
+        entry = {"addr": list(addr)}
+        match s:
+            case Const(label):
+                entry.update(kind="const", payload=label)
+            case Var(name):
+                entry.update(kind="var", payload=name)
+            case Arrow():
+                entry["kind"] = "arrow"
+            case Join():
+                entry["kind"] = "join"
+            case Veblen(index, _):
+                entry.update(kind="veblen", payload=render_ordinal(index))
+        nodes.append(entry)
+    return {"nodes": nodes}
+
+
+def test_table_matches_the_walk_it_replaced():
+    rng = random.Random(43)
+    for i in range(3000):
+        t = random_term(rng, 5, closed=i % 2 == 0)
+        if i % 7 == 0:
+            t = Veblen(ZERO, Join((t,)))
+        if i % 11 == 0:
+            t = Arrow(Join((t,)), t)
+        st = syntax_tree(t)
+        assert st.nodes == ref_syntax_tree(t)
+        assert list(st.nodes) == st.addresses()  # parents first, in address order
+        assert is_well_formed(t) == ref_is_well_formed(t)
+        assert is_normal(t) == ref_is_normal(t)
+        assert is_closed(t) == ref_is_closed(t)
+        assert has_veblen(t) == ref_has_veblen(t)
+        assert constant_labels(t) == ref_constant_labels(t)
+        ranks = ref_borel_ranks(t)
+        assert borel_ranks(t) == ranks
+        assert all(borel_rank(t, addr) == rank for addr, rank in ranks.items())
+        assert encode_tree(st) == ref_encode_tree(t)
+
+
+def test_eq_and_hash_agree_with_the_text_form():
+    rng = random.Random(47)
+    terms = [random_term(rng, 2, labels=("a", "b"), closed=i % 3 != 0) for i in range(150)]
+    equal_pairs = 0
+    for i, a in enumerate(terms):
+        copy = parse_term(render_term(a))
+        assert copy is not a and copy == a and hash(copy) == hash(a)
+        for b in terms[i + 1 :]:
+            same = render_term(a) == render_term(b)
+            assert (a == b) == same and (a != b) != same
+            if same:
+                assert hash(a) == hash(b)
+                equal_pairs += 1
+    assert equal_pairs > 0
+
+
+def test_syntax_tree_is_built_once_and_kept():
+    rng = random.Random(53)
+    for _ in range(50):
+        t = random_term(rng, 4, closed=False)
+        assert syntax_tree(t) is syntax_tree(t)
+    # A document is decoded to a fresh term, which builds its own tree.
+    st = syntax_tree(parse_term('q"a" ~> join(q"b")'))
+    assert syntax_tree(term_from_tree(st)) is not st
+
+
 # -- tree-side predicate agreement -----------------------------------------
 
 def _wf_tree(st):
@@ -345,7 +498,7 @@ def _normal_tree(st):
     for addr, label in st.nodes.items():
         if isinstance(label, ArrowL):
             left = st.nodes[addr + (0,)]
-            if not isinstance(left, (ConstL, VarL, VeblenL)):
+            if not isinstance(left, (Const, Var, VeblenL)):
                 return False
             if not isinstance(st.nodes[addr + (1,)], JoinL):
                 return False
@@ -374,7 +527,7 @@ def test_tree_addresses_prefix_closed_and_leaves_are_leaf_labels():
         for a in addrs:
             assert a[:-1] in addrs or a == ()
             if st.is_leaf(a):
-                assert isinstance(st.label(a), (ConstL, VarL))
+                assert isinstance(st.label(a), (Const, Var))
 
 
 # -- codec -------------------------------------------------------------------
@@ -458,10 +611,10 @@ def test_decode_rejects_arity_mismatch(root, children, message):
 def test_term_from_tree_holds_trees_to_the_decoder_rules():
     cases = [
         ({}, "missing root node"),
-        ({(): ConstL("a"), (0, 0): ConstL("b")}, "not prefix closed at \\(0, 0\\)"),
-        ({(): JoinL(), (1,): ConstL("a")}, "child indices of \\(\\) have gaps"),
-        ({(): ArrowL(), (0,): ConstL("a")}, "arity mismatch: arrow \\(\\) has 1 children"),
-        ({(): VarL("x"), (0,): ConstL("a")}, "arity mismatch: leaf \\(\\) has children"),
+        ({(): Const("a"), (0, 0): Const("b")}, "not prefix closed at \\(0, 0\\)"),
+        ({(): JoinL(), (1,): Const("a")}, "child indices of \\(\\) have gaps"),
+        ({(): ArrowL(), (0,): Const("a")}, "arity mismatch: arrow \\(\\) has 1 children"),
+        ({(): Var("x"), (0,): Const("a")}, "arity mismatch: leaf \\(\\) has children"),
         ({(): "bogus"}, "unknown label at \\(\\)"),
     ]
     for nodes, message in cases:

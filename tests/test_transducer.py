@@ -587,3 +587,11 @@ def test_map_references():
         decode_map("parity-merge", Space(3))
     with pytest.raises(DocumentError):
         decode_map(17, SP2)
+
+
+@pytest.mark.parametrize(
+    "ref", [{"in": 5}, {"out": ["x"]}, {"in": "{5}"}, {"in": "{}"}, {"out": "{e}"}, {"in": "{"}]
+)
+def test_bad_in_out_references_are_document_errors(ref):
+    with pytest.raises(DocumentError, match="reference"):
+        decode_map(ref, SP2)
