@@ -77,6 +77,8 @@ def load_document(path: str):
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise DocumentError("%s: not valid JSON: %s" % (path, e)) from None
+    except RecursionError:
+        raise DocumentError("%s: JSON nested too deeply" % path) from None
     if path.endswith(".fc"):
         return "flowchart", fl.decode_flowchart(doc)
     if path.endswith(".cmd"):

@@ -15,7 +15,7 @@ import random
 from .command import ArrowSite, Command, JoinSite, VeblenSite
 from .flowchart import Flowchart
 from .ordinal import ONE, ZERO, CnfOrdinal, add, omega_pow
-from .space import ClopenSet, Space, UpPoint
+from .space import ClopenSet, Space
 from .term import Arrow, Const, Join, Term, Var, Veblen, syntax_tree, ArrowL, JoinL, VeblenL
 from .transducer import Transducer, drop_first, identity_map, letter_double, parity_merge
 
@@ -24,7 +24,6 @@ __all__ = [
     "random_term",
     "random_normal_term",
     "random_clopen",
-    "random_point",
     "random_flowchart",
     "random_total_det_flowchart",
     "random_command",
@@ -130,13 +129,6 @@ def random_clopen(rng: random.Random, space: Space, max_depth: int) -> ClopenSet
         n = rng.randint(0, max_depth)
         words.append(tuple(rng.randrange(k) for _ in range(n)))
     return ClopenSet(space, tuple(words))
-
-
-def random_point(rng: random.Random, space: Space, max_prefix: int, max_period: int) -> UpPoint:
-    k = space.alphabet_size
-    prefix = tuple(rng.randrange(k) for _ in range(rng.randint(0, max_prefix)))
-    period = tuple(rng.randrange(k) for _ in range(rng.randint(1, max_period)))
-    return UpPoint(space, prefix, period)
 
 
 def random_flowchart(rng: random.Random, term: Term, space: Space, set_depth: int) -> Flowchart:

@@ -104,6 +104,8 @@ def cmp(a: CnfOrdinal, b: CnfOrdinal) -> int:
     Term sequences compare lexicographically by (exponent, coefficient);
     a proper prefix is the smaller ordinal.
     """
+    if a is b:
+        return 0
     for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
         c = cmp(ea, eb)
         if c != 0:

@@ -453,7 +453,10 @@ def parse_term(text: str, alphabet=None) -> Term:
     """
     alpha = None if alphabet is None else frozenset(alphabet)
     sc = _TermScanner(text)
-    t = _parse_term(sc, alpha)
+    try:
+        t = _parse_term(sc, alpha)
+    except RecursionError:
+        raise ParseError("term nested too deeply") from None
     sc.skip_ws()
     if sc.i != len(sc.text):
         sc.error("trailing input after term")

@@ -13,10 +13,15 @@ byte stable.
 
 Three set-level operations are provided.  `apply` evaluates the map on
 an ultimately periodic point exactly, by cycle detection.  `preimage`
-computes the exact preimage of a clopen set, always.  `image` computes
-the exact forward image of a clopen set when that image is clopen and
-certifiable within a depth bound; it refuses (UndecidedImageError)
-rather than guess, so a returned answer is always correct.
+computes the exact preimage of a clopen set, always, as a product of
+machine states and trie nodes.  `image` computes the exact forward image
+of a clopen set in one walk over the finite graph of configuration sets
+(sets of machine state and pending output word, one edge per output
+letter): a set is empty, covering (no path reaches the empty set) or
+mixed, and the mixed sets are the inner nodes of the image's trie.  When
+a path of mixed sets reaches the depth bound the image is not certified
+clopen within it, and `image` refuses (UndecidedImageError) rather than
+guess, so a returned answer is always correct.
 """
 
 from __future__ import annotations
@@ -400,126 +405,43 @@ def preimage(f: Transducer, a: ClopenSet) -> ClopenSet:
 # For clopen A with antichain words a_i, the image is the finite union
 # of the sets o_i . Range(s_i), where s_i is the state reached on a_i
 # and o_i the output emitted on the way, and Range(s) is the set of all
-# output streams of the machine started in s.  Two exact deciders answer
-# questions about that union:
+# output streams of the machine started in s.  A configuration (s, u)
+# with u nonempty denotes u . Range(s); a set of them denotes the union,
+# which is what the image looks like inside one output cylinder.  The
+# child of a set for output letter c keeps the configurations pending c
+# and drops that letter, so the sets form a finite graph with one edge
+# per output letter (pending words are suffixes of the machine's
+# outputs, so there are finitely many configurations).  Range(s) is
+# never empty, so a set is one of three kinds:
 #
-#   * does it meet a cylinder [v]?   (reachability of a full match)
-#   * does it contain all of [v]?    (a safety game over configuration
-#     sets: decompose by the next output letter; the union covers [v]
-#     iff no reachable decomposition step comes up empty.  Configurations
-#     are (state, pending-output-suffix) pairs, of which there are
-#     finitely many, so the subset construction terminates.)
+#   * empty: the image misses the cylinder (the trie leaf False);
+#   * covering: no path reaches the empty set, so the image is dense in
+#     the cylinder and, being compact, contains it (the leaf True);
+#   * mixed: some path reaches the empty set (an inner trie node).
 #
-# The image routine walks the output tree breadth-first, prunes cylinders
-# disjoint from the image, accepts cylinders the image provably covers,
-# and otherwise refines, refusing once the depth bound is passed.  The
-# words accepted this way are exactly the canonical antichain of the
-# image whenever the walk resolves every branch.
+# The set reached along an output word v is mixed exactly when v is an
+# inner node of the image's reduced trie.  So `image` answers exactly
+# when no path of mixed sets from the root is depth_bound letters long:
+# then the image is clopen with no antichain word longer than the bound
+# (a non-clopen image has mixed paths of every length), the mixed sets
+# form a DAG, and the trie is built bottom up over it.
 
 
-def _match_reach(f: Transducer, state: int, u: Word) -> bool:
-    # Can some run from `state` emit an output extending u?
-    if not u:
-        return True
-    k_in = f.input_space.alphabet_size
-    seen = {(state, 0)}
-    queue = deque([(state, 0)])
-    while queue:
-        s, pos = queue.popleft()
-        for a in range(k_in):
-            s2, w = f.steps[s][a]
-            t = min(len(w), len(u) - pos)
-            if tuple(w[:t]) != u[pos : pos + t]:
-                continue
-            pos2 = pos + len(w)
-            if pos2 >= len(u):
-                return True
-            if (s2, pos2) not in seen:
-                seen.add((s2, pos2))
-                queue.append((s2, pos2))
-    return False
-
-
-def _normalize_configs(f: Transducer, configs) -> frozenset:
-    """Rewrite configurations until each is (state, nonempty pending word).
-
-    ('E', s, u) denotes u . Range(s); ('M', s, r) denotes the set of
-    tails z with r.z in Range(s).  Both unfold exactly along the
-    machine's one-step decomposition of Range; silent cycles are banned,
-    so the unfolding terminates.
-    """
-    k_in = f.input_space.alphabet_size
+def _settle(f: Transducer, configs) -> frozenset:
+    """Unfold each configuration with nothing pending into the machine's
+    next steps, until every one pends a nonempty word.  Silent cycles
+    are banned, so the unfolding terminates."""
     out = set()
-    seen = set()
+    unfolded = set()
     stack = list(configs)
     while stack:
-        cfg = stack.pop()
-        if cfg in seen:
-            continue
-        seen.add(cfg)
-        tag, s, w = cfg
-        if tag == "E" and w:
-            out.add((s, w))
-            continue
-        if tag == "E":
-            for a in range(k_in):
-                s2, e = f.steps[s][a]
-                stack.append(("E", s2, e))
-        else:
-            r = w
-            for a in range(k_in):
-                s2, e = f.steps[s][a]
-                t = min(len(e), len(r))
-                if e[:t] != r[:t]:
-                    continue
-                if len(e) >= len(r):
-                    stack.append(("E", s2, e[len(r):]))
-                else:
-                    stack.append(("M", s2, r[len(e):]))
+        s, u = stack.pop()
+        if u:
+            out.add((s, u))
+        elif s not in unfolded:
+            unfolded.add(s)
+            stack.extend(f.steps[s])
     return frozenset(out)
-
-
-def _covers(f: Transducer, starts, v: Word) -> bool:
-    # Does the union of o_i . Range(s_i) contain the whole cylinder [v]?
-    initial = []
-    for s, o in starts:
-        t = min(len(o), len(v))
-        if o[:t] != v[:t]:
-            continue
-        if len(o) >= len(v):
-            initial.append(("E", s, o[len(v):]))
-        else:
-            initial.append(("M", s, v[len(o):]))
-    k_out = f.output_space.alphabet_size
-    start = _normalize_configs(f, initial)
-    if not start:
-        return False
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        configs = queue.popleft()
-        for c in range(k_out):
-            nxt = _normalize_configs(
-                f, [("E", s, u[1:]) for s, u in configs if u[0] == c]
-            )
-            if not nxt:
-                return False
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-                if len(seen) > _COVER_BUDGET:
-                    raise UndecidedImageError("image coverage exceeded the configuration budget")
-    return True
-
-
-def _intersects(f: Transducer, starts, v: Word) -> bool:
-    for s, o in starts:
-        t = min(len(o), len(v))
-        if o[:t] != v[:t]:
-            continue
-        if len(o) >= len(v) or _match_reach(f, s, v[len(o):]):
-            return True
-    return False
 
 
 def image(f: Transducer, a: ClopenSet, depth_bound: int) -> ClopenSet:
@@ -527,34 +449,56 @@ def image(f: Transducer, a: ClopenSet, depth_bound: int) -> ClopenSet:
 
     Raises UndecidedImageError when some output cylinder is still
     unresolved at the depth bound (in particular whenever the image is
-    not clopen).  A returned set is exactly f[a]: accepted cylinders are
-    proven covered, discarded ones proven disjoint.
+    not clopen), or when the walk exceeds _COVER_BUDGET configuration
+    sets.  A returned set is exactly f[a]: every leaf of its trie is a
+    configuration set proven empty or covering.
     """
     if a.space != f.input_space:
         raise SpaceMismatchError("set in %r, map reads %r" % (a.space, f.input_space))
-    if a.is_empty:
-        return ClopenSet.empty(f.output_space, a.declared_level)
-    starts = []
-    for w in a.antichain:
-        s, o = f.run_word(f.init, w)
-        starts.append((s, o))
-    result: list[Word] = []
-    queue = deque([()])
     k_out = f.output_space.alphabet_size
-    while queue:
-        v = queue.popleft()
-        if not _intersects(f, starts, v):
+    root = _settle(f, [f.run_word(f.init, w) for w in a.antichain])
+    kids: dict[frozenset, list[frozenset]] = {}
+    parents: dict[frozenset, list[frozenset]] = {}
+    stack = [root]
+    while stack:
+        configs = stack.pop()
+        if configs in kids:
             continue
-        if _covers(f, starts, v):
-            result.append(v)
-            continue
-        if len(v) >= depth_bound:
-            raise UndecidedImageError(
-                "image undecided at depth %d (possibly not clopen)" % depth_bound
-            )
-        for c in range(k_out):
-            queue.append(v + (c,))
-    return ClopenSet(f.output_space, tuple(result), a.declared_level)
+        kids[configs] = row = [
+            _settle(f, [(s, u[1:]) for s, u in configs if u[0] == c]) for c in range(k_out)
+        ]
+        if len(kids) > _COVER_BUDGET:
+            raise UndecidedImageError("image coverage exceeded the configuration budget")
+        for kid in row:
+            parents.setdefault(kid, []).append(configs)
+            stack.append(kid)
+    # The sets with a path to the empty set, by one reverse walk from it.
+    reach = {frozenset()}
+    stack = [frozenset()]
+    while stack:
+        for p in parents.get(stack.pop(), ()):
+            if p not in reach:
+                reach.add(p)
+                stack.append(p)
+    mixed = reach - {frozenset()}
+    # layers[d]: the mixed sets at the end of a mixed path of d letters.
+    # A layer seen before recurs forever, so it reaches the bound.
+    layers: list[set] = []
+    layer = mixed & {root}
+    while layer and len(layers) < depth_bound and layer not in layers:
+        layers.append(layer)
+        layer = mixed & {kid for configs in layer for kid in kids[configs]}
+    if layer:
+        raise UndecidedImageError(
+            "image undecided at depth %d (possibly not clopen)" % depth_bound
+        )
+    # Every mixed child of layer d lies in layer d + 1, so building the
+    # layers deepest first sees each mixed child built.
+    trie = {configs: configs not in reach for configs in kids}
+    for layer in reversed(layers):
+        for configs in layer:
+            trie[configs] = _node([trie[kid] for kid in kids[configs]])
+    return ClopenSet._of(f.output_space, trie[root], a.declared_level)
 
 
 # ---------------------------------------------------------------------------

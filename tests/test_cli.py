@@ -482,6 +482,24 @@ def test_invalid_json_document(capsys, tmp_path):
     assert "not valid JSON" in err
 
 
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("x.fc", "[" * 100000, "JSON nested too deeply"),
+        ("x.fc", '{"assign": ' + '{"a": ' * 5000 + "1" + "}" * 5001, "JSON nested too deeply"),
+        ("x.term", "(" * 3000 + 'q"a"' + ")" * 3000, "term nested too deeply"),
+        ("x.term", "join(" * 3000 + 'q"a"' + ")" * 3000, "term nested too deeply"),
+    ],
+    ids=["fc-array", "fc-assign", "term-parens", "term-join"],
+)
+def test_deeply_nested_input_is_a_document_error(capsys, tmp_path, name, text, message):
+    path = write_doc(tmp_path, name, text)
+    code, out, err = run(capsys, ["check", path])
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:") and message in err
+
+
 def test_bad_grid_parameters(capsys, tmp_path):
     path = write_doc(tmp_path, "t.term", 'q"a"')
     code, _, err = run(capsys, ["--grid-prefix", "0", "check", path])

@@ -2,6 +2,7 @@
 
 import json
 import random
+from collections import deque
 
 import pytest
 
@@ -11,7 +12,9 @@ from vebflow.errors import (
     SpaceMismatchError,
     UndecidedImageError,
 )
+from vebflow import transducer
 from vebflow.generate import map_palette, random_clopen
+from vebflow.ordinal import ONE, omega_pow
 from vebflow.space import (
     ClopenSet,
     Space,
@@ -409,16 +412,16 @@ def _oracle_preimage(f, a):
     return ClopenSet(f.input_space, tuple(out))
 
 
-def _random_machine(rng):
+def _random_machine(rng, k_out=2, max_states=4):
     # Silent steps only go to a higher state, so no cycle is silent.
-    k_in, n = rng.randint(1, 3), rng.randint(1, 4)
+    k_in, n = rng.randint(1, 3), rng.randint(1, max_states)
     delta = {}
     for s in range(n):
         for a in range(k_in):
             nxt = rng.randrange(n)
             size = rng.randint(0 if nxt > s else 1, 2)
-            delta[(s, a)] = (nxt, tuple(rng.randrange(2) for _ in range(size)))
-    return Transducer.build(Space(k_in), SP2, 0, delta)
+            delta[(s, a)] = (nxt, tuple(rng.randrange(k_out) for _ in range(size)))
+    return Transducer.build(Space(k_in), Space(k_out), 0, delta)
 
 
 def test_preimage_matches_input_search():
@@ -518,6 +521,175 @@ def test_image_grid_completeness():
             for y in GRID:
                 if member(y, img):
                     assert y in hits, (f, a, y)
+
+
+# The image as a breadth-first read of output cylinders, each decided by
+# a reachability search (does the image meet it?) and a subset
+# construction (does it cover it?): the reference `image` is compared
+# against.  ('E', s, u) denotes u . Range(s); ('M', s, r) the tails z
+# with r.z in Range(s).
+
+def ref_match_reach(f, state, u):
+    if not u:
+        return True
+    k_in = f.input_space.alphabet_size
+    seen = {(state, 0)}
+    queue = deque([(state, 0)])
+    while queue:
+        s, pos = queue.popleft()
+        for a in range(k_in):
+            s2, w = f.steps[s][a]
+            t = min(len(w), len(u) - pos)
+            if tuple(w[:t]) != u[pos : pos + t]:
+                continue
+            pos2 = pos + len(w)
+            if pos2 >= len(u):
+                return True
+            if (s2, pos2) not in seen:
+                seen.add((s2, pos2))
+                queue.append((s2, pos2))
+    return False
+
+
+def ref_normalize_configs(f, configs):
+    k_in = f.input_space.alphabet_size
+    out = set()
+    seen = set()
+    stack = list(configs)
+    while stack:
+        cfg = stack.pop()
+        if cfg in seen:
+            continue
+        seen.add(cfg)
+        tag, s, w = cfg
+        if tag == "E" and w:
+            out.add((s, w))
+            continue
+        if tag == "E":
+            for a in range(k_in):
+                s2, e = f.steps[s][a]
+                stack.append(("E", s2, e))
+        else:
+            r = w
+            for a in range(k_in):
+                s2, e = f.steps[s][a]
+                t = min(len(e), len(r))
+                if e[:t] != r[:t]:
+                    continue
+                if len(e) >= len(r):
+                    stack.append(("E", s2, e[len(r):]))
+                else:
+                    stack.append(("M", s2, r[len(e):]))
+    return frozenset(out)
+
+
+def ref_covers(f, starts, v):
+    initial = []
+    for s, o in starts:
+        t = min(len(o), len(v))
+        if o[:t] != v[:t]:
+            continue
+        if len(o) >= len(v):
+            initial.append(("E", s, o[len(v):]))
+        else:
+            initial.append(("M", s, v[len(o):]))
+    k_out = f.output_space.alphabet_size
+    start = ref_normalize_configs(f, initial)
+    if not start:
+        return False
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        configs = queue.popleft()
+        for c in range(k_out):
+            nxt = ref_normalize_configs(f, [("E", s, u[1:]) for s, u in configs if u[0] == c])
+            if not nxt:
+                return False
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+                if len(seen) > 20000:
+                    raise UndecidedImageError("image coverage exceeded the configuration budget")
+    return True
+
+
+def ref_intersects(f, starts, v):
+    for s, o in starts:
+        t = min(len(o), len(v))
+        if o[:t] != v[:t]:
+            continue
+        if len(o) >= len(v) or ref_match_reach(f, s, v[len(o):]):
+            return True
+    return False
+
+
+def ref_image(f, a, depth_bound):
+    if a.space != f.input_space:
+        raise SpaceMismatchError("set in %r, map reads %r" % (a.space, f.input_space))
+    if a.is_empty:
+        return ClopenSet.empty(f.output_space, a.declared_level)
+    starts = [f.run_word(f.init, w) for w in a.antichain]
+    result = []
+    queue = deque([()])
+    k_out = f.output_space.alphabet_size
+    while queue:
+        v = queue.popleft()
+        if not ref_intersects(f, starts, v):
+            continue
+        if ref_covers(f, starts, v):
+            result.append(v)
+            continue
+        if len(v) >= depth_bound:
+            raise UndecidedImageError(
+                "image undecided at depth %d (possibly not clopen)" % depth_bound
+            )
+        for c in range(k_out):
+            queue.append(v + (c,))
+    return ClopenSet(f.output_space, tuple(result), a.declared_level)
+
+
+def _image_outcome(image_fn, f, a, depth_bound):
+    try:
+        got = image_fn(f, a, depth_bound)
+    except UndecidedImageError as e:
+        return type(e), str(e)
+    return got, got.declared_level
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_image_matches_reference(k):
+    rng = random.Random(1000 + k)
+    space = Space(k)
+    maps = map_palette(space) + [const_zero(space, space)]
+    for _ in range(4):
+        v = random_clopen(rng, space, 3)
+        for build in (in_map, out_map):
+            if not (v.is_empty if build is in_map else v.is_full):
+                maps.append(build(v))
+    maps += [_random_machine(rng, k, 3) for _ in range(10)]
+    kinds = set()
+    for f in maps:
+        for _ in range(6):
+            a = random_clopen(rng, f.input_space, 3)
+            if rng.random() < 0.3:
+                a = a.with_level(omega_pow(ONE))
+            for depth_bound in (0, 1, 2, 3, 6, 8):
+                got = _image_outcome(image, f, a, depth_bound)
+                assert got == _image_outcome(ref_image, f, a, depth_bound), (f, a, depth_bound)
+                kinds.add(got[0] is UndecidedImageError)
+    if k > 1:
+        assert kinds == {True, False}  # refusals and answers both occur
+
+
+def test_image_configuration_budget(monkeypatch):
+    # One image call may explore at most _COVER_BUDGET configuration
+    # sets.  This image needs three (its root, the empty set and the
+    # covering set below letter 1); the reference, which budgets each
+    # cylinder's coverage search apart, needs one per search.
+    monkeypatch.setattr(transducer, "_COVER_BUDGET", 1)
+    with pytest.raises(UndecidedImageError, match="exceeded the configuration budget"):
+        image(drop_first(SP2), cs("{01}"), 6)
+    assert ref_image(drop_first(SP2), cs("{01}"), 6) == cs("{1}")
 
 
 # -- codec ---------------------------------------------------------------------------
