@@ -15,7 +15,6 @@ import functools
 import json
 import random
 import sys
-from dataclasses import dataclass
 
 from . import command as cm
 from . import flowchart as fl
@@ -46,25 +45,7 @@ from .term import (
     syntax_tree,
 )
 
-__all__ = ["Session", "main"]
-
-
-@dataclass
-class Session:
-    """The sampling parameters of one CLI run."""
-
-    grid_prefix: int = 4
-    grid_period: int = 2
-    depth: int = 6
-    space: int = 2
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.grid_prefix < 1 or self.grid_period < 1 or self.depth < 1:
-            raise ValueError("grid parameters must be positive")
-
-    def grid(self, space: Space):
-        return sample_grid(space, self.grid_prefix, self.grid_period)
+__all__ = ["main"]
 
 
 def load_document(path: str):
@@ -86,6 +67,10 @@ def load_document(path: str):
     if path.endswith(".tr"):
         return "transducer", tr.decode_transducer(doc)
     raise DocumentError("%s: unknown document extension (.term/.fc/.cmd/.tr)" % path)
+
+
+def _grid(args, space: Space):
+    return sample_grid(space, args.grid_prefix, args.grid_period)
 
 
 def _emit(doc: dict, out_path: str | None):
@@ -113,7 +98,7 @@ def _report(lines) -> int:
     return 1 if failed else 0
 
 
-def cmd_check(session: Session, args) -> int:
+def cmd_check(args) -> int:
     kind, doc = load_document(args.path)
     if kind == "term":
         return _report(
@@ -162,7 +147,7 @@ def _outcome(doc):
     return fl.eval_outcome if isinstance(doc, fl.Flowchart) else cm.eval_outcome
 
 
-def cmd_eval(session: Session, args) -> int:
+def cmd_eval(args) -> int:
     kind, doc = load_document(args.path)
     if kind not in ("flowchart", "command"):
         raise DocumentError("eval needs a flowchart or command document")
@@ -194,24 +179,24 @@ def _agreement(pairs) -> tuple[int, int, str | None]:
     return ok, total, first
 
 
-# op -> (input kind, transform(session, doc, transducer)).  Transforms are
+# op -> (input kind, transform(args, doc, transducer)).  Transforms are
 # looked up through their modules at call time, so a patched or wrapped
 # operation is the one that runs.
 _TRANSFORMS = {
-    "monotone": ("flowchart", lambda session, doc, extra: fl.to_monotone(doc)),
-    "reduce": ("flowchart", lambda session, doc, extra: fl.to_reduced(doc)),
-    "pullback": ("flowchart", lambda session, doc, extra: fl.pullback(doc, extra)),
+    "monotone": ("flowchart", lambda args, doc, extra: fl.to_monotone(doc)),
+    "reduce": ("flowchart", lambda args, doc, extra: fl.to_reduced(doc)),
+    "pullback": ("flowchart", lambda args, doc, extra: fl.pullback(doc, extra)),
     "vaught": (
         "flowchart",
-        lambda session, doc, extra: fl.vaught_transform(doc, extra, session.depth),
+        lambda args, doc, extra: fl.vaught_transform(doc, extra, args.depth),
     ),
-    "strongly-total": ("command", lambda session, doc, extra: cm.make_strongly_total(doc)),
-    "to-flowchart": ("command", lambda session, doc, extra: cm.command_to_flowchart(doc)),
-    "to-command": ("flowchart", lambda session, doc, extra: cm.flowchart_to_simple_command(doc)),
+    "strongly-total": ("command", lambda args, doc, extra: cm.make_strongly_total(doc)),
+    "to-flowchart": ("command", lambda args, doc, extra: cm.command_to_flowchart(doc)),
+    "to-command": ("flowchart", lambda args, doc, extra: cm.flowchart_to_simple_command(doc)),
 }
 
 
-def cmd_transform(session: Session, args) -> int:
+def cmd_transform(args) -> int:
     kind, doc = load_document(args.path)
     extra = None
     if args.extra:
@@ -226,20 +211,20 @@ def cmd_transform(session: Session, args) -> int:
     if op in ("pullback", "vaught") and extra is None:
         raise DocumentError("transform %s needs a transducer as second input" % op)
 
-    result = transform(session, doc, extra)
+    result = transform(args, doc, extra)
     before, after = _outcome(doc), _outcome(result)
     if op == "pullback":
         pairs = (
             (x, before(doc, tr.apply(extra, x)), after(result, x))
-            for x in session.grid(extra.input_space)
+            for x in _grid(args, extra.input_space)
         )
     elif op == "vaught":
         pairs = (
             (x, before(doc, x), after(result, tr.apply(extra, x)))
-            for x in session.grid(doc.space)
+            for x in _grid(args, doc.space)
         )
     else:
-        pairs = ((x, before(doc, x), after(result, x)) for x in session.grid(doc.space))
+        pairs = ((x, before(doc, x), after(result, x)) for x in _grid(args, doc.space))
     if isinstance(result, fl.Flowchart):
         encoded = fl.encode_flowchart(result)
     else:
@@ -259,7 +244,7 @@ def cmd_transform(session: Session, args) -> int:
 # rank
 
 
-def cmd_rank(session: Session, args) -> int:
+def cmd_rank(args) -> int:
     kind, doc = load_document(args.path)
     if kind == "term":
         term = doc
@@ -297,7 +282,7 @@ def _set_caption(s) -> str:
     return "∅" if s.is_empty else render_clopen(s)
 
 
-def cmd_dot(session: Session, args) -> int:
+def cmd_dot(args) -> int:
     kind, doc = load_document(args.path)
     if kind == "term":
         term, annotate = doc, None
@@ -345,7 +330,7 @@ def cmd_dot(session: Session, args) -> int:
 # (deliberately broken) operation is caught by the suites.
 
 
-def _fuzz_codecs(rng, session, space) -> str | None:
+def _fuzz_codecs(rng, args, space) -> str | None:
     term = gen.random_term(rng, 3, closed=rng.random() < 0.8)
     text = render_term(term)
     if parse_term(text) != term:
@@ -364,11 +349,11 @@ def _fuzz_codecs(rng, session, space) -> str | None:
     return None
 
 
-def _fuzz_domains(rng, session, space) -> str | None:
+def _fuzz_domains(rng, args, space) -> str | None:
     term = gen.random_term(rng, 3)
     f = gen.random_flowchart(rng, term, space, 3)
     domains = fl.domain_assignment(f)
-    for x in session.grid(space):
+    for x in _grid(args, space):
         reached = set(fl.true_positions(f, x))
         for addr, d in domains.items():
             if (addr in reached) != member(x, d):
@@ -376,7 +361,7 @@ def _fuzz_domains(rng, session, space) -> str | None:
     return None
 
 
-def _fuzz_monotone(rng, session, space) -> str | None:
+def _fuzz_monotone(rng, args, space) -> str | None:
     term = gen.random_normal_term(rng, 3)
     f = gen.random_flowchart(rng, term, space, 3)
     g = fl.to_monotone(f)
@@ -385,7 +370,7 @@ def _fuzz_monotone(rng, session, space) -> str | None:
         family = sets if isinstance(sets, tuple) else (sets,)
         if not all(s.is_subset(domains[addr]) for s in family):
             return "monotone output not within domains at %s" % (addr,)
-    for x in session.grid(space):
+    for x in _grid(args, space):
         if fl.eval_outcome(f, x) != fl.eval_outcome(g, x):
             return "monotone eval mismatch at %s" % render_point(x)
     if fl.to_monotone(g) != g:
@@ -393,7 +378,7 @@ def _fuzz_monotone(rng, session, space) -> str | None:
     return None
 
 
-def _fuzz_reduced(rng, session, space) -> str | None:
+def _fuzz_reduced(rng, args, space) -> str | None:
     term = gen.random_term(rng, 3)
     f = gen.random_flowchart(rng, term, space, 3)
     g = fl.to_reduced(f)
@@ -413,13 +398,13 @@ def _fuzz_reduced(rng, session, space) -> str | None:
             return "reduced union changed at %s" % (addr,)
     ftd = gen.random_total_det_flowchart(rng, gen.random_normal_term(rng, 3), space, 3)
     gtd = fl.to_reduced(ftd)
-    for x in session.grid(space):
+    for x in _grid(args, space):
         if fl.eval_outcome(ftd, x) != fl.eval_outcome(gtd, x):
             return "reduced eval mismatch at %s" % render_point(x)
     return None
 
 
-def _fuzz_translation(rng, session, space) -> str | None:
+def _fuzz_translation(rng, args, space) -> str | None:
     term = gen.random_normal_term(rng, 3, veblen=False)
     f = gen.random_total_det_flowchart(rng, term, space, 3)
     c = cm.flowchart_to_simple_command(f)
@@ -427,7 +412,7 @@ def _fuzz_translation(rng, session, space) -> str | None:
     st = cm.make_strongly_total(c)
     if not cm.is_strongly_total(st):
         return "make_strongly_total output is not strongly total"
-    for x in session.grid(space):
+    for x in _grid(args, space):
         want = fl.eval_outcome(f, x)
         if fl.eval_outcome(back, x) != want:
             return "translation round trip mismatch at %s" % render_point(x)
@@ -447,12 +432,12 @@ def _walked_outcome(f, x) -> tuple:
     return ("value", labels.pop())
 
 
-def _fuzz_decisions(rng, session, space) -> str | None:
+def _fuzz_decisions(rng, args, space) -> str | None:
     term = gen.random_term(rng, 3)
     f = gen.random_flowchart(rng, term, space, 3)
     total, tw = fl.is_total(f)
     det, dw = fl.is_deterministic(f)
-    grid = session.grid(space)
+    grid = _grid(args, space)
     outcomes = [fl.eval_outcome(f, x) for x in grid]
     saw_no_path = ("no-true-path",) in outcomes
     saw_ambiguous = any(o[0] == "ambiguous" for o in outcomes)
@@ -480,16 +465,16 @@ _SUITES = (
 )
 
 
-def cmd_fuzz(session: Session, args) -> int:
+def cmd_fuzz(args) -> int:
     if args.iters <= 0:
         return 0
-    space = Space(session.space)
+    space = Space(args.space)
     failures = 0
     for name, suite in _SUITES:
         bad = None
         for i in range(args.iters):
-            case_seed = session.seed * 1000003 + i
-            note = suite(random.Random(case_seed), session, space)
+            case_seed = args.seed * 1000003 + i
+            note = suite(random.Random(case_seed), args, space)
             if note is not None:
                 bad = (case_seed, note)
                 break
@@ -547,21 +532,13 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    try:
-        session = Session(
-            grid_prefix=args.grid_prefix,
-            grid_period=args.grid_period,
-            depth=args.depth,
-            space=args.space,
-            seed=args.seed,
-        )
-    except ValueError as e:
-        print("error: %s" % e, file=sys.stderr)
+    if min(args.grid_prefix, args.grid_period, args.depth) < 1:
+        print("error: grid parameters must be positive", file=sys.stderr)
         return 2
     try:
         # Looked up by name on each call, not stored in the shared parser, so
         # a patched or wrapped cmd_* function is the one that runs.
-        return globals()["cmd_" + args.cmd](session, args)
+        return globals()["cmd_" + args.cmd](args)
     except (ParseError, DocumentError, OSError, ValueError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2

@@ -8,14 +8,9 @@ class VebflowError(Exception):
 class ParseError(VebflowError):
     """Malformed textual input (ordinal, term, point or set literal)."""
 
-    def __init__(self, message, pos=None, line=None, col=None):
-        loc = ""
-        if line is not None:
-            loc = " at line %d, column %d" % (line, col)
-        elif pos is not None:
-            loc = " at position %d" % pos
+    def __init__(self, message, line=None, col=None):
+        loc = "" if line is None else " at line %d, column %d" % (line, col)
         super().__init__(message + loc)
-        self.pos = pos
         self.line = line
         self.col = col
 

@@ -165,76 +165,111 @@ def rank_sum(alphas) -> CnfOrdinal:
 #   prod := "w" ("^" "(" ord ")" | "^" nat)? ("*" nat)? | nat
 #
 # Whitespace is insignificant.  render_ordinal emits the canonical text;
-# parse_ordinal accepts any well-formed sum and normalizes it.
+# parse_ordinal accepts any well-formed sum and normalizes it.  The
+# reader is a loop, but ==, hash, cmp and render_ordinal recurse once
+# per level of w^( ... ) nesting, so text nested deeper than
+# _MAX_NESTING is refused, well inside the interpreter's recursion
+# limit.  _Scanner is also the term parser's scanner, which reads
+# veb[...] indices in place.
+
+_MAX_NESTING = 100
 
 
-class _OrdScanner:
+def _finite(n: int) -> CnfOrdinal:
+    # 0 and 1 are the shared ZERO and ONE, so cmp meets them by identity.
+    return (ZERO, ONE)[n] if n < 2 else CnfOrdinal.from_int(n)
+
+
+class _Scanner:
+    """A cursor over text that skips whitespace before every token."""
+
     def __init__(self, text: str):
         self.text = text
         self.i = 0
 
-    def skip_ws(self):
-        while self.i < len(self.text) and self.text[self.i].isspace():
-            self.i += 1
+    def error(self, message: str):
+        line = self.text.count("\n", 0, self.i) + 1
+        col = self.i - self.text.rfind("\n", 0, self.i)
+        raise ParseError(message, line=line, col=col)
 
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.i] if self.i < len(self.text) else ""
+    def peek(self) -> str:
+        """The next non-space character, or "" at the end."""
+        text, i = self.text, self.i
+        while i < len(text) and text[i].isspace():
+            i += 1
+        self.i = i
+        return text[i : i + 1]
 
-    def expect(self, ch: str):
-        if self.peek() != ch:
-            raise ParseError("expected %r" % ch, pos=self.i)
-        self.i += 1
+    def try_word(self, word: str) -> bool:
+        self.peek()
+        if self.text.startswith(word, self.i):
+            self.i += len(word)
+            return True
+        return False
 
-    def nat(self) -> int:
-        self.skip_ws()
+    def expect(self, word: str):
+        if not self.try_word(word):
+            self.error("expected %r" % word)
+
+    def digits(self) -> str:
+        """The run of digits at the cursor, possibly empty."""
+        self.peek()
         start = self.i
         while self.i < len(self.text) and self.text[self.i].isdigit():
             self.i += 1
-        if self.i == start:
-            raise ParseError("expected a natural number", pos=start)
-        return int(self.text[start : self.i])
+        return self.text[start : self.i]
 
+    def nat(self) -> int:
+        run = self.digits()
+        if not run.isdecimal():
+            self.error("expected a natural number")
+        return int(run)
 
-def _parse_prod(sc: _OrdScanner) -> CnfOrdinal:
-    ch = sc.peek()
-    if ch == "w":
-        sc.i += 1
-        exp = ONE
-        if sc.peek() == "^":
-            sc.i += 1
-            if sc.peek() == "(":
-                sc.i += 1
-                exp = _parse_sum(sc)
-                sc.expect(")")
-            else:
-                exp = CnfOrdinal.from_int(sc.nat())
+    def _power(self, exp: CnfOrdinal) -> CnfOrdinal:
+        """w^exp, times the coefficient that follows, if any."""
         coeff = 1
-        if sc.peek() == "*":
-            sc.i += 1
-            coeff = sc.nat()
+        if self.try_word("*"):
+            coeff = self.nat()
             if coeff == 0:
-                raise ParseError("coefficient must be positive", pos=sc.i)
+                self.error("coefficient must be positive")
         return CnfOrdinal(((exp, coeff),))
-    if ch.isdigit():
-        return CnfOrdinal.from_int(sc.nat())
-    raise ParseError("expected 'w' or a natural number", pos=sc.i)
 
-
-def _parse_sum(sc: _OrdScanner) -> CnfOrdinal:
-    total = _parse_prod(sc)
-    while sc.peek() == "+":
-        sc.i += 1
-        total = add(total, _parse_prod(sc))
-    return total
+    def ordinal(self) -> CnfOrdinal:
+        """Read one sum, without recursion: `outer` holds the sum to the
+        left of each open w^( ... ), innermost last."""
+        outer: list[CnfOrdinal] = []
+        total = ZERO
+        while True:
+            ch = self.peek()
+            if ch == "w":
+                self.i += 1
+                exp = ONE
+                if self.try_word("^"):
+                    if self.try_word("("):
+                        if len(outer) == _MAX_NESTING:
+                            self.error("ordinal nested too deeply")
+                        outer.append(total)
+                        total = ZERO
+                        continue
+                    exp = _finite(self.nat())
+                total = add(total, self._power(exp))
+            elif ch.isdigit():
+                total = add(total, _finite(self.nat()))
+            else:
+                self.error("expected 'w' or a natural number")
+            while not self.try_word("+"):
+                if not outer:
+                    return total
+                self.expect(")")
+                exp, total = total, outer.pop()
+                total = add(total, self._power(exp))
 
 
 def parse_ordinal(text: str) -> CnfOrdinal:
-    sc = _OrdScanner(text)
-    result = _parse_sum(sc)
-    sc.skip_ws()
-    if sc.i != len(sc.text):
-        raise ParseError("trailing input after ordinal", pos=sc.i)
+    sc = _Scanner(text)
+    result = sc.ordinal()
+    if sc.peek():
+        sc.error("trailing input after ordinal")
     return result
 
 

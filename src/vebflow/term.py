@@ -19,6 +19,12 @@ monotone transform is only available over normal terms.
 The node rules of a tree (a root, prefix closure, no gaps in child
 indices, each label's arity) are stated once, in _check_nodes, which
 decode_tree, term_from_tree and the document decoders all go through.
+
+The text form is read by one loop over an explicit stack of open
+brackets, on the scanner the ordinal reader uses, so veb[...] indices
+are read in place and text nested to any depth parses.  render_term
+writes it back without recursion, and the repr of an inner node is
+that text.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DocumentError, InvalidAddressError, ParseError
-from .ordinal import ONE, CnfOrdinal, add, cmp, omega_pow, parse_ordinal, rank_sum, render_ordinal
+from .ordinal import ONE, CnfOrdinal, _Scanner, add, cmp, omega_pow, parse_ordinal, rank_sum, render_ordinal
 
 __all__ = [
     "Const",
@@ -86,7 +92,8 @@ class _Node:
 
 class _Inner(_Node):
     """Arrow, Join and Veblen compare and hash through their syntax
-    trees, so neither recurses, however deep the term."""
+    trees and print through their text form, so none of the three
+    recurses, however deep the term."""
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -95,6 +102,9 @@ class _Inner(_Node):
 
     def __hash__(self):
         return hash(frozenset(syntax_tree(self).nodes.items()))
+
+    def __repr__(self):
+        return "parse_term(%r)" % render_term(self)
 
 
 @dataclass(frozen=True)
@@ -107,13 +117,13 @@ class Var(_Node):
     name: str
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Arrow(_Inner):
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Join(_Inner):
     children: tuple["Term", ...]
 
@@ -123,7 +133,7 @@ class Join(_Inner):
             raise ValueError("a join needs at least one child")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Veblen(_Inner):
     index: CnfOrdinal
     child: "Term"
@@ -315,152 +325,108 @@ def borel_ranks(t: Term) -> dict[Address, CnfOrdinal]:
 # ---------------------------------------------------------------------------
 # Text form.
 #
-#   term := qconst | var | arrow | join | veb
-#   qconst := 'q' string-literal          var := 'x' string-literal
-#   arrow := atom "~>" term  (right associative)
+#   term := atom ("~>" atom)*  (folded from the right)
+#   atom := "(" term ")" | join | veb | qconst | var | nat
 #   join := "join(" term ("," term)* ")"
 #   veb := "veb[" ord "](" term ")"
+#   qconst := 'q' string-literal          var := 'x' string-literal
 #
 # A bare natural number is sugar for a q-constant with that label; the
 # renderer always emits the canonical q"..." form.
 
 
-class _TermScanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.i = 0
-
-    def error(self, message: str):
-        line = self.text.count("\n", 0, self.i) + 1
-        col = self.i - self.text.rfind("\n", 0, self.i)
-        raise ParseError(message, line=line, col=col)
-
-    def skip_ws(self):
-        while self.i < len(self.text) and self.text[self.i].isspace():
-            self.i += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.i] if self.i < len(self.text) else ""
-
-    def try_word(self, word: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(word, self.i):
-            self.i += len(word)
-            return True
-        return False
-
-    def expect(self, word: str):
-        if not self.try_word(word):
-            self.error("expected %r" % word)
-
-    def string_literal(self) -> str:
-        if self.peek() != '"':
-            self.error("expected a string literal")
-        self.i += 1
-        out = []
-        while self.i < len(self.text):
-            ch = self.text[self.i]
-            if ch == "\\":
-                if self.i + 1 >= len(self.text):
-                    self.error("unterminated escape")
-                nxt = self.text[self.i + 1]
-                if nxt not in ('"', "\\"):
-                    self.error("unknown escape \\%s" % nxt)
-                out.append(nxt)
-                self.i += 2
-            elif ch == '"':
-                self.i += 1
-                return "".join(out)
-            else:
-                out.append(ch)
-                self.i += 1
-        self.error("unterminated string literal")
+def _string(sc: _Scanner) -> str:
+    """A double-quoted literal; a backslash escapes '"' or itself."""
+    if sc.peek() != '"':
+        sc.error("expected a string literal")
+    sc.i += 1
+    out = []
+    while sc.i < len(sc.text):
+        ch = sc.text[sc.i]
+        if ch == '"':
+            sc.i += 1
+            return "".join(out)
+        if ch == "\\":
+            if sc.i + 1 >= len(sc.text):
+                sc.error("unterminated escape")
+            ch = sc.text[sc.i + 1]
+            if ch not in ('"', "\\"):
+                sc.error("unknown escape \\%s" % ch)
+            sc.i += 1
+        out.append(ch)
+        sc.i += 1
+    sc.error("unterminated string literal")
 
 
-def _parse_atom(sc: _TermScanner, alphabet) -> Term:
+def _leaf(sc: _Scanner, alphabet) -> Term:
+    """A variable x"...", a constant q"..." or a bare natural number."""
     ch = sc.peek()
-    if ch == "(":
+    if ch == "q" or ch == "x":
         sc.i += 1
-        t = _parse_term(sc, alphabet)
-        sc.expect(")")
-        return t
-    if sc.try_word("join"):
-        sc.expect("(")
-        children = [_parse_term(sc, alphabet)]
-        while sc.peek() == ",":
-            sc.i += 1
-            children.append(_parse_term(sc, alphabet))
-        sc.expect(")")
-        return Join(tuple(children))
-    if sc.try_word("veb"):
-        sc.expect("[")
-        start = sc.i
-        depth = 0
-        while sc.i < len(sc.text):
-            c = sc.text[sc.i]
-            if c == "(":
-                depth += 1
-            elif c == ")":
-                depth -= 1
-            elif c == "]" and depth == 0:
-                break
-            sc.i += 1
-        if sc.i >= len(sc.text):
-            sc.error("unterminated veb index")
-        index = parse_ordinal(sc.text[start : sc.i])
-        sc.i += 1
-        sc.expect("(")
-        child = _parse_term(sc, alphabet)
-        sc.expect(")")
-        return Veblen(index, child)
-    if ch == "q":
-        sc.i += 1
-        label = sc.string_literal()
-        if alphabet is not None and label not in alphabet:
-            sc.error("unknown constant %r (not in the declared alphabet)" % label)
-        return Const(label)
-    if ch == "x":
-        sc.i += 1
-        return Var(sc.string_literal())
-    if ch.isdigit():
-        start = sc.i
-        while sc.i < len(sc.text) and sc.text[sc.i].isdigit():
-            sc.i += 1
-        label = sc.text[start : sc.i]
-        if alphabet is not None and label not in alphabet:
-            sc.error("unknown constant %r (not in the declared alphabet)" % label)
-        return Const(label)
-    sc.error("expected a term")
-
-
-def _parse_term(sc: _TermScanner, alphabet) -> Term:
-    # a ~> b ~> c is read as a chain of atoms, then folded from the right.
-    atoms = [_parse_atom(sc, alphabet)]
-    while sc.try_word("~>"):
-        atoms.append(_parse_atom(sc, alphabet))
-    t = atoms.pop()
-    while atoms:
-        t = Arrow(atoms.pop(), t)
-    return t
+        label = _string(sc)
+        if ch == "x":
+            return Var(label)
+    elif ch.isdigit():
+        label = sc.digits()
+    else:
+        sc.error("expected a term")
+    if alphabet is not None and label not in alphabet:
+        sc.error("unknown constant %r (not in the declared alphabet)" % label)
+    return Const(label)
 
 
 def parse_term(text: str, alphabet=None) -> Term:
-    """Parse the term DSL.
+    """Parse the term DSL, nested to any depth.
 
-    When `alphabet` (an iterable of labels) is given, constants outside
-    it are rejected; otherwise any label is accepted.
+    One loop over an explicit stack of open brackets.  Each entry holds
+    the bracket's kind ("(", "join" or "veb"), its Veblen index, the join
+    members read so far, and the ~> chain the bracket sits in.  When
+    `alphabet` (an iterable of labels) is given, constants outside it
+    are rejected; otherwise any label is accepted.
     """
     alpha = None if alphabet is None else frozenset(alphabet)
-    sc = _TermScanner(text)
-    try:
-        t = _parse_term(sc, alpha)
-    except RecursionError:
-        raise ParseError("term nested too deeply") from None
-    sc.skip_ws()
-    if sc.i != len(sc.text):
-        sc.error("trailing input after term")
-    return t
+    sc = _Scanner(text)
+    stack: list[tuple[str, CnfOrdinal | None, list[Term], list[Term]]] = []
+    chain: list[Term] = []  # the atoms of the innermost ~> chain so far
+    while True:
+        ch = sc.peek()
+        if ch == "v" and sc.try_word("veb"):
+            sc.expect("[")
+            index = sc.ordinal()
+            sc.expect("]")
+            sc.expect("(")
+            stack.append(("veb", index, [], chain))
+        elif ch == "j" and sc.try_word("join"):
+            sc.expect("(")
+            stack.append(("join", None, [], chain))
+        elif ch == "(":
+            sc.i += 1
+            stack.append(("(", None, [], chain))
+        else:
+            chain.append(_leaf(sc, alpha))
+            # Each chain that no ~> continues ends, and so does its bracket.
+            while not sc.try_word("~>"):
+                t = chain.pop()
+                while chain:
+                    t = Arrow(chain.pop(), t)
+                if not stack:
+                    if sc.peek():
+                        sc.error("trailing input after term")
+                    return t
+                kind, index, members, outer = stack[-1]
+                if kind == "join" and sc.try_word(","):
+                    members.append(t)
+                    break
+                sc.expect(")")
+                stack.pop()
+                chain = outer
+                if kind == "join":
+                    t = Join((*members, t))
+                elif kind == "veb":
+                    t = Veblen(index, t)
+                chain.append(t)
+            continue
+        chain = []
 
 
 def _quote(label: str) -> str:

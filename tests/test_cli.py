@@ -482,15 +482,35 @@ def test_invalid_json_document(capsys, tmp_path):
     assert "not valid JSON" in err
 
 
+DEEP_ORDINAL = "w^(" * 3000 + "1" + ")" * 3000
+
+
+def _with_root_level(doc, key):
+    """`doc` with its root set entry at level DEEP_ORDINAL."""
+    root = doc["assign"][""]
+    entry = {"set": root, "level": DEEP_ORDINAL}
+    doc["assign"][""] = entry if key is None else {**root, key: entry}
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize(
     "name, text, message",
     [
         ("x.fc", "[" * 100000, "JSON nested too deeply"),
         ("x.fc", '{"assign": ' + '{"a": ' * 5000 + "1" + "}" * 5001, "JSON nested too deeply"),
-        ("x.term", "(" * 3000 + 'q"a"' + ")" * 3000, "term nested too deeply"),
-        ("x.term", "join(" * 3000 + 'q"a"' + ")" * 3000, "term nested too deeply"),
+        ("x.fc", _with_root_level(fl.encode_flowchart(FC), None), "ordinal nested too deeply"),
+        (
+            "x.fc",
+            json.dumps({"kind": "flowchart", "space": 2, "assign": {}, "term": {"nodes": [
+                {"addr": [], "kind": "veblen", "payload": DEEP_ORDINAL},
+                {"addr": [0], "kind": "const", "payload": "a"},
+            ]}}),
+            "ordinal nested too deeply",
+        ),
+        ("x.cmd", _with_root_level(cm.encode_command(SIMPLE), "test"), "ordinal nested too deeply"),
+        ("x.term", "veb[%s](q\"a\")" % DEEP_ORDINAL, "ordinal nested too deeply"),
     ],
-    ids=["fc-array", "fc-assign", "term-parens", "term-join"],
+    ids=["fc-array", "fc-assign", "fc-level", "fc-veblen", "cmd-level", "term-index"],
 )
 def test_deeply_nested_input_is_a_document_error(capsys, tmp_path, name, text, message):
     path = write_doc(tmp_path, name, text)
@@ -500,11 +520,42 @@ def test_deeply_nested_input_is_a_document_error(capsys, tmp_path, name, text, m
     assert err.count("\n") == 1 and err.startswith("error:") and message in err
 
 
+# 3000 brackets deep: past the interpreter's recursion limit, read by the
+# parser's loop.  The parentheses wrap one leaf; join( and veb[0]( nest
+# 3000 inner nodes over it.  name -> (text, nodes, rank of the leaf)
+DEEP_TERMS = {
+    "term-parens": ("(" * 3000 + 'q"a"' + ")" * 3000, 1, "1"),
+    "term-join": ("join(" * 3000 + 'q"a"' + ")" * 3000, 3001, "1"),
+    "term-veb": ("veb[0](" * 3000 + 'q"a"' + ")" * 3000, 3001, "3001"),
+}
+
+
+@pytest.mark.parametrize("text, nodes, leaf_rank", DEEP_TERMS.values(), ids=DEEP_TERMS.keys())
+def test_deeply_nested_term_text_is_read(capsys, tmp_path, text, nodes, leaf_rank):
+    path = write_doc(tmp_path, "x.term", text)
+    code, out, err = run(capsys, ["check", path])
+    assert (code, err) == (0, "")
+    assert out == "well_formed: pass\nnormal: pass\nclosed: pass\n"
+    code, out, err = run(capsys, ["rank", path])
+    assert (code, err) == (0, "")
+    assert out.count("\n") == nodes and out.endswith("\t%s\n" % leaf_rank)
+    code, out, err = run(capsys, ["dot", path])
+    assert (code, err) == (0, "")
+    assert out.startswith("digraph term {") and out.count(" -> ") == nodes - 1
+
+
 def test_bad_grid_parameters(capsys, tmp_path):
     path = write_doc(tmp_path, "t.term", 'q"a"')
     code, _, err = run(capsys, ["--grid-prefix", "0", "check", path])
     assert code == 2
     assert "positive" in err
+
+
+@pytest.mark.parametrize("option", ["--grid-period", "--depth"])
+def test_every_grid_parameter_must_be_positive(capsys, tmp_path, option):
+    path = write_doc(tmp_path, "t.term", 'q"a"')
+    code, out, err = run(capsys, [option, "0", "check", path])
+    assert (code, out, err) == (2, "", "error: grid parameters must be positive\n")
 
 
 def test_usage_error_from_argparse(capsys):

@@ -167,6 +167,39 @@ def test_parse_rejects_garbage():
             parse_ordinal(text)
 
 
+def test_parse_rejects_unclosed_and_stray_brackets():
+    for text in ("w^(1", "w^(w^(1)", "w^(1))", "w^()", "w^(1]", "²", "w^²"):
+        with pytest.raises(ParseError):
+            parse_ordinal(text)
+
+
+def test_parse_errors_give_line_and_column():
+    with pytest.raises(ParseError, match="expected '\\)' at line 2, column 3"):
+        parse_ordinal("w^(w\n  ]")
+    with pytest.raises(ParseError, match="coefficient must be positive at line 1, column 4"):
+        parse_ordinal("w*0")
+
+
+def test_parse_shares_zero_and_one():
+    # Levels read from documents then meet cmp's identity path.
+    assert parse_ordinal("1") is ONE
+    assert parse_ordinal(" 0 ") is ZERO
+    assert parse_ordinal("w^1").terms[0][0] is ONE
+    assert parse_ordinal("1 + 0") is ONE
+
+
+def test_parse_bounds_exponent_nesting():
+    # ==, hash, cmp and render recurse once per level of nesting.
+    deep = "w^(" * 100 + "1" + ")" * 100
+    x = parse_ordinal(deep)
+    assert x == parse_ordinal(deep) and hash(x) == hash(parse_ordinal(deep))
+    assert render_ordinal(x) == deep.replace("w^(1)", "w")
+    with pytest.raises(ParseError, match="ordinal nested too deeply at line 1, column 304"):
+        parse_ordinal("w" + "^(w" * 101 + ")" * 101)
+    with pytest.raises(ParseError, match="ordinal nested too deeply"):
+        parse_ordinal("w^(" * 3000 + "1" + ")" * 3000)
+
+
 def test_non_canonical_sums_normalize_through_parse():
     assert parse_ordinal("1 + w") == OMEGA
     assert parse_ordinal("w + w") == CnfOrdinal(((ONE, 2),))

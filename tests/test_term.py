@@ -1,11 +1,12 @@
 """Term AST, syntax trees, predicates, ranks, parsing, codecs."""
 
 import random
+import re
 
 import pytest
 
 from vebflow.errors import DocumentError, InvalidAddressError, ParseError
-from vebflow.generate import random_term
+from vebflow.generate import random_ordinal, random_term
 from vebflow.ordinal import CnfOrdinal, OMEGA, ONE, ZERO, add, cmp, omega_pow, parse_ordinal, render_ordinal
 from vebflow.term import (
     Arrow,
@@ -346,6 +347,330 @@ def test_fixed_point_on_deep_tower():
     for _ in range(1000):
         want = Veblen(ONE, want)
     assert apply_fixed_point(t) == want
+
+
+# -- the text reader against the recursive one it replaced -------------------
+#
+# Before parse_term was one loop over a stack of open brackets, terms and
+# ordinals were read by two recursive-descent parsers with a scanner
+# each, and a veb[...] index was cut out as a substring and handed to
+# parse_ordinal.  That reader is kept here as the reference for the loop;
+# its error positions are dropped, since only acceptance and the parsed
+# term are compared.
+
+class RefOrdScanner:
+    def __init__(self, text):
+        self.text = text
+        self.i = 0
+
+    def skip_ws(self):
+        while self.i < len(self.text) and self.text[self.i].isspace():
+            self.i += 1
+
+    def peek(self):
+        self.skip_ws()
+        return self.text[self.i] if self.i < len(self.text) else ""
+
+    def expect(self, ch):
+        if self.peek() != ch:
+            raise ParseError("expected %r" % ch)
+        self.i += 1
+
+    def nat(self):
+        self.skip_ws()
+        start = self.i
+        while self.i < len(self.text) and self.text[self.i].isdigit():
+            self.i += 1
+        if self.i == start:
+            raise ParseError("expected a natural number")
+        return int(self.text[start : self.i])
+
+
+def ref_parse_prod(sc):
+    ch = sc.peek()
+    if ch == "w":
+        sc.i += 1
+        exp = ONE
+        if sc.peek() == "^":
+            sc.i += 1
+            if sc.peek() == "(":
+                sc.i += 1
+                exp = ref_parse_sum(sc)
+                sc.expect(")")
+            else:
+                exp = CnfOrdinal.from_int(sc.nat())
+        coeff = 1
+        if sc.peek() == "*":
+            sc.i += 1
+            coeff = sc.nat()
+            if coeff == 0:
+                raise ParseError("coefficient must be positive")
+        return CnfOrdinal(((exp, coeff),))
+    if ch.isdigit():
+        return CnfOrdinal.from_int(sc.nat())
+    raise ParseError("expected 'w' or a natural number")
+
+
+def ref_parse_sum(sc):
+    total = ref_parse_prod(sc)
+    while sc.peek() == "+":
+        sc.i += 1
+        total = add(total, ref_parse_prod(sc))
+    return total
+
+
+def ref_parse_ordinal(text):
+    sc = RefOrdScanner(text)
+    result = ref_parse_sum(sc)
+    sc.skip_ws()
+    if sc.i != len(sc.text):
+        raise ParseError("trailing input after ordinal")
+    return result
+
+
+class RefTermScanner:
+    def __init__(self, text):
+        self.text = text
+        self.i = 0
+
+    def error(self, message):
+        raise ParseError(message)
+
+    def skip_ws(self):
+        while self.i < len(self.text) and self.text[self.i].isspace():
+            self.i += 1
+
+    def peek(self):
+        self.skip_ws()
+        return self.text[self.i] if self.i < len(self.text) else ""
+
+    def try_word(self, word):
+        self.skip_ws()
+        if self.text.startswith(word, self.i):
+            self.i += len(word)
+            return True
+        return False
+
+    def expect(self, word):
+        if not self.try_word(word):
+            self.error("expected %r" % word)
+
+    def string_literal(self):
+        if self.peek() != '"':
+            self.error("expected a string literal")
+        self.i += 1
+        out = []
+        while self.i < len(self.text):
+            ch = self.text[self.i]
+            if ch == "\\":
+                if self.i + 1 >= len(self.text):
+                    self.error("unterminated escape")
+                nxt = self.text[self.i + 1]
+                if nxt not in ('"', "\\"):
+                    self.error("unknown escape \\%s" % nxt)
+                out.append(nxt)
+                self.i += 2
+            elif ch == '"':
+                self.i += 1
+                return "".join(out)
+            else:
+                out.append(ch)
+                self.i += 1
+        self.error("unterminated string literal")
+
+
+def ref_parse_atom(sc, alphabet):
+    ch = sc.peek()
+    if ch == "(":
+        sc.i += 1
+        t = ref_parse_term_at(sc, alphabet)
+        sc.expect(")")
+        return t
+    if sc.try_word("join"):
+        sc.expect("(")
+        children = [ref_parse_term_at(sc, alphabet)]
+        while sc.peek() == ",":
+            sc.i += 1
+            children.append(ref_parse_term_at(sc, alphabet))
+        sc.expect(")")
+        return Join(tuple(children))
+    if sc.try_word("veb"):
+        sc.expect("[")
+        start = sc.i
+        depth = 0
+        while sc.i < len(sc.text):
+            c = sc.text[sc.i]
+            if c == "(":
+                depth += 1
+            elif c == ")":
+                depth -= 1
+            elif c == "]" and depth == 0:
+                break
+            sc.i += 1
+        if sc.i >= len(sc.text):
+            sc.error("unterminated veb index")
+        index = ref_parse_ordinal(sc.text[start : sc.i])
+        sc.i += 1
+        sc.expect("(")
+        child = ref_parse_term_at(sc, alphabet)
+        sc.expect(")")
+        return Veblen(index, child)
+    if ch == "q":
+        sc.i += 1
+        label = sc.string_literal()
+        if alphabet is not None and label not in alphabet:
+            sc.error("unknown constant %r (not in the declared alphabet)" % label)
+        return Const(label)
+    if ch == "x":
+        sc.i += 1
+        return Var(sc.string_literal())
+    if ch.isdigit():
+        start = sc.i
+        while sc.i < len(sc.text) and sc.text[sc.i].isdigit():
+            sc.i += 1
+        label = sc.text[start : sc.i]
+        if alphabet is not None and label not in alphabet:
+            sc.error("unknown constant %r (not in the declared alphabet)" % label)
+        return Const(label)
+    sc.error("expected a term")
+
+
+def ref_parse_term_at(sc, alphabet):
+    atoms = [ref_parse_atom(sc, alphabet)]
+    while sc.try_word("~>"):
+        atoms.append(ref_parse_atom(sc, alphabet))
+    t = atoms.pop()
+    while atoms:
+        t = Arrow(atoms.pop(), t)
+    return t
+
+
+def ref_parse_term(text, alphabet=None):
+    alpha = None if alphabet is None else frozenset(alphabet)
+    sc = RefTermScanner(text)
+    try:
+        t = ref_parse_term_at(sc, alpha)
+    except RecursionError:
+        raise ParseError("term nested too deeply") from None
+    sc.skip_ws()
+    if sc.i != len(sc.text):
+        sc.error("trailing input after term")
+    return t
+
+
+def _mutants(rng, texts, count, chars):
+    out = []
+    for _ in range(count):
+        text = rng.choice(texts)
+        i = rng.randrange(len(text) + 1)
+        edit = rng.randrange(3)
+        if edit == 0:
+            out.append(text[:i] + text[i + 1 :])
+        else:
+            out.append(text[:i] + rng.choice(chars) + text[i + (edit == 2) :])
+    return out
+
+
+def _oracle_texts(seed, terms, mutants):
+    """Rendered random terms, some respaced or with bare-number labels,
+    then single-character deletions, insertions and replacements."""
+    rng = random.Random(seed)
+    texts = []
+    for n in range(terms):
+        text = render_term(random_term(rng, 6, labels=("a", "b", "7", "10"), closed=False))
+        if n % 3 == 1:
+            text = re.sub(r'q"(\d+)"', r"\1", text)
+        if n % 3 == 2:
+            text = re.sub(" ", lambda m: rng.choice(("", " ", "\n", "\t ")), text)
+        texts.append(text)
+    return texts + _mutants(rng, texts, mutants, '()[],~>"\\ \nqxwjoinveb0179^*+')
+
+
+def _read(parse, *args):
+    try:
+        return parse(*args)
+    except ParseError:
+        return None
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_parse_term_matches_the_recursive_reader(seed):
+    texts = _oracle_texts(seed, 2500, 1500)
+    accepted = 0
+    for n, text in enumerate(texts):
+        alphabet = ("a", "b", "7") if n % 4 == 3 else None
+        want, got = _read(ref_parse_term, text, alphabet), _read(parse_term, text, alphabet)
+        assert (want is None) == (got is None), text
+        if want is not None:
+            assert got == want and render_term(got) == render_term(want), text
+            accepted += 1
+    # Both outcomes are well represented.
+    assert 2500 < accepted < len(texts) - 500
+
+
+def test_parse_ordinal_matches_the_recursive_reader():
+    rng = random.Random(5)
+    texts = [render_ordinal(random_ordinal(rng, 3)) for _ in range(1500)]
+    texts += _mutants(rng, texts, 1500, "w^()*+ 0123")
+    accepted = 0
+    for text in texts:
+        want, got = _read(ref_parse_ordinal, text), _read(parse_ordinal, text)
+        assert want == got, text
+        accepted += got is not None
+    assert 1500 < accepted < len(texts) - 500
+
+
+def test_parse_term_reads_veblen_indices_in_place():
+    t = parse_term('veb[ w^( w^2*3 + 1 ) *2 + w + 4 ](q"a") ~> veb[0](1)')
+    assert t.left.index == parse_ordinal("w^(w^2*3 + 1)*2 + w + 4")
+    assert t.right.index == ZERO
+    for text in ('veb[w^(1]](q"a")', 'veb[w](q"a")]', "veb[w", 'veb[w)](q"a")', 'veb[](q"a")'):
+        with pytest.raises(ParseError):
+            parse_term(text)
+
+
+def test_parse_errors_give_line_and_column():
+    with pytest.raises(ParseError, match="expected a natural number at line 2, column 8"):
+        parse_term('q"a" ~>\n veb[w^](q"b")')
+    with pytest.raises(ParseError, match="unknown constant '9' .* at line 1, column 14"):
+        parse_term("join(7, 10, 9)", alphabet=("7", "10"))
+
+
+def _deep(wrap, depth=3000):
+    t = Const("a")
+    for _ in range(depth):
+        t = wrap(t)
+    return t
+
+
+@pytest.mark.parametrize(
+    "wrap, text",
+    [
+        (lambda t: Join((t,)), "join(" * 3000 + 'q"a"' + ")" * 3000),
+        (lambda t: Veblen(ZERO, t), "veb[0](" * 3000 + 'q"a"' + ")" * 3000),
+        (lambda t: Arrow(t, Const("b")), "(" * 2999 + 'q"a" ~> q"b"' + ') ~> q"b"' * 2999),
+    ],
+    ids=["join", "veb", "left-nested-arrow"],
+)
+def test_text_form_round_trips_at_depth_3000(wrap, text):
+    t = _deep(wrap)
+    assert render_term(t) == text
+    assert parse_term(text) == t
+    assert len(syntax_tree(parse_term(text))) == len(syntax_tree(t))
+
+
+def test_parentheses_nest_to_any_depth():
+    assert parse_term("(" * 3000 + 'q"a"' + ")" * 3000) == Const("a")
+    with pytest.raises(ParseError, match="expected '\\)'"):
+        parse_term("(" * 3000 + 'q"a"' + ")" * 2999)
+
+
+def test_repr_is_the_text_form_at_any_depth():
+    t = _deep(lambda t: Veblen(ONE, t), 2000)
+    assert repr(t) == "parse_term(%r)" % render_term(t)
+    assert eval(repr(t), {"parse_term": parse_term}) == t
+    assert repr(Arrow(Const("a"), Join((Var("v"),)))) == """parse_term('q"a" ~> join(x"v")')"""
+    assert repr(Const("a")) == "Const(label='a')"
 
 
 # -- the stored table against the walk it replaced ---------------------------
