@@ -404,7 +404,7 @@ def make_strongly_total(c: Command) -> Command:
     total, witness = fc.is_total(f)
     if not total:
         raise UnsupportedError("the command is not total (no true path at %s)" % witness)
-    domains = fc.domain_assignment(f)
+    domains = f._domains
     for addr, sets in f.assign:
         if not isinstance(sets, tuple):
             continue
@@ -472,7 +472,7 @@ def encode_command(c: Command) -> dict:
     }
 
 
-def _decode_site_record(entry, space: Space, want_test: bool):
+def _decode_site_record(entry, space: Space, addr: Address, want_test: bool):
     if not isinstance(entry, dict):
         raise DocumentError("a site record is a JSON object, got %r" % (entry,))
     allowed = {"test", "map", "else"} if want_test else {"map"}
@@ -483,7 +483,7 @@ def _decode_site_record(entry, space: Space, want_test: bool):
             raise DocumentError("site record needs a test")
         if entry.get("else", "identity") != "identity":
             raise DocumentError("the fallthrough edge of a ~> node must keep the identity map")
-        test = fc._decode_set(space, entry["test"])
+        test = fc._decode_set(space, entry["test"], addr)
     else:
         test = None
     m = decode_map(entry.get("map", "identity"), space)
@@ -504,12 +504,12 @@ def decode_command(doc) -> Command:
             raise DocumentError("missing site at %r" % (addr,))
         entry = entries[addr]
         if isinstance(label, ArrowL):
-            return ArrowSite(*_decode_site_record(entry, here, want_test=True))
+            return ArrowSite(*_decode_site_record(entry, here, addr, want_test=True))
         if isinstance(label, JoinL):
             if not isinstance(entry, list) or len(entry) != arity:
                 raise DocumentError("join node %r needs %d site records" % (addr, arity))
-            return JoinSite(tuple(_decode_site_record(r, here, want_test=True) for r in entry))
-        return VeblenSite(_decode_site_record(entry, here, want_test=False)[1])
+            return JoinSite(tuple(_decode_site_record(r, here, addr, want_test=True) for r in entry))
+        return VeblenSite(_decode_site_record(entry, here, addr, want_test=False)[1])
 
     sites, _ = _wire(syntax_tree(term), space, entries, read, DocumentError)
     try:

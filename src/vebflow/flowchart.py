@@ -44,7 +44,7 @@ from .errors import (
     UnsupportedError,
 )
 from .ordinal import ONE, cmp, parse_ordinal, render_ordinal
-from .space import ClopenSet, Space, UpPoint, least_point, member, parse_clopen, render_clopen
+from .space import ClopenSet, Space, UpPoint, _level, least_point, member, parse_clopen, render_clopen
 from .term import (
     Address,
     ArrowL,
@@ -158,23 +158,34 @@ class Flowchart:
 
     @cached_property
     def _domains(self) -> dict[Address, ClopenSet]:
-        """The domain assignment, computed top down on first use."""
+        """The domain assignment, computed top down on first use.
+
+        A chart made by to_monotone keeps its source's domains as sets;
+        it takes their tries and recomputes only the declared levels.
+        """
         tree = self.tree
+        source = self.__dict__.pop("_same_domains", None)
+        known = source._domains if source is not None else None
         domains: dict[Address, ClopenSet] = {(): ClopenSet.full(self.space)}
         for addr in tree.addresses():
             if not addr:
                 continue
             parent, i = addr[:-1], addr[-1]
             label = tree.label(parent)
+            d = domains[parent]
             if isinstance(label, ArrowL):
-                s = self._at[parent]
-                domains[addr] = (
-                    domains[parent].difference(s) if i == 0 else domains[parent].intersect(s)
-                )
+                s, negate = self._at[parent], i == 0
             elif isinstance(label, JoinL):
-                domains[addr] = domains[parent].intersect(self._at[parent][i])
+                s, negate = self._at[parent][i], False
             else:
-                domains[addr] = domains[parent]
+                domains[addr] = d
+                continue
+            if known is not None:
+                domains[addr] = ClopenSet._of(self.space, known[addr].trie, _level(d, s, negate))
+            elif negate:
+                domains[addr] = d.difference(s)
+            else:
+                domains[addr] = d.intersect(s)
         return domains
 
     @cached_property
@@ -362,7 +373,7 @@ def is_deterministic(f: Flowchart) -> tuple[bool, UpPoint | None]:
 
 def is_monotone(f: Flowchart) -> bool:
     """Is every assigned set contained in its node's domain?"""
-    domains = domain_assignment(f)
+    domains = f._domains
     for addr, sets in f.assign:
         family = sets if isinstance(sets, tuple) else (sets,)
         if not all(s.is_subset(domains[addr]) for s in family):
@@ -380,12 +391,16 @@ def to_monotone(f: Flowchart) -> Flowchart:
     Only for normal terms; there the shrunken sets keep their levels
     within rank (the out-branch of a ~> node leads into a leaf or a
     Veblen node, whose rank absorbs the bump).  Evaluation is unchanged
-    pointwise, errors included, because domains are invariant.
+    pointwise, errors included, because domains are invariant: the
+    result keeps f's domain tries and recomputes only their levels.
     """
     if not is_normal(f.term):
         raise NonNormalTermError("the shrink-to-domain transform needs a normal term")
-    domains = domain_assignment(f)
-    return f.replace_sets(lambda addr, s: domains[addr].intersect(s))
+    domains = f._domains
+    g = f.replace_sets(lambda addr, s: domains[addr].intersect(s))
+    # Read once, by g's first domain compile, and dropped there.
+    object.__setattr__(g, "_same_domains", f)
+    return g
 
 
 def to_reduced(f: Flowchart) -> Flowchart:
@@ -485,7 +500,14 @@ def _encode_set(s: ClopenSet):
     return {"set": render_clopen(s), "level": render_ordinal(s.declared_level)}
 
 
-def _decode_set(space: Space, entry) -> ClopenSet:
+def _clip(text: str, limit: int) -> str:
+    return text if len(text) <= limit else text[: limit - 3] + "..."
+
+
+def _decode_set(space: Space, entry, addr: Address) -> ClopenSet:
+    """The set an entry at `addr` writes.  An error names the address
+    and the parser's reason, which carries its line and column, on one
+    capped line; the entry itself may be any size."""
     try:
         if isinstance(entry, str):
             return parse_clopen(space, entry)
@@ -499,8 +521,9 @@ def _decode_set(space: Space, entry) -> ClopenSet:
                 raise DocumentError("a set is written as a literal string")
             return parse_clopen(space, entry["set"], level)
     except (ParseError, ValueError) as e:
-        raise DocumentError("bad set entry %r: %s" % (entry, e)) from None
-    raise DocumentError("malformed set entry %r" % (entry,))
+        where = _clip(render_address(addr), 40)
+        raise DocumentError("bad set entry at address %r: %s" % (where, _clip(str(e), 160))) from None
+    raise DocumentError("malformed set entry at address %r" % _clip(render_address(addr), 40))
 
 
 def encode_flowchart(f: Flowchart) -> dict:
@@ -543,9 +566,9 @@ def decode_flowchart(doc) -> Flowchart:
     for key, entry in raw.items():
         addr = parse_address(key)
         if isinstance(entry, list):
-            assign[addr] = tuple(_decode_set(space, e) for e in entry)
+            assign[addr] = tuple(_decode_set(space, e, addr) for e in entry)
         else:
-            assign[addr] = _decode_set(space, entry)
+            assign[addr] = _decode_set(space, entry, addr)
     try:
         f = Flowchart(term, space, assign)
     except (ValueError, OpenTermError, SpaceMismatchError) as e:

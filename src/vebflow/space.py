@@ -7,9 +7,12 @@ cylinders, stored as reduced k-ary decision tries: Bryant's reduced
 ordered decision diagrams (1986) with letters in place of variables.  A
 trie is True (full), False (empty) or one child trie per next letter,
 and a node whose children are all True, or all False, collapses to that
-leaf.  Reduced tries are canonical, so set equality is trie equality.
-Union and intersection are memoised walks over pairs of nodes,
-complement flips the leaves, and membership reads one letter per level.
+leaf.  Reduced tries are canonical, so set equality is trie equality,
+decided by one lockstep walk.  Union, intersection and difference are
+one kernel: a walk over pairs of nodes that expands each pair once and
+reduces the rows it built in post-order; difference reads the right
+trie's leaves negated as it goes, so it flips nothing.  Complement
+flips the leaves of one trie, and membership reads one letter per level.
 The canonical antichain (the words leading to True leaves: pairwise
 incomparable under the prefix order, never all k siblings present,
 sorted) is derived on demand; it is the printed and codec form.
@@ -18,7 +21,8 @@ Every clopen set carries a declared_level, an ordinal >= 1 recording the
 additive class the set is *declared* at; the sets themselves are always
 truly clopen, so the metadata is an upper-bound annotation used by the
 level checker, not a semantic restriction.  Union and intersection take
-the max of the levels, complement adds one.
+the max of the levels, complement adds one, and difference takes the max
+of the left level and the right level plus one (_level states the rule).
 """
 
 from __future__ import annotations
@@ -192,45 +196,82 @@ def _canonical_antichain(k: int, words) -> tuple[Word, ...]:
     return _words(_trie(k, words))
 
 
-def _combine(x: Trie, y: Trie, absorb: bool) -> Trie:
-    """The union (absorb=True) or the intersection (absorb=False) of two
-    tries, memoised on node pairs.  A leaf equal to `absorb` decides its
-    pair; the other leaf leaves the other side as it is."""
+def _combine(x: Trie, y: Trie, absorb: bool, negate: bool = False) -> Trie:
+    """The union (absorb=True) or the intersection (absorb=False) of x
+    with y, or with y's complement when `negate`, memoised on node pairs.
+
+    A leaf equal to `absorb` decides its pair; the other leaf leaves the
+    other side as it is.  Under `negate` y's leaves count negated, a pair
+    of one node with itself is `absorb`, and a pair under x's unit leaf
+    is walked on, so that y's subtrie comes out flipped.  Each pair is
+    expanded once into a row of leaves, subtries and the indices of
+    pairs still to build; rows are reduced in post-order.
+    """
     unit = not absorb
-    if x is absorb or y is absorb:
+    # y's leaf that decides the pair, and y's leaf that leaves x as it is.
+    decides, keeps = (unit, absorb) if negate else (absorb, unit)
+    if x is absorb or y is decides:
         return absorb
-    if x is unit or x is y:
-        return y
-    if y is unit:
+    if y is keeps:
         return x
-    memo: dict[tuple[int, int], Trie] = {}
-    stack = [(x, y)]
+    if x is y:
+        return absorb if negate else x
+    if x is unit and not negate:
+        return y
+    # Under x's unit leaf, a negated y is walked against a row of units.
+    units = (unit,) * len(y)
+    # x's leaf that passes y through: none under negation.
+    passes = None if negate else unit
+    index: dict[tuple[int, int], int] = {(id(x), id(y)): 0}
+    # rows[i] is None before pair i is expanded, its row while a child
+    # pair is pending, and its trie once reduced.  An int on the stack
+    # asks for its pair's row to be reduced, after the pairs above it.
+    rows: list = [None]
+    stack: list = [(x, y, 0)]
     while stack:
-        p, q = stack[-1]
-        key = (id(p), id(q))
-        if key in memo:
+        top = stack.pop()
+        if top.__class__ is int:
+            i = top
+            row = [rows[c] if c.__class__ is int else c for c in rows[i]]
+        else:
+            p, q, i = top
+            if rows[i] is not None:
+                continue
+            row = []
+            stack.append(i)
+            pending = False
+            for c, d in zip(units if p is unit else p, q):
+                if c is absorb or d is decides:
+                    row.append(absorb)
+                elif d is keeps:
+                    row.append(c)
+                elif c is passes:
+                    row.append(d)
+                elif c is d:
+                    row.append(absorb if negate else d)
+                else:
+                    key = (id(c), id(d))
+                    j = index.get(key)
+                    if j is None:
+                        j = index[key] = len(rows)
+                        rows.append(None)
+                    elif rows[j] is not None:
+                        # Reduced under an earlier sibling.  (A pair
+                        # still being expanded would be an ancestor.)
+                        row.append(rows[j])
+                        continue
+                    # New, or queued further down: expand it first.
+                    stack.append((c, d, j))
+                    row.append(j)
+                    pending = True
+            if pending:
+                rows[i] = row
+                continue
             stack.pop()
-            continue
-        kids = []
-        ready = True
-        for c, d in zip(p, q):
-            if c is absorb or d is absorb:
-                kids.append(absorb)
-            elif c is unit or c is d:
-                kids.append(d)
-            elif d is unit:
-                kids.append(c)
-            else:
-                r = memo.get((id(c), id(d)))
-                if r is None:
-                    # Build the children first, then revisit this pair.
-                    stack.append((c, d))
-                    ready = False
-                kids.append(r)
-        if ready:
-            stack.pop()
-            memo[key] = _node(kids)
-    return memo[(id(x), id(y))]
+        # As _node, inlined: this is the kernel's innermost step.
+        first = row[0]
+        rows[i] = first if first.__class__ is bool and row.count(first) == len(row) else tuple(row)
+    return rows[0]
 
 
 def _flip(t: Trie) -> Trie:
@@ -261,6 +302,25 @@ def _flip(t: Trie) -> Trie:
     return memo[id(t)]
 
 
+def _same(x: Trie, y: Trie) -> bool:
+    """Are two reduced tries the same trie?  One walk in lockstep,
+    memoised on node pairs; reduced tries are canonical, so this is set
+    equality."""
+    seen: set[tuple[int, int]] = set()
+    stack = [(x, y)]
+    while stack:
+        p, q = stack.pop()
+        if p is q:
+            continue
+        if p.__class__ is bool or q.__class__ is bool:
+            return False
+        key = (id(p), id(q))
+        if key not in seen:
+            seen.add(key)
+            stack.extend(zip(p, q))
+    return True
+
+
 def _within(x: Trie, y: Trie) -> bool:
     """Is the set of trie x contained in the set of trie y?"""
     seen: set[tuple[int, int]] = set()
@@ -282,6 +342,15 @@ def _within(x: Trie, y: Trie) -> bool:
 def _check_level(level: CnfOrdinal):
     if cmp(level, ONE) < 0:
         raise ValueError("declared_level must be >= 1")
+
+
+def _level(x: "ClopenSet", y: "ClopenSet", negate: bool = False) -> CnfOrdinal:
+    """The declared level of x ∪ y and x ∩ y, or of x minus y when
+    `negate`: the larger of the two levels, y's counted one higher when
+    it is subtracted, as a difference meets y's complement."""
+    a = x.declared_level
+    b = add(y.declared_level, ONE) if negate else y.declared_level
+    return a if cmp(a, b) >= 0 else b
 
 
 class ClopenSet:
@@ -353,26 +422,23 @@ class ClopenSet:
         if self.space != other.space:
             raise SpaceMismatchError("sets live in %r and %r" % (self.space, other.space))
 
-    def _max_level(self, other: "ClopenSet") -> CnfOrdinal:
-        if cmp(self.declared_level, other.declared_level) >= 0:
-            return self.declared_level
-        return other.declared_level
-
     # -- Boolean algebra (exact) ---------------------------------------
 
     def union(self, other: "ClopenSet") -> "ClopenSet":
         self._check_space(other)
-        return ClopenSet._of(self.space, _combine(self.trie, other.trie, True), self._max_level(other))
+        return ClopenSet._of(self.space, _combine(self.trie, other.trie, True), _level(self, other))
 
     def intersect(self, other: "ClopenSet") -> "ClopenSet":
         self._check_space(other)
-        return ClopenSet._of(self.space, _combine(self.trie, other.trie, False), self._max_level(other))
+        return ClopenSet._of(self.space, _combine(self.trie, other.trie, False), _level(self, other))
 
     def complement(self) -> "ClopenSet":
         return ClopenSet._of(self.space, _flip(self.trie), add(self.declared_level, ONE))
 
     def difference(self, other: "ClopenSet") -> "ClopenSet":
-        return self.intersect(other.complement())
+        self._check_space(other)
+        trie = _combine(self.trie, other.trie, False, True)
+        return ClopenSet._of(self.space, trie, _level(self, other, True))
 
     def is_subset(self, other: "ClopenSet") -> bool:
         self._check_space(other)
@@ -382,7 +448,7 @@ class ClopenSet:
         if not isinstance(other, ClopenSet):
             return NotImplemented
         x, y = self.trie, other.trie
-        return self.space == other.space and _within(x, y) and _within(y, x)
+        return self.space == other.space and (x is y or _same(x, y))
 
     def __hash__(self):
         # Rarely needed; the antichain is as canonical as the trie.

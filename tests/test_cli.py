@@ -520,6 +520,31 @@ def test_deeply_nested_input_is_a_document_error(capsys, tmp_path, name, text, m
     assert err.count("\n") == 1 and err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("x.fc", _with_root_level(fl.encode_flowchart(FC), None)),
+        ("x.cmd", _with_root_level(cm.encode_command(SIMPLE), "test")),
+    ],
+    ids=["fc", "cmd"],
+)
+def test_bad_set_entry_names_its_address_not_its_text(capsys, tmp_path, name, text):
+    path = write_doc(tmp_path, name, text)
+    code, out, err = run(capsys, ["check", path])
+    assert (code, out) == (2, "")
+    assert err == "error: bad set entry at address '': ordinal nested too deeply at line 1, column 304\n"
+
+
+def test_bad_set_entry_message_is_capped(capsys, tmp_path):
+    doc = fl.encode_flowchart(FC)
+    # A 10 000-letter word with a stray letter at its end.
+    doc["assign"]["1"] = ["{0}", "{%sx}" % ("01" * 5000)]
+    path = write_doc(tmp_path, "x.fc", json.dumps(doc))
+    code, out, err = run(capsys, ["check", path])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad set entry at address '1': ") and len(err) < 250
+
+
 # 3000 brackets deep: past the interpreter's recursion limit, read by the
 # parser's loop.  The parentheses wrap one leaf; join( and veb[0]( nest
 # 3000 inner nodes over it.  name -> (text, nodes, rank of the leaf)

@@ -45,7 +45,7 @@ from vebflow.generate import (
     random_term,
     random_total_det_flowchart,
 )
-from vebflow.ordinal import CnfOrdinal, ONE
+from vebflow.ordinal import CnfOrdinal, ONE, parse_ordinal
 from vebflow.space import ClopenSet, Space, member, parse_clopen, parse_point, sample_grid
 from vebflow.term import Arrow, ArrowL, Const, Join, JoinL, Var, parse_term, syntax_tree
 from vebflow.transducer import (
@@ -416,6 +416,34 @@ def test_to_monotone_properties_random():
                 assert s.is_subset(doms[addr])
         for x in GRID:
             assert eval_outcome(f, x) == eval_outcome(m, x)
+
+
+LEVELS = (ONE, CnfOrdinal.from_int(2), CnfOrdinal.from_int(4), parse_ordinal("w"), parse_ordinal("w*2 + 1"))
+
+
+def _same_domains(got, want):
+    assert got.keys() == want.keys()
+    for addr, d in want.items():
+        assert got[addr] == d and got[addr].declared_level == d.declared_level, addr
+
+
+def test_to_monotone_domains_match_a_fresh_compile():
+    # to_monotone's result takes its domain tries from its source; they
+    # must be the sets and levels a compile from scratch gives.
+    rng = random.Random(107)
+    for space in (SP2, Space(3)):
+        for n in range(200):
+            term = random_normal_term(rng, 4)
+            if n % 2:
+                f = random_flowchart(rng, term, space, 3)
+                f = f.replace_sets(lambda addr, s: s.with_level(rng.choice(LEVELS)))
+            else:
+                f = random_total_det_flowchart(rng, term, space, 3)
+            m = to_monotone(f)
+            _same_domains(domain_assignment(m), domain_assignment(Flowchart(m.term, space, m.assign)))
+            # A chart rewritten from the result compiles its own domains.
+            g = m.replace_sets(lambda addr, s: s.complement())
+            _same_domains(domain_assignment(g), domain_assignment(Flowchart(g.term, space, g.assign)))
 
 
 # -- to_reduced ------------------------------------------------------------------------

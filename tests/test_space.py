@@ -9,10 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from vebflow.errors import EmptySetError, ParseError, SpaceMismatchError
 from vebflow.generate import random_clopen
-from vebflow.ordinal import CnfOrdinal, ONE
+from vebflow.ordinal import CnfOrdinal, ONE, add, cmp, parse_ordinal
 from vebflow.space import (
     ClopenSet,
     _canonical_antichain,
+    _trie,
+    _words,
     Space,
     UpPoint,
     enumerate_cylinders,
@@ -408,6 +410,59 @@ def test_deep_set_literal_does_not_recurse():
     assert c.complement() == a and hash(c.complement()) == hash(a)
     assert c.union(a).is_full and c.intersect(a).is_empty
     assert a.is_subset(c.complement()) and not c.is_subset(a)
+    # The difference walks a's trie under full's True leaf, negating it.
+    full = ClopenSet.full(SP2)
+    assert full.difference(a) == a.complement()
+    assert a.difference(a).is_empty
+    assert c.difference(a) == c
+
+
+LEVELS = (ONE, CnfOrdinal.from_int(2), CnfOrdinal.from_int(5), parse_ordinal("w"), parse_ordinal("w + 1"))
+
+
+def _operand(rng, space):
+    """Empty, full, or up to six random words of length up to 5, at a
+    random level."""
+    pick = rng.randrange(8)
+    if pick < 2:
+        s = (ClopenSet.empty, ClopenSet.full)[pick](space)
+    else:
+        k = space.alphabet_size
+        words = [[rng.randrange(k) for _ in range(rng.randint(1, 5))] for _ in range(rng.randint(1, 6))]
+        s = ClopenSet(space, words)
+    return s.with_level(rng.choice(LEVELS))
+
+
+def test_set_operations_give_reduced_tries_and_the_level_rule():
+    rng = random.Random(59)
+    for space in (SP2, SP3):
+        k = space.alphabet_size
+        for _ in range(400):
+            a = _operand(rng, space)
+            # One pair in five has the same trie on both sides, and two
+            # in five share subtries: b is built from a.
+            pick = rng.randrange(5)
+            if pick == 0:
+                b = a.with_level(rng.choice(LEVELS))
+            elif pick < 3:
+                b = (a.union, a.intersect)[pick - 1](_operand(rng, space)).with_level(rng.choice(LEVELS))
+            else:
+                b = _operand(rng, space)
+            if rng.random() < 0.5:
+                a, b = b, a
+            la, lb = a.declared_level, b.declared_level
+            top = la if cmp(la, lb) >= 0 else lb
+            bumped = add(lb, ONE)
+            below = la if cmp(la, bumped) >= 0 else bumped
+            us, vs = a.antichain, b.antichain
+            for result, level, words in (
+                (a.union(b), top, _oracle_canonical(k, us + vs)),
+                (a.intersect(b), top, _oracle_intersect(k, us, vs)),
+                (a.difference(b), below, _oracle_intersect(k, us, _oracle_complement(k, vs))),
+            ):
+                assert result.trie == _trie(k, _words(result.trie))
+                assert result.antichain == words
+                assert result.declared_level == level
 
 
 def test_all_words_of_length_12_merge_to_the_full_space():
