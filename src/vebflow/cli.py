@@ -25,6 +25,7 @@ from .errors import (
     NonNormalTermError,
     NotMonotoneError,
     ParseError,
+    SpaceMismatchError,
     UndecidedImageError,
     UnsupportedError,
     VebflowError,
@@ -539,7 +540,7 @@ def main(argv=None) -> int:
         # Looked up by name on each call, not stored in the shared parser, so
         # a patched or wrapped cmd_* function is the one that runs.
         return globals()["cmd_" + args.cmd](args)
-    except (ParseError, DocumentError, OSError, ValueError) as e:
+    except (ParseError, DocumentError, SpaceMismatchError, OSError, ValueError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
     except (UnsupportedError, NonNormalTermError, NotMonotoneError, UndecidedImageError) as e:

@@ -44,7 +44,7 @@ from .errors import (
     UnsupportedError,
 )
 from .ordinal import ONE, cmp, parse_ordinal, render_ordinal
-from .space import ClopenSet, Space, UpPoint, _level, least_point, member, parse_clopen, render_clopen
+from .space import ClopenSet, Space, UpPoint, _leftmost, _level, least_point, member, parse_clopen, render_clopen
 from .term import (
     Address,
     ArrowL,
@@ -343,15 +343,14 @@ def is_total(f: Flowchart) -> tuple[bool, UpPoint | None]:
     of the reach sets.  A join family that misses part of its domain is
     not by itself a failure; the point may still ride an overlapping
     sibling branch to a leaf.  On failure the witness is the least point
-    with no true path.
+    with no true path, read off the union's leftmost False leaf.
     """
     reached = ClopenSet.empty(f.space)
     for d in f._reach.values():
         reached = reached.union(d)
-    missing = reached.complement()
-    if missing.is_empty:
+    if reached.is_full:
         return True, None
-    return False, least_point(missing)
+    return False, _leftmost(f.space, reached.trie, False)
 
 
 def is_deterministic(f: Flowchart) -> tuple[bool, UpPoint | None]:

@@ -7,15 +7,17 @@ cylinders, stored as reduced k-ary decision tries: Bryant's reduced
 ordered decision diagrams (1986) with letters in place of variables.  A
 trie is True (full), False (empty) or one child trie per next letter,
 and a node whose children are all True, or all False, collapses to that
-leaf.  Reduced tries are canonical, so set equality is trie equality,
-decided by one lockstep walk.  Union, intersection and difference are
-one kernel: a walk over pairs of nodes that expands each pair once and
-reduces the rows it built in post-order; difference reads the right
-trie's leaves negated as it goes, so it flips nothing.  Complement
-flips the leaves of one trie, and membership reads one letter per level.
-The canonical antichain (the words leading to True leaves: pairwise
-incomparable under the prefix order, never all k siblings present,
-sorted) is derived on demand; it is the printed and codec form.
+leaf.  Reduced tries are canonical, so set equality is trie equality.
+Equality and inclusion are one lockstep walk over pairs of nodes, which
+differ only in the leaf pairs that pass.  Union, intersection,
+difference and complement are one kernel: a walk over pairs of nodes
+that expands each pair once and reduces the rows it built in
+post-order; difference reads the right trie's leaves negated as it
+goes, and complement is the difference from the full space.  Membership
+reads one letter per level.  The canonical antichain (the words leading
+to True leaves: pairwise incomparable under the prefix order, never all
+k siblings present, sorted) is derived on demand; it is the printed and
+codec form.
 
 Every clopen set carries a declared_level, an ordinal >= 1 recording the
 additive class the set is *declared* at; the sets themselves are always
@@ -274,63 +276,18 @@ def _combine(x: Trie, y: Trie, absorb: bool, negate: bool = False) -> Trie:
     return rows[0]
 
 
-def _flip(t: Trie) -> Trie:
-    """The complement: every leaf negated.  The result is still reduced."""
-    if t.__class__ is bool:
-        return not t
-    memo: dict[int, Trie] = {}
-    stack = [t]
-    while stack:
-        p = stack[-1]
-        if id(p) in memo:
-            stack.pop()
-            continue
-        kids = []
-        ready = True
-        for c in p:
-            if c.__class__ is bool:
-                kids.append(not c)
-            else:
-                r = memo.get(id(c))
-                if r is None:
-                    stack.append(c)
-                    ready = False
-                kids.append(r)
-        if ready:
-            stack.pop()
-            memo[id(p)] = tuple(kids)
-    return memo[id(t)]
-
-
-def _same(x: Trie, y: Trie) -> bool:
-    """Are two reduced tries the same trie?  One walk in lockstep,
-    memoised on node pairs; reduced tries are canonical, so this is set
-    equality."""
+def _lockstep(x: Trie, y: Trie, subset: bool) -> bool:
+    """Is trie x the same trie as y, or, when `subset`, is its set
+    within y's?  One walk in lockstep, memoised on node pairs; reduced
+    tries are canonical, so sameness is set equality."""
     seen: set[tuple[int, int]] = set()
     stack = [(x, y)]
     while stack:
         p, q = stack.pop()
-        if p is q:
-            continue
-        if p.__class__ is bool or q.__class__ is bool:
-            return False
-        key = (id(p), id(q))
-        if key not in seen:
-            seen.add(key)
-            stack.extend(zip(p, q))
-    return True
-
-
-def _within(x: Trie, y: Trie) -> bool:
-    """Is the set of trie x contained in the set of trie y?"""
-    seen: set[tuple[int, int]] = set()
-    stack = [(x, y)]
-    while stack:
-        p, q = stack.pop()
-        if p is False or q is True or p is q:
+        if p is q or subset and (p is False or q is True):
             continue
         # A reduced inner node is neither empty nor full.
-        if p is True or q is False:
+        if p.__class__ is bool or q.__class__ is bool:
             return False
         key = (id(p), id(q))
         if key not in seen:
@@ -433,7 +390,7 @@ class ClopenSet:
         return ClopenSet._of(self.space, _combine(self.trie, other.trie, False), _level(self, other))
 
     def complement(self) -> "ClopenSet":
-        return ClopenSet._of(self.space, _flip(self.trie), add(self.declared_level, ONE))
+        return ClopenSet.full(self.space).difference(self)
 
     def difference(self, other: "ClopenSet") -> "ClopenSet":
         self._check_space(other)
@@ -442,13 +399,13 @@ class ClopenSet:
 
     def is_subset(self, other: "ClopenSet") -> bool:
         self._check_space(other)
-        return _within(self.trie, other.trie)
+        return _lockstep(self.trie, other.trie, True)
 
     def __eq__(self, other):
         if not isinstance(other, ClopenSet):
             return NotImplemented
         x, y = self.trie, other.trie
-        return self.space == other.space and (x is y or _same(x, y))
+        return self.space == other.space and (x is y or _lockstep(x, y, False))
 
     def __hash__(self):
         # Rarely needed; the antichain is as canonical as the trie.
@@ -478,13 +435,19 @@ def least_point(a: ClopenSet) -> UpPoint:
     leaf (the least antichain word), then zeros."""
     if a.is_empty:
         raise EmptySetError("an empty set has no least point")
+    return _leftmost(a.space, a.trie, True)
+
+
+def _leftmost(space: Space, t: Trie, leaf: bool) -> UpPoint:
+    """The least point whose path in t ends at a `leaf` leaf: the
+    leftmost such path, then zeros.  t must not be the other leaf."""
+    other = not leaf
     path: list[int] = []
-    node = a.trie
-    while node is not True:
-        letter = next(n for n, c in enumerate(node) if c is not False)
+    while t is not leaf:
+        letter = next(n for n, c in enumerate(t) if c is not other)
         path.append(letter)
-        node = node[letter]
-    return UpPoint(a.space, tuple(path), (0,))
+        t = t[letter]
+    return UpPoint(space, tuple(path), (0,))
 
 
 def enumerate_cylinders(a: ClopenSet) -> list[Word]:

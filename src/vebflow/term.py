@@ -235,10 +235,14 @@ def term_from_tree(st: SyntaxTree) -> Term:
     """Rebuild the term from its syntax tree (inverse of syntax_tree).
 
     The tree is held to decode_tree's rules, then built bottom up
-    without recursion.
+    without recursion.  A copy of it, in address order, is kept as the
+    root term's syntax tree, so it is not walked again.
     """
     _check_nodes(st.nodes)
-    return _assemble(st, sorted(st.nodes, key=len, reverse=True), Veblen)
+    t = _assemble(st, sorted(st.nodes, key=len, reverse=True), Veblen)
+    # _tree is a cached_property: the instance attribute is its cache.
+    object.__setattr__(t, "_tree", SyntaxTree(dict(sorted(st.nodes.items()))))
+    return t
 
 
 def is_well_formed(t: Term) -> bool:

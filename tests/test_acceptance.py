@@ -24,7 +24,7 @@ from vebflow import flowchart as fl
 from vebflow import generate as gen
 from vebflow import transducer as tr
 from vebflow.ordinal import add, cmp, rank_sum
-from vebflow.space import Space, member, render_point, sample_grid
+from vebflow.space import ClopenSet, Space, least_point, member, render_point, sample_grid
 from vebflow.term import (
     decode_tree,
     encode_tree,
@@ -306,6 +306,12 @@ def test_decision_procedures_against_the_walker(mixed_corpus, clopen_corpus):
         if not total:
             assert walk_outcome(f, tw) == ("no-true-path",)
             assert all(_first_letters(tw) <= _first_letters(x) for x in no_path)
+            # The witness is the least point outside every leaf domain.
+            reached = ClopenSet.empty(f.space)
+            for addr, d in fl.domain_assignment(f).items():
+                if f.tree.is_leaf(addr):
+                    reached = reached.union(d)
+            assert tw == least_point(ClopenSet.full(f.space).difference(reached))
         if not det:
             assert walk_outcome(f, dw)[0] == "ambiguous"
             assert all(_first_letters(dw) <= _first_letters(x) for x in ambiguous)

@@ -293,6 +293,19 @@ def test_transform_vaught_non_surjective(capsys, tmp_path, fc_path):
     assert "surjective" in err
 
 
+@pytest.mark.parametrize("op", ["pullback", "vaught"])
+def test_transform_map_in_the_wrong_space(capsys, tmp_path, fc_path, op):
+    # A one-state echo machine over Space(3) does not fit a Space(2) chart:
+    # a usage error between the two documents, like a wrong second kind.
+    sp3 = Space(3)
+    echo = tr.Transducer.build(sp3, sp3, 0, {(0, a): (0, (a,)) for a in range(3)})
+    extra = write_doc(tmp_path, "m.tr", tr.encode_transducer(echo))
+    code, out, err = run(capsys, ["transform", op, fc_path, extra])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Space(3)" in err and err.count("\n") == 1
+
+
 def test_transform_strongly_total_verify(capsys, tmp_path, cmd_path):
     target = tmp_path / "st.cmd"
     code, _, err = run(capsys, ["transform", "strongly-total", cmd_path,

@@ -459,10 +459,15 @@ def test_set_operations_give_reduced_tries_and_the_level_rule():
                 (a.union(b), top, _oracle_canonical(k, us + vs)),
                 (a.intersect(b), top, _oracle_intersect(k, us, vs)),
                 (a.difference(b), below, _oracle_intersect(k, us, _oracle_complement(k, vs))),
+                (a.complement(), add(la, ONE), _oracle_complement(k, us)),
             ):
                 assert result.trie == _trie(k, _words(result.trie))
                 assert result.antichain == words
                 assert result.declared_level == level
+            # Inclusion and equality, both ways, against the word oracle.
+            assert a.is_subset(b) == (not _oracle_intersect(k, us, _oracle_complement(k, vs)))
+            assert b.is_subset(a) == (not _oracle_intersect(k, vs, _oracle_complement(k, us)))
+            assert (a == b) == (us == vs) == (b == a)
 
 
 def test_all_words_of_length_12_merge_to_the_full_space():

@@ -803,9 +803,26 @@ def test_syntax_tree_is_built_once_and_kept():
     for _ in range(50):
         t = random_term(rng, 4, closed=False)
         assert syntax_tree(t) is syntax_tree(t)
-    # A document is decoded to a fresh term, which builds its own tree.
+    # A document is decoded to a fresh term, which keeps a copy of the
+    # table it was checked against, in address order.
     st = syntax_tree(parse_term('q"a" ~> join(q"b")'))
     assert syntax_tree(term_from_tree(st)) is not st
+    shuffled = 0
+    for _ in range(100):
+        t = parse_term(render_term(random_term(rng, 4)))
+        doc = encode_tree(syntax_tree(t))
+        rng.shuffle(doc["nodes"])
+        st = decode_tree(doc)
+        shuffled += list(st.nodes) != sorted(st.nodes)
+        back = term_from_tree(st)
+        # Kept at once: the first syntax_tree call builds nothing.
+        assert "_tree" in vars(back)
+        assert list(syntax_tree(back).nodes) == sorted(st.nodes)
+        assert borel_ranks(back) == borel_ranks(t)
+        assert apply_fixed_point(back) == apply_fixed_point(t)
+        st.nodes.clear()
+        assert syntax_tree(back) == syntax_tree(t) and back == t
+    assert shuffled > 50
 
 
 # -- tree-side predicate agreement -----------------------------------------
