@@ -12,12 +12,13 @@ The domain assignment D gives each address the set of points that
 reach it.  A chart is compiled once, on first use: D, and for each
 label the union of the domains of the leaves carrying it, its reach
 set.  The reach sets are the chart's multi-terminal decision diagram
-sliced per label, so evaluation reads one letter per trie level of
-each label's set, and totality, determinism and whole-space
-equivalence are Boolean operations on them, decided exactly, with
-least-point witnesses on failure.  The pointwise walker
-(true_positions, true_paths) reports which nodes a point passes; it
-serves traces and is not used by evaluation.
+sliced per label.  Totality, determinism and whole-space equivalence
+are Boolean operations on them, decided exactly, with least-point
+witnesses on failure.  Evaluation walks the outcome trie, the product
+of the reach tries, which is expanded one cell at a time as points
+walk it: one walk per point, ending at an interned outcome token.  The
+pointwise walker (true_positions, true_paths) reports which nodes a
+point passes; it serves traces and is not used by evaluation.
 
 Transformations: to_monotone shrinks every assigned set into its
 domain (normal terms only), to_reduced makes join families pairwise
@@ -201,6 +202,23 @@ class Flowchart:
                 reach[q] = reach[q].union(d) if q in reach else d
         return reach
 
+    @cached_property
+    def _outcomes(self):
+        """The root of the outcome trie, expanded lazily by eval_outcome.
+
+        A cell is a list: one slot per letter, None until first used,
+        and last the tuple of the labels' reach-trie nodes at the cell's
+        word, in _reach order.  A slot holds the next cell, or the
+        outcome token once every node there is a leaf.  Each cell stands
+        for one word: none is ever merged with another.
+        """
+        return _cell(self, tuple(s.trie for s in self._reach.values()))
+
+    @cached_property
+    def _tokens(self) -> dict[tuple[bool, ...], tuple]:
+        """The chart's outcome tokens, one per tuple of reach leaves."""
+        return {}
+
     def __repr__(self):
         return "Flowchart(%d assigned nodes, %r)" % (len(self.assign), self.space)
 
@@ -276,31 +294,33 @@ def true_paths(f: Flowchart, x: UpPoint) -> list[tuple[Address, str]]:
     return out
 
 
-def _labels_at(f: Flowchart, x: UpPoint) -> list[str]:
-    """The labels of the leaves the point reaches: those whose reach
-    trie leads to True along the point's letters."""
-    if x.space != f.space:
-        raise SpaceMismatchError("point in %r, flowchart in %r" % (x.space, f.space))
-    labels = []
-    for q, s in f._reach.items():
-        node = s.trie
-        i = 0
-        while node.__class__ is tuple:
-            node = node[x.letter(i)]
-            i += 1
-        if node:
-            labels.append(q)
-    return labels
+def _cell(f: Flowchart, nodes: tuple):
+    """The outcome-trie cell over these reach-trie nodes, or the interned
+    outcome token when they are all leaves."""
+    for n in nodes:
+        if n.__class__ is tuple:
+            return [None] * f.space.alphabet_size + [nodes]
+    token = f._tokens.get(nodes)
+    if token is None:
+        labels = [q for q, n in zip(f._reach, nodes) if n]
+        if not labels:
+            token = ("no-true-path",)
+        elif len(labels) > 1:
+            token = ("ambiguous", frozenset(labels))
+        else:
+            token = ("value", labels[0])
+        f._tokens[nodes] = token
+    return token
 
 
 def eval_flowchart(f: Flowchart, x: UpPoint) -> str:
     """The unique true-path label; all true paths must agree on it."""
-    labels = _labels_at(f, x)
-    if not labels:
+    token = eval_outcome(f, x)
+    if token[0] == "value":
+        return token[1]
+    if token[0] == "no-true-path":
         raise NoTruePathError("no true path at %s" % x)
-    if len(labels) > 1:
-        raise AmbiguousLabelsError(labels)
-    return labels[0]
+    raise AmbiguousLabelsError(token[1])
 
 
 def eval_outcome(f: Flowchart, x: UpPoint) -> tuple:
@@ -308,13 +328,23 @@ def eval_outcome(f: Flowchart, x: UpPoint) -> tuple:
 
     ("value", label) | ("no-true-path",) | ("ambiguous", frozenset).
     Lets transforms assert exact agreement of outputs and error kinds.
+    The point's letters walk down the outcome trie to its token, and
+    each empty slot on the way is filled: every inner node steps down
+    by the letter, and every leaf stays.
     """
-    labels = _labels_at(f, x)
-    if not labels:
-        return ("no-true-path",)
-    if len(labels) > 1:
-        return ("ambiguous", frozenset(labels))
-    return ("value", labels[0])
+    if x.space is not f.space and x.space != f.space:
+        raise SpaceMismatchError("point in %r, flowchart in %r" % (x.space, f.space))
+    cell = f._outcomes
+    i = 0
+    while cell.__class__ is list:
+        a = x.letter(i)
+        nxt = cell[a]
+        if nxt is None:
+            nodes = tuple(n[a] if n.__class__ is tuple else n for n in cell[-1])
+            nxt = cell[a] = _cell(f, nodes)
+        cell = nxt
+        i += 1
+    return cell
 
 
 def equivalent(f: Flowchart, g: Flowchart) -> bool:

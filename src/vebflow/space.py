@@ -301,12 +301,19 @@ def _check_level(level: CnfOrdinal):
         raise ValueError("declared_level must be >= 1")
 
 
+# The level of a set subtracted at level 1.
+_TWO = add(ONE, ONE)
+
+
 def _level(x: "ClopenSet", y: "ClopenSet", negate: bool = False) -> CnfOrdinal:
     """The declared level of x ∪ y and x ∩ y, or of x minus y when
     `negate`: the larger of the two levels, y's counted one higher when
     it is subtracted, as a difference meets y's complement."""
-    a = x.declared_level
-    b = add(y.declared_level, ONE) if negate else y.declared_level
+    a, b = x.declared_level, y.declared_level
+    if negate:
+        b = _TWO if b is ONE else add(b, ONE)
+    elif a is b:
+        return a
     return a if cmp(a, b) >= 0 else b
 
 

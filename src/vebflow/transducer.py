@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import DocumentError, EmptySetError, ParseError, SpaceMismatchError, UndecidedImageError
 from .space import (
@@ -162,7 +163,10 @@ class Transducer:
 # Constructors.
 
 
+@lru_cache(maxsize=8)
 def identity_map(space: Space) -> Transducer:
+    """The one-state machine echoing each letter; one per space, as
+    transducers are immutable."""
     delta = {(0, a): (0, (a,)) for a in range(space.alphabet_size)}
     return Transducer.build(space, space, 0, delta)
 

@@ -329,6 +329,48 @@ def test_compiled_eval_matches_walker_on_random_commands(k, seed):
             assert _raised(cm.eval_command, c, x) == walk_eval(f, x)
 
 
+@pytest.mark.parametrize("k, seed", [(2, 107), (3, 108)])
+def test_outcome_trie_reads_back_in_any_order(k, seed):
+    # The outcome trie is filled cell by cell as points walk it.  One
+    # chart walks the grid forward and an equal, freshly built chart
+    # walks it backward, so the two fill their cells in opposite
+    # orders; a second pass reads every answer from filled cells.
+    space = Space(k)
+    grid = GRID if k == 2 else sample_grid(space, 3, 2)
+    rng = random.Random(seed)
+    for _ in range(60):
+        f = random_flowchart(rng, random_term(rng, 4), space, 4)
+        g = Flowchart(f.term, f.space, f.assign)
+        for _ in range(2):
+            assert_eval_matches_walker(f, grid)
+            assert_eval_matches_walker(g, grid[::-1])
+
+
+def test_outcome_trie_sees_past_the_grid():
+    # A near-miss pair: the charts agree on all 64 grid points (none
+    # enters [0000011], see test_equivalent_sees_past_the_grid) and
+    # differ there.  The points share the walk down to 000001.
+    t = parse_term('join(q"a", q"b")')
+    f = Flowchart(t, SP2, {(): (cs("{0}"), cs("{1, 0000011}"))})
+    g = Flowchart(t, SP2, {(): (cs("{0}"), cs("{1}"))})
+    assert all(eval_outcome(f, x) == eval_outcome(g, x) for x in GRID)
+    points = [pt("0000010(0)"), pt("0000011(0)"), pt("(0)")]
+    assert_eval_matches_walker(f, points)
+    assert_eval_matches_walker(g, points)
+    assert eval_outcome(f, pt("0000011(0)")) == ("ambiguous", frozenset("ab"))
+    assert eval_outcome(g, pt("0000011(0)")) == ("value", "a")
+
+
+def test_outcome_trie_keeps_one_cell_per_word():
+    # {00, 10} is a root whose two children are one shared trie node.  A
+    # cell merged into its child would read the second letter first,
+    # and put 01(0) into the set.
+    f = Flowchart(parse_term('q"a" ~> q"b"'), SP2, {(): cs("{00, 10}")})
+    points = [pt(text) for text in ("00(1)", "01(0)", "10(1)", "11(0)")]
+    assert_eval_matches_walker(f, points)
+    assert [eval_outcome(f, x)[1] for x in points] == ["b", "a", "b", "a"]
+
+
 def test_compiled_eval_rejects_points_of_another_space():
     x = pt("(0)", space=Space(3))
     c = cm.flowchart_to_simple_command(FC)

@@ -11,8 +11,10 @@ from vebflow.errors import EmptySetError, ParseError, SpaceMismatchError
 from vebflow.generate import random_clopen
 from vebflow.ordinal import CnfOrdinal, ONE, add, cmp, parse_ordinal
 from vebflow.space import (
+    _TWO,
     ClopenSet,
     _canonical_antichain,
+    _level,
     _trie,
     _words,
     Space,
@@ -468,6 +470,22 @@ def test_set_operations_give_reduced_tries_and_the_level_rule():
             assert a.is_subset(b) == (not _oracle_intersect(k, us, _oracle_complement(k, vs)))
             assert b.is_subset(a) == (not _oracle_intersect(k, vs, _oracle_complement(k, us)))
             assert (a == b) == (us == vs) == (b == a)
+
+
+def test_level_fast_paths_keep_the_rule():
+    # Equal levels that are one object return at once, and a level-1
+    # set subtracted counts as the shared _TWO: both must agree with
+    # max(a, b), b counted one higher under negation.  from_int(1) is
+    # ONE as a different object, so it takes the slow path.
+    levels = (ONE, CnfOrdinal.from_int(1), _TWO, parse_ordinal("w"), parse_ordinal("w + 1"),
+              parse_ordinal("w^2"))
+    for la, lb in itertools.product(levels, repeat=2):
+        a, b = ClopenSet.full(SP2, la), ClopenSet.empty(SP2, lb)
+        for negate in (False, True):
+            right = add(lb, ONE) if negate else lb
+            want = la if cmp(la, right) >= 0 else right
+            assert cmp(_level(a, b, negate), want) == 0, (la, lb, negate)
+    assert cmp(_TWO, CnfOrdinal.from_int(2)) == 0
 
 
 def test_all_words_of_length_12_merge_to_the_full_space():

@@ -101,6 +101,14 @@ def test_apply_identity():
         assert apply(identity_map(SP2), pt(text)) == pt(text)
 
 
+def test_identity_map_is_built_once_per_space():
+    for k in (1, 2, 3):
+        m = identity_map(Space(k))
+        assert identity_map(Space(k)) is m
+        echo = {(0, a): (0, (a,)) for a in range(k)}
+        assert m == Transducer.build(Space(k), Space(k), 0, echo)
+
+
 def test_apply_in_map_example():
     f = in_map(cs("{0, 11}"))
     assert f.input_space == SP2
