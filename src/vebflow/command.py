@@ -164,16 +164,10 @@ class Command:
 
     def edge_map(self, addr: Address) -> Transducer:
         """The reassignment applied when stepping from addr[:-1] to addr."""
-        parent, i = addr[:-1], addr[-1]
-        label = self.tree.label(parent)
-        site = self.at(parent) if not isinstance(label, Const) else None
-        if isinstance(label, ArrowL):
-            return identity_map(self.space_at(parent)) if i == 0 else site.then_map
-        if isinstance(label, JoinL):
-            return site.members[i][1]
-        if isinstance(label, VeblenL):
-            return site.child_map
-        raise InvalidAddressError("no edge into %r" % (addr,))
+        if not addr or addr not in self.tree:
+            raise InvalidAddressError("no edge into %r" % (addr,))
+        parent = addr[:-1]
+        return _edge_maps(self._at[parent], self._spaces[parent])[addr[-1]]
 
     @cached_property
     def _lowered(self) -> tuple[dict[Address, Transducer], fc.Flowchart]:
@@ -181,23 +175,15 @@ class Command:
         back to the input, from one top-down pass on first use."""
         vals: dict[Address, Transducer] = {(): identity_map(self.space)}
         sets: dict[Address, fc.NodeSets] = {}
-        tree = self.tree
         # Sorted addresses put every parent before its children.
-        for addr in tree.addresses():
+        for addr, site in self.assign:
             acc = vals[addr]
-            label = tree.label(addr)
-            if isinstance(label, ArrowL):
-                site = self._at[addr]
+            if isinstance(site, ArrowSite):
                 sets[addr] = preimage(acc, site.test).with_level(ONE)
-                vals[addr + (0,)] = acc
-                vals[addr + (1,)] = compose(site.then_map, acc)
-            elif isinstance(label, JoinL):
-                members = self._at[addr].members
-                sets[addr] = tuple(preimage(acc, test).with_level(ONE) for test, _ in members)
-                for n, (_, m) in enumerate(members):
-                    vals[addr + (n,)] = compose(m, acc)
-            elif isinstance(label, VeblenL):
-                vals[addr + (0,)] = compose(self._at[addr].child_map, acc)
+            elif isinstance(site, JoinSite):
+                sets[addr] = tuple(preimage(acc, test).with_level(ONE) for test, _ in site.members)
+            for n, m in enumerate(_edge_maps(site, self._spaces[addr])):
+                vals[addr + (n,)] = compose(m, acc)
         return vals, fc.Flowchart(self.term, self.space, sets)
 
     def __repr__(self):
@@ -223,18 +209,22 @@ def _wire(tree: SyntaxTree, space: Space, keys, site_at, error=ValueError):
                 raise error("leaf %r takes no site" % (addr,))
             continue
         site = sites[addr] = site_at(addr, label, here, len(tree.children(addr)))
-        if isinstance(label, ArrowL):
-            spaces[addr + (0,)] = here
-            spaces[addr + (1,)] = site.then_map.output_space
-        elif isinstance(label, JoinL):
-            for n, (_, m) in enumerate(site.members):
-                spaces[addr + (n,)] = m.output_space
-        elif isinstance(label, VeblenL):
-            spaces[addr + (0,)] = site.child_map.output_space
+        for n, m in enumerate(_edge_maps(site, here)):
+            spaces[addr + (n,)] = m.output_space
     extra = set(keys) - tree.nodes.keys()
     if extra:
         raise error("sites at addresses outside the tree: %r" % sorted(extra))
     return sites, spaces
+
+
+def _edge_maps(site: Site, here: Space) -> tuple[Transducer, ...]:
+    """The map on each edge out of a node working in `here`, in child
+    order; a ~> node's fallthrough edge keeps the value."""
+    if isinstance(site, ArrowSite):
+        return (identity_map(here), site.then_map)
+    if isinstance(site, JoinSite):
+        return tuple(m for _, m in site.members)
+    return (site.child_map,)
 
 
 def _fit(site, addr: Address, label, here: Space, arity: int) -> Site:
@@ -323,12 +313,12 @@ def is_strongly_total(c: Command) -> bool:
 def is_simple(c: Command) -> bool:
     """Does every ~>/join edge keep the identity map?  (Veblen edges
     are unconstrained.)"""
-    for _, site in c.assign:
-        if isinstance(site, ArrowSite) and not _is_identity(site.then_map):
-            return False
-        if isinstance(site, JoinSite) and not all(_is_identity(m) for _, m in site.members):
-            return False
-    return True
+    return all(
+        _is_identity(m)
+        for addr, site in c.assign
+        if not isinstance(site, VeblenSite)
+        for m in _edge_maps(site, c.space_at(addr))
+    )
 
 
 def is_total(c: Command) -> tuple[bool, UpPoint | None]:

@@ -575,7 +575,7 @@ def _decode_header(doc, kind: str) -> tuple[Space, Term, dict]:
     the term, and an assign object."""
     if not isinstance(doc, dict) or doc.get("kind") != kind:
         raise DocumentError("a %s document has kind '%s'" % (kind, kind))
-    if not isinstance(doc.get("space"), int):
+    if type(doc.get("space")) is not int:
         raise DocumentError("%s document needs an integer space" % kind)
     try:
         space = Space(doc["space"])

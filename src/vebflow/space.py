@@ -61,7 +61,7 @@ class Space:
     alphabet_size: int
 
     def __post_init__(self):
-        if not isinstance(self.alphabet_size, int) or self.alphabet_size < 1:
+        if type(self.alphabet_size) is not int or self.alphabet_size < 1:
             raise ValueError("alphabet_size must be an int >= 1")
 
     def check_word(self, word: Word):
@@ -521,8 +521,10 @@ def parse_clopen(space: Space, text: str, level: CnfOrdinal = ONE) -> ClopenSet:
     body = text[1:-1].strip()
     if not body:
         return ClopenSet.empty(space, level)
-    words = tuple(parse_word(part) for part in body.split(","))
-    return ClopenSet(space, words, level)
+    parts = body.split(",")
+    if not all(part.strip() for part in parts):
+        raise ParseError("empty element in set literal %r (the empty word is e)" % text)
+    return ClopenSet(space, tuple(parse_word(part) for part in parts), level)
 
 
 def sample_grid(space: Space, max_prefix: int, max_period: int) -> list[UpPoint]:

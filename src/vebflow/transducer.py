@@ -6,9 +6,11 @@ letter) and productive: no reachable cycle is silent, so every infinite
 input yields an infinite output.  Every such machine denotes a
 continuous map, and the class is closed under composition.
 
-Machines are normalized on construction (states renumbered in
-breadth-first order from the initial state, unreachable states dropped),
-so structural equality is the meaningful comparison and codecs are
+The constructor only checks a machine.  Its normal form (states
+numbered breadth first from the initial state, unreachable states
+dropped) is computed by `_numbered`, which `Transducer.build`,
+`compose` and the identity shortcuts all go through, so structural
+equality of their results is the meaningful comparison and codecs are
 byte stable.
 
 Three set-level operations are provided.  `apply` evaluates the map on
@@ -26,7 +28,6 @@ guess, so a returned answer is always correct.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -84,6 +85,7 @@ class Transducer:
         n = len(self.steps)
         if not (0 <= self.init < n):
             raise ValueError("initial state out of range")
+        silent_in = [0] * n
         for row in self.steps:
             if len(row) != k_in:
                 raise ValueError("every state must handle every input letter")
@@ -91,54 +93,28 @@ class Transducer:
                 if not (0 <= nxt < n):
                     raise ValueError("transition target out of range")
                 self.output_space.check_word(out)
-        # Productivity: the silent-edge subgraph must be acyclic.
-        color = [0] * n  # 0 unvisited, 1 on stack, 2 done
-
-        def silent_succs(s):
-            return [nxt for nxt, out in self.steps[s] if not out]
-
-        for start in range(n):
-            if color[start]:
-                continue
-            stack = [(start, iter(silent_succs(start)))]
-            color[start] = 1
-            while stack:
-                s, it = stack[-1]
-                advanced = False
-                for nxt in it:
-                    if color[nxt] == 1:
-                        raise ValueError("transducer has a silent cycle (not productive)")
-                    if color[nxt] == 0:
-                        color[nxt] = 1
-                        stack.append((nxt, iter(silent_succs(nxt))))
-                        advanced = True
-                        break
-                if not advanced:
-                    color[s] = 2
-                    stack.pop()
+                if not out:
+                    silent_in[nxt] += 1
+        # Productivity: peel off states no silent edge enters (Kahn); the
+        # silent-edge subgraph is acyclic exactly when every state goes.
+        peeled = [s for s in range(n) if not silent_in[s]]
+        for s in peeled:
+            for nxt, out in self.steps[s]:
+                if not out:
+                    silent_in[nxt] -= 1
+                    if not silent_in[nxt]:
+                        peeled.append(nxt)
+        if len(peeled) < n:
+            raise ValueError("transducer has a silent cycle (not productive)")
 
     @classmethod
     def build(cls, input_space: Space, output_space: Space, init, delta: dict) -> "Transducer":
         """Normalize a {(state, letter): (next, word)} table: breadth-first
         renumbering from the initial state, unreachable states dropped."""
-        k_in = input_space.alphabet_size
-        number = {init: 0}
-        order = [init]
-        queue = deque([init])
-        while queue:
-            s = queue.popleft()
-            for a in range(k_in):
-                if (s, a) not in delta:
-                    raise ValueError("missing transition (%r, %d)" % (s, a))
-                nxt, _ = delta[(s, a)]
-                if nxt not in number:
-                    number[nxt] = len(order)
-                    order.append(nxt)
-                    queue.append(nxt)
-        steps = tuple(
-            tuple((number[delta[(s, a)][0]], tuple(delta[(s, a)][1])) for a in range(k_in))
-            for s in order
-        )
+        try:
+            steps = _numbered(init, input_space.alphabet_size, lambda s, a: delta[s, a])
+        except KeyError as e:
+            raise ValueError("missing transition (%r, %d)" % e.args[0]) from None
         return cls(input_space, output_space, 0, steps)
 
     def step(self, state: int, letter: int) -> tuple[int, Word]:
@@ -202,29 +178,37 @@ def const_zero(input_space: Space, output_space: Space) -> Transducer:
     return Transducer.build(input_space, output_space, 0, delta)
 
 
+def _numbered(init, k: int, step) -> tuple[tuple[tuple[int, Word], ...], ...]:
+    """The normal form: the steps table of the states reachable from
+    init under step(state, letter) -> (next, word), numbered breadth
+    first from 0."""
+    number = {init: 0}
+    order = [init]
+    rows = []
+    for s in order:
+        row = []
+        for a in range(k):
+            nxt, out = step(s, a)
+            if nxt not in number:
+                number[nxt] = len(order)
+                order.append(nxt)
+            row.append((number[nxt], tuple(out)))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 def _is_identity(f: Transducer) -> bool:
     """Is f the machine identity_map builds: one state echoing each letter?"""
-    return (
-        len(f.steps) == 1
-        and f.input_space == f.output_space
-        and all(step == (0, (a,)) for a, step in enumerate(f.steps[0]))
-    )
+    ident = identity_map(f.input_space)
+    return f is ident or f == ident
 
 
 def _normalized(f: Transducer) -> Transducer:
-    """f renumbered breadth first from its initial state, as build does;
-    f itself when it already is."""
-    order = [f.init]
-    seen = {f.init}
-    for s in order:
-        for nxt, _ in f.steps[s]:
-            if nxt not in seen:
-                seen.add(nxt)
-                order.append(nxt)
-    if order == list(range(len(f.steps))):
+    """f in normal form; f itself when it already is."""
+    steps = _numbered(f.init, f.input_space.alphabet_size, f.step)
+    if f.init == 0 and steps == f.steps:
         return f
-    delta = {(s, a): step for s, row in enumerate(f.steps) for a, step in enumerate(row)}
-    return Transducer.build(f.input_space, f.output_space, f.init, delta)
+    return Transducer(f.input_space, f.output_space, 0, steps)
 
 
 def compose(outer: Transducer, inner: Transducer) -> Transducer:
@@ -242,21 +226,15 @@ def compose(outer: Transducer, inner: Transducer) -> Transducer:
         return _normalized(outer)
     if _is_identity(outer):
         return _normalized(inner)
-    k_in = inner.input_space.alphabet_size
-    delta = {}
+
+    def step(pair, a):
+        si, w = inner.steps[pair[0]][a]
+        so, out = outer.run_word(pair[1], w)
+        return (si, so), out
+
     start = (inner.init, outer.init)
-    queue = deque([start])
-    seen = {start}
-    while queue:
-        si, so = queue.popleft()
-        for a in range(k_in):
-            si2, w = inner.step(si, a)
-            so2, out = outer.run_word(so, w)
-            delta[((si, so), a)] = ((si2, so2), out)
-            if (si2, so2) not in seen:
-                seen.add((si2, so2))
-                queue.append((si2, so2))
-    return Transducer.build(inner.input_space, outer.output_space, start, delta)
+    steps = _numbered(start, inner.input_space.alphabet_size, step)
+    return Transducer(inner.input_space, outer.output_space, 0, steps)
 
 
 def in_map(v: ClopenSet) -> Transducer:
@@ -510,8 +488,8 @@ def image(f: Transducer, a: ClopenSet, depth_bound: int) -> ClopenSet:
 #   {"states": n, "init": 0, "in_space": k, "out_space": k',
 #    "trans": [{"from": s, "in": a, "to": s', "out": word-literal}, ...]}
 # with one transition per (state, letter), sorted, and "e" for the empty
-# output word.  encode always emits the normalized machine, so
-# encode . decode . encode is byte stable.
+# output word.  decode returns the normal form, so encode . decode is
+# byte stable on the document of any machine in normal form.
 
 
 def encode_transducer(f: Transducer) -> dict:
@@ -542,7 +520,7 @@ def decode_transducer(doc) -> Transducer:
             "transducer document needs states, init, in_space, out_space, trans"
         ) from None
     for name, v in (("states", n), ("init", init), ("in_space", k_in), ("out_space", k_out)):
-        if not isinstance(v, int):
+        if type(v) is not int:
             raise DocumentError("%s must be an integer" % name)
     if n < 1:
         raise DocumentError("a transducer needs at least one state")
@@ -555,7 +533,7 @@ def decode_transducer(doc) -> Transducer:
         if not isinstance(entry, dict) or set(entry) != {"from", "in", "to", "out"}:
             raise DocumentError("a transition is {from, in, to, out}, got %r" % (entry,))
         s, a, nxt, word_text = entry["from"], entry["in"], entry["to"], entry["out"]
-        if not all(isinstance(v, int) for v in (s, a, nxt)):
+        if not all(type(v) is int for v in (s, a, nxt)):
             raise DocumentError("transition endpoints and letters are integers")
         if not (0 <= s < n and 0 <= nxt < n):
             raise DocumentError("transition %r targets an unknown state" % (entry,))

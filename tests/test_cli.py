@@ -116,6 +116,61 @@ def test_check_transducer(capsys, drop_path):
     assert out == "productive: pass (2 states)\n"
 
 
+@pytest.mark.parametrize("back", [False, True], ids=["chain", "cycle"])
+def test_check_long_silent_chain(capsys, tmp_path, back):
+    # 20 000 states, each passing silently to the next; the last echoes,
+    # or passes silently back to state 0, which closes a silent cycle.
+    n = 20000
+    trans = [{"from": s, "in": 0, "to": s + 1, "out": "e"} for s in range(n - 1)]
+    trans.append({"from": n - 1, "in": 0, "to": 0 if back else n - 1, "out": "e" if back else "0"})
+    doc = {"states": n, "init": 0, "in_space": 1, "out_space": 1, "trans": trans}
+    code, out, err = run(capsys, ["check", write_doc(tmp_path, "chain.tr", json.dumps(doc))])
+    if back:
+        assert (code, out) == (2, "")
+        assert err == "error: transducer has a silent cycle (not productive)\n"
+    else:
+        assert (code, out, err) == (0, "productive: pass (20000 states)\n", "")
+
+
+def _one_as_true(doc, *path):
+    doc = json.loads(json.dumps(doc))
+    *head, last = path
+    node = doc
+    for key in head:
+        node = node[key]
+    assert node[last] == 1
+    node[last] = True
+    return doc
+
+
+_LEAF = parse_term('q"a"')
+_ECHO1 = tr.encode_transducer(tr.identity_map(Space(1)))
+_DROP = tr.encode_transducer(tr.drop_first(SP2))
+_DROP_FROM_1 = dict(_DROP, init=1)
+
+
+@pytest.mark.parametrize(
+    "name, doc",
+    [
+        ("x.fc", _one_as_true(fl.encode_flowchart(fl.Flowchart(_LEAF, Space(1), {})), "space")),
+        ("x.cmd", _one_as_true(cm.encode_command(cm.Command(_LEAF, Space(1), {})), "space")),
+        ("x.tr", _one_as_true(_ECHO1, "states")),
+        ("x.tr", _one_as_true(_DROP_FROM_1, "init")),
+        ("x.tr", _one_as_true(_ECHO1, "in_space")),
+        ("x.tr", _one_as_true(_ECHO1, "out_space")),
+        ("x.tr", _one_as_true(_DROP, "trans", 2, "from")),
+        ("x.tr", _one_as_true(_DROP, "trans", 1, "in")),
+        ("x.tr", _one_as_true(_DROP, "trans", 0, "to")),
+    ],
+    ids=["fc-space", "cmd-space", "states", "init", "in_space", "out_space", "from", "in", "to"],
+)
+def test_boolean_is_not_an_integer(capsys, tmp_path, name, doc):
+    # Each document is valid with 1 in place of true.
+    code, out, err = run(capsys, ["check", write_doc(tmp_path, name, doc)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "integer" in err
+
+
 def test_check_command_not_strongly_total(capsys, cmd_path):
     code, out, _ = run(capsys, ["check", cmd_path])
     assert code == 1
@@ -546,6 +601,15 @@ def test_bad_set_entry_names_its_address_not_its_text(capsys, tmp_path, name, te
     code, out, err = run(capsys, ["check", path])
     assert (code, out) == (2, "")
     assert err == "error: bad set entry at address '': ordinal nested too deeply at line 1, column 304\n"
+
+
+@pytest.mark.parametrize("text", ["{10,}", "{,}", "{10, ,11}"])
+def test_empty_set_element_names_its_address(capsys, tmp_path, text):
+    doc = fl.encode_flowchart(FC)
+    doc["assign"]["1"] = ["{0}", text]
+    code, out, err = run(capsys, ["check", write_doc(tmp_path, "x.fc", doc)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad set entry at address '1': empty element")
 
 
 def test_bad_set_entry_message_is_capped(capsys, tmp_path):

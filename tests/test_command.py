@@ -156,6 +156,22 @@ def test_val_invalid_address():
         val(SIMPLE, (5,))
 
 
+def test_edge_map_only_on_edges():
+    c = Command(TERM, SP2, {
+        (): ArrowSite(cs("{1}"), letter_double(SP2)),
+        (1,): JoinSite(((cs("{10}"), IDENT), (cs("{11}"), drop_first(SP2)))),
+    })
+    assert c.edge_map((0,)) == IDENT
+    assert c.edge_map((1,)) == letter_double(SP2)
+    assert c.edge_map((1, 1)) == drop_first(SP2)
+    v = Command(parse_term('veb[0](q"a")'), SP2, {(): VeblenSite(drop_first(SP2))})
+    assert v.edge_map((0,)) == drop_first(SP2)
+    for cmd, addr in ((c, ()), (c, (5,)), (c, (2,)), (c, (-1,)), (c, (1, 2)), (c, (0, 0)),
+                      (v, (3,)), (v, (0, 0))):
+        with pytest.raises(InvalidAddressError, match="no edge into"):
+            cmd.edge_map(addr)
+
+
 # -- evaluation -------------------------------------------------------------------
 
 def test_simple_command_matches_flowchart():

@@ -87,8 +87,9 @@ def test_clopen_equality_ignores_level():
 
 
 def test_space_validation():
-    with pytest.raises(ValueError):
-        Space(0)
+    for size in (0, True, False, 2.0):
+        with pytest.raises(ValueError):
+            Space(size)
     with pytest.raises(ValueError):
         ClopenSet(SP2, ((2,),))
 
@@ -263,6 +264,10 @@ def test_clopen_literals():
         parse_clopen(SP2, "0, 11")
     with pytest.raises(ValueError):
         parse_clopen(SP2, "{2}")
+    assert parse_clopen(SP2, "{ }") == ClopenSet.empty(SP2)
+    for text in ("{10,}", "{,}", "{10, ,11}", "{,0}", "{e,}"):
+        with pytest.raises(ParseError, match="empty element"):
+            parse_clopen(SP2, text)
 
 
 def test_clopen_literal_round_trip_random():

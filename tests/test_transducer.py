@@ -174,6 +174,96 @@ def test_compose_space_mismatch():
         compose(in_map(cs("{10}")), identity_map(SP2))
 
 
+# -- the normal form and the productivity check against the code they replaced
+#
+# Before transducer._numbered, Transducer.build, _normalized and the
+# product machine in compose each numbered states in a breadth-first
+# loop of their own, and the constructor looked for silent cycles by a
+# colour DFS.  They are kept here as the reference.
+
+def ref_build(input_space, init, delta):
+    # Transducer.build's numbering: the steps table it stored.
+    k_in = input_space.alphabet_size
+    number = {init: 0}
+    order = [init]
+    queue = deque([init])
+    while queue:
+        s = queue.popleft()
+        for a in range(k_in):
+            if (s, a) not in delta:
+                raise ValueError("missing transition (%r, %d)" % (s, a))
+            nxt, _ = delta[(s, a)]
+            if nxt not in number:
+                number[nxt] = len(order)
+                order.append(nxt)
+                queue.append(nxt)
+    return tuple(
+        tuple((number[delta[(s, a)][0]], tuple(delta[(s, a)][1])) for a in range(k_in))
+        for s in order
+    )
+
+
+def ref_check(input_space, output_space, init, steps):
+    # The constructor's checks, with silent cycles found by a colour DFS.
+    k_in = input_space.alphabet_size
+    n = len(steps)
+    if not (0 <= init < n):
+        raise ValueError("initial state out of range")
+    for row in steps:
+        if len(row) != k_in:
+            raise ValueError("every state must handle every input letter")
+        for nxt, out in row:
+            if not (0 <= nxt < n):
+                raise ValueError("transition target out of range")
+            output_space.check_word(out)
+    color = [0] * n  # 0 unvisited, 1 on stack, 2 done
+
+    def silent_succs(s):
+        return [nxt for nxt, out in steps[s] if not out]
+
+    for start in range(n):
+        if color[start]:
+            continue
+        stack = [(start, iter(silent_succs(start)))]
+        color[start] = 1
+        while stack:
+            s, it = stack[-1]
+            advanced = False
+            for nxt in it:
+                if color[nxt] == 1:
+                    raise ValueError("transducer has a silent cycle (not productive)")
+                if color[nxt] == 0:
+                    color[nxt] = 1
+                    stack.append((nxt, iter(silent_succs(nxt))))
+                    advanced = True
+                    break
+            if not advanced:
+                color[s] = 2
+                stack.pop()
+
+
+def ref_normalized(f):
+    order = [f.init]
+    seen = {f.init}
+    for s in order:
+        for nxt, _ in f.steps[s]:
+            if nxt not in seen:
+                seen.add(nxt)
+                order.append(nxt)
+    if order == list(range(len(f.steps))):
+        return f
+    delta = {(s, a): step for s, row in enumerate(f.steps) for a, step in enumerate(row)}
+    return Transducer(f.input_space, f.output_space, 0, ref_build(f.input_space, f.init, delta))
+
+
+def ref_is_identity(f):
+    return (
+        len(f.steps) == 1
+        and f.input_space == f.output_space
+        and all(step == (0, (a,)) for a, step in enumerate(f.steps[0]))
+    )
+
+
 def _product(outer, inner):
     # The product-machine construction compose uses when neither side
     # is the identity.
@@ -187,9 +277,136 @@ def _product(outer, inner):
             delta[((si, so), a)] = ((si2, so2), out)
             if (si2, so2) not in queue:
                 queue.append((si2, so2))
-    return Transducer.build(inner.input_space, outer.output_space, start, delta)
+    steps = ref_build(inner.input_space, start, delta)
+    return Transducer(inner.input_space, outer.output_space, 0, steps)
 
 
+def ref_compose(outer, inner):
+    if ref_is_identity(inner):
+        return ref_normalized(outer)
+    if ref_is_identity(outer):
+        return ref_normalized(inner)
+    return _product(outer, inner)
+
+
+def _outcome(make):
+    try:
+        return make()
+    except ValueError as e:
+        return "rejected: %s" % e
+
+
+def _raw_table(rng):
+    # 1-4 states over Space(1..3) and a random initial state; the table
+    # may miss a transition, emit a letter outside the output alphabet,
+    # leave states unreachable, and hold silent cycles.
+    k_in, k_out, n = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 4)
+    delta = {}
+    for s in range(n):
+        for a in range(k_in):
+            size = rng.choice((0, 1, 1, 2))
+            out = tuple(rng.randrange(k_out + (rng.random() < 0.03)) for _ in range(size))
+            delta[(s, a)] = (rng.randrange(n), out)
+    if rng.random() < 0.03:
+        del delta[rng.choice(sorted(delta))]
+    return Space(k_in), Space(k_out), n, rng.randrange(n), delta
+
+
+# Built directly, not in normal form: init 1; an unreachable state; a
+# silent self-loop; two parallel silent edges; an unreachable silent
+# cycle.  The last two differ only in whether state 2 is silent.
+NON_NORMAL = [
+    (SP2, SP2, 1, (((0, (1,)), (0, (0,))), ((0, (0,)), (1, (1,))))),
+    (SP2, SP2, 0, (((0, (1,)), (0, (0,))), ((0, (0,)), (1, (1,))))),
+    (SP2, SP2, 0, (((0, ()), (0, (1,))),)),
+    (SP2, SP2, 0, (((1, ()), (1, ())), ((1, (0,)), (1, (1,))))),
+    (SP1, SP2, 0, (((0, (1,)),), ((2, ()),), ((1, ()),))),
+    (SP1, SP2, 0, (((0, (1,)),), ((2, ()),), ((1, (0,)),))),
+]
+
+
+def test_build_matches_reference():
+    rng = random.Random(1301)
+    seen = set()
+    for _ in range(3000):
+        sp_in, sp_out, n, init, delta = _raw_table(rng)
+        got = _outcome(lambda: Transducer.build(sp_in, sp_out, init, delta))
+        if isinstance(got, Transducer):
+            got = (got.init, got.steps)
+
+        def ref():
+            steps = ref_build(sp_in, init, delta)
+            ref_check(sp_in, sp_out, 0, steps)
+            return 0, steps
+
+        want = _outcome(ref)
+        assert got == want
+        seen.add(want if isinstance(want, str) else "accepted")
+    assert {"accepted", "rejected: transducer has a silent cycle (not productive)"} <= seen
+    assert any(m.startswith("rejected: missing") for m in seen)
+    assert any(m.startswith("rejected: letter") for m in seen)
+
+
+def test_constructor_and_normal_form_match_reference():
+    rng = random.Random(1302)
+    tables = list(NON_NORMAL)
+    while len(tables) < 1500:
+        sp_in, sp_out, n, init, delta = _raw_table(rng)
+        if len(delta) == n * sp_in.alphabet_size:
+            steps = tuple(tuple(delta[(s, a)] for a in range(sp_in.alphabet_size)) for s in range(n))
+            tables.append((sp_in, sp_out, init, steps))
+    outcomes = []
+    for sp_in, sp_out, init, steps in tables:
+        got = _outcome(lambda: Transducer(sp_in, sp_out, init, steps))
+        want = _outcome(lambda: ref_check(sp_in, sp_out, init, steps))
+        if isinstance(got, Transducer):
+            assert want is None
+            norm, ref = transducer._normalized(got), ref_normalized(got)
+            assert (norm.init, norm.steps) == (ref.init, ref.steps)
+            assert (norm is got) == (ref is got)
+            assert transducer._is_identity(got) == ref_is_identity(got)
+            outcomes.append(norm is got)
+        else:
+            assert got == want
+            outcomes.append(got)
+    assert outcomes[:6] == [
+        False,
+        False,
+        "rejected: transducer has a silent cycle (not productive)",
+        True,
+        "rejected: transducer has a silent cycle (not productive)",
+        False,
+    ]
+    assert set(outcomes) >= {True, False}
+
+
+def test_compose_matches_reference():
+    rng = random.Random(1303)
+    machines = [Transducer(*t) for t in NON_NORMAL if _outcome(lambda: ref_check(*t)) is None]
+    for k in (1, 2, 3):
+        sp = Space(k)
+        machines += map_palette(sp) + [const_zero(sp, sp), const_zero(sp, SP1)]
+        for _ in range(4):
+            v = random_clopen(rng, sp, 3)
+            if not v.is_full:
+                machines.append(out_map(v))
+            if not v.is_empty:
+                machines.append(in_map(v))
+    while len(machines) < 90:
+        sp_in, sp_out, n, init, delta = _raw_table(rng)
+        m = _outcome(lambda: Transducer.build(sp_in, sp_out, init, delta))
+        if isinstance(m, Transducer):
+            machines.append(m)
+    pairs = 0
+    for outer in machines:
+        for inner in machines:
+            if inner.output_space != outer.input_space:
+                continue
+            got, want = compose(outer, inner), ref_compose(outer, inner)
+            assert got == want
+            assert ((got is outer), (got is inner)) == ((want is outer), (want is inner))
+            pairs += 1
+    assert pairs > 2000
 def test_compose_with_identity_matches_product():
     rng = random.Random(88)
     machines = map_palette(SP2) + [drop_first(SP2), letter_double(SP2), parity_merge()]
