@@ -113,26 +113,16 @@ def cmd_check(args) -> int:
         # construction already proved totality and productivity
         return _report([("productive", True, "(%d states)" % len(doc.steps))])
     if kind == "flowchart":
-        total, tw = fl.is_total(doc)
-        det, dw = fl.is_deterministic(doc)
-        return _report(
-            [
-                ("well_formed", is_well_formed(doc.term), ""),
-                ("normal", is_normal(doc.term), ""),
-                ("levels", fl.check_levels(doc), ""),
-                ("monotone", fl.is_monotone(doc), ""),
-                ("total", total, "" if total else "witness %s" % render_point(tw)),
-                ("deterministic", det, "" if det else "witness %s" % render_point(dw)),
-            ]
-        )
-    total, tw = cm.is_total(doc)
-    det, dw = cm.is_deterministic(doc)
+        deciders, own = fl, (("levels", fl.check_levels), ("monotone", fl.is_monotone))
+    else:
+        deciders, own = cm, (("simple", cm.is_simple), ("strongly_total", cm.is_strongly_total))
+    total, tw = deciders.is_total(doc)
+    det, dw = deciders.is_deterministic(doc)
     return _report(
         [
             ("well_formed", is_well_formed(doc.term), ""),
             ("normal", is_normal(doc.term), ""),
-            ("simple", cm.is_simple(doc), ""),
-            ("strongly_total", cm.is_strongly_total(doc), ""),
+            *((name, holds(doc), "") for name, holds in own),
             ("total", total, "" if total else "witness %s" % render_point(tw)),
             ("deterministic", det, "" if det else "witness %s" % render_point(dw)),
         ]
@@ -293,8 +283,11 @@ def cmd_dot(args) -> int:
         raise DocumentError("dot needs a term, flowchart, or command document")
     tree = syntax_tree(term)
     ranks = borel_ranks(term)
+    # Nodes are n0, n1, ... in address order, so the output grows with
+    # the node count; each address is written once, as its node's tooltip.
+    ids = {addr: "n%d" % n for n, addr in enumerate(tree.addresses())}
     lines = ["digraph term {", "  node [shape=box];"]
-    for addr in tree.addresses():
+    for addr, node in ids.items():
         label = tree.label(addr)
         parts = [_node_caption(label), "rank %s" % render_ordinal(ranks[addr])]
         if annotate is not None and not isinstance(label, (Const, Var)):
@@ -313,13 +306,12 @@ def cmd_dot(args) -> int:
                         "U%d = %s" % (n, _set_caption(t)) for n, (t, _) in enumerate(site.members)
                     ]
         lines.append(
-            '  "%s" [label="%s"];' % (_addr_text(addr), "\\n".join(_dot_escape(p) for p in parts))
+            '  %s [label="%s", tooltip="%s"];'
+            % (node, "\\n".join(_dot_escape(p) for p in parts), _addr_text(addr))
         )
-    for addr in tree.addresses():
+    for addr, node in ids.items():
         for child in tree.children(addr):
-            lines.append(
-                '  "%s" -> "%s" [label="%d"];' % (_addr_text(addr), _addr_text(child), child[-1])
-            )
+            lines.append('  %s -> %s [label="%d"];' % (node, ids[child], child[-1]))
     lines.append("}")
     print("\n".join(lines))
     return 0

@@ -395,31 +395,24 @@ def make_strongly_total(c: Command) -> Command:
     if not total:
         raise UnsupportedError("the command is not total (no true path at %s)" % witness)
     domains = f._domains
-    for addr, sets in f.assign:
-        if not isinstance(sets, tuple):
-            continue
-        hole = domains[addr]
-        for s in sets:
-            hole = hole.difference(s)
-        if not hole.is_empty:
-            raise UnsupportedError(
-                "the join family at %s misses part of its domain (least point %s)"
-                % (addr, render_point(least_point(hole)))
-            )
     ident = identity_map(c.space)
     assign: dict[Address, Site] = {}
     for addr, site in c.assign:
         d = domains[addr]
         if isinstance(site, ArrowSite):
             assign[addr] = ArrowSite(d.intersect(site.test).with_level(ONE), ident)
-        else:
-            members = []
-            for n, (test, _) in enumerate(site.members):
-                shrunk = d.intersect(test)
-                if n == 0:
-                    shrunk = shrunk.union(d.complement())
-                members.append((shrunk.with_level(ONE), ident))
-            assign[addr] = JoinSite(tuple(members))
+            continue
+        hole, members = d, []
+        for test, _ in site.members:
+            hole = hole.difference(test)
+            members.append(d.intersect(test))
+        if not hole.is_empty:
+            raise UnsupportedError(
+                "the join family at %s misses part of its domain (least point %s)"
+                % (addr, render_point(least_point(hole)))
+            )
+        members[0] = members[0].union(d.complement())
+        assign[addr] = JoinSite(tuple((s.with_level(ONE), ident) for s in members))
     return Command(c.term, c.space, assign)
 
 

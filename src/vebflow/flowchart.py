@@ -11,14 +11,14 @@ through.  The labels of the leaves reached this way are the value.
 The domain assignment D gives each address the set of points that
 reach it.  A chart is compiled once, on first use: D, and for each
 label the union of the domains of the leaves carrying it, its reach
-set.  The reach sets are the chart's multi-terminal decision diagram
+trie.  The reach tries are the chart's multi-terminal decision diagram
 sliced per label.  Totality, determinism and whole-space equivalence
-are Boolean operations on them, decided exactly, with least-point
-witnesses on failure.  Evaluation walks the outcome trie, the product
-of the reach tries, which is expanded one cell at a time as points
-walk it: one walk per point, ending at an interned outcome token.  The
-pointwise walker (true_positions, true_paths) reports which nodes a
-point passes; it serves traces and is not used by evaluation.
+are decided on those tries, exactly, with least-point witnesses on
+failure.  Evaluation walks the outcome trie, the product of the reach
+tries, which is expanded one cell at a time as points walk it: one
+walk per point, ending at an interned outcome token.  The pointwise
+walker (true_positions, true_paths) reports which nodes a point
+passes; it serves traces and is not used by evaluation.
 
 Transformations: to_monotone shrinks every assigned set into its
 domain (normal terms only), to_reduced makes join families pairwise
@@ -45,7 +45,7 @@ from .errors import (
     UnsupportedError,
 )
 from .ordinal import ONE, cmp, parse_ordinal, render_ordinal
-from .space import ClopenSet, Space, UpPoint, _leftmost, _level, least_point, member, parse_clopen, render_clopen
+from .space import ClopenSet, Space, Trie, UpPoint, _combine, _leftmost, _level, _lockstep, member, parse_clopen, render_clopen
 from .term import (
     Address,
     ArrowL,
@@ -162,44 +162,42 @@ class Flowchart:
         """The domain assignment, computed top down on first use.
 
         A chart made by to_monotone keeps its source's domains as sets;
-        it takes their tries and recomputes only the declared levels.
+        it takes their tries and computes only the declared levels.
         """
         tree = self.tree
         source = self.__dict__.pop("_same_domains", None)
         known = source._domains if source is not None else None
-        domains: dict[Address, ClopenSet] = {(): ClopenSet.full(self.space)}
-        for addr in tree.addresses():
-            if not addr:
-                continue
+        full = ClopenSet.full(self.space)
+        domains: dict[Address, ClopenSet] = {(): full}
+        # Sorted addresses put the root first and every parent before its children.
+        for addr in tree.addresses()[1:]:
             parent, i = addr[:-1], addr[-1]
             label = tree.label(parent)
-            d = domains[parent]
             if isinstance(label, ArrowL):
                 s, negate = self._at[parent], i == 0
             elif isinstance(label, JoinL):
                 s, negate = self._at[parent][i], False
             else:
-                domains[addr] = d
-                continue
-            if known is not None:
-                domains[addr] = ClopenSet._of(self.space, known[addr].trie, _level(d, s, negate))
-            elif negate:
-                domains[addr] = d.difference(s)
-            else:
-                domains[addr] = d.intersect(s)
+                s, negate = full, False
+            d = domains[parent]
+            domains[addr] = ClopenSet._of(
+                self.space,
+                known[addr].trie if known is not None else _combine(d.trie, s.trie, False, negate),
+                _level(d, s, negate),
+            )
         return domains
 
     @cached_property
-    def _reach(self) -> dict[str, ClopenSet]:
-        """Each label's reach set: the union of the domains of the leaves
+    def _reach(self) -> dict[str, Trie]:
+        """Each label's reach trie: the union of the domains of the leaves
         carrying it, in address order of first appearance."""
         tree = self.tree
-        reach: dict[str, ClopenSet] = {}
+        reach: dict[str, Trie] = {}
         for addr, d in self._domains.items():
             label = tree.label(addr)
             if isinstance(label, Const):
                 q = label.label
-                reach[q] = reach[q].union(d) if q in reach else d
+                reach[q] = _combine(reach.get(q, False), d.trie, True)
         return reach
 
     @cached_property
@@ -212,7 +210,7 @@ class Flowchart:
         outcome token once every node there is a leaf.  Each cell stands
         for one word: none is ever merged with another.
         """
-        return _cell(self, tuple(s.trie for s in self._reach.values()))
+        return _cell(self, tuple(self._reach.values()))
 
     @cached_property
     def _tokens(self) -> dict[tuple[bool, ...], tuple]:
@@ -351,14 +349,14 @@ def equivalent(f: Flowchart, g: Flowchart) -> bool:
     """Do two charts evaluate alike at every point of the space?
 
     Exactly when they live in the same space and every label has the
-    same reach set in both, a label missing from one chart reaching
+    same reach trie in both, a label missing from one chart reaching
     nothing there.  Decided on the whole space, not on a sample.
     """
     if f.space != g.space:
         return False
-    empty = ClopenSet.empty(f.space)
     return all(
-        f._reach.get(q, empty) == g._reach.get(q, empty) for q in f._reach.keys() | g._reach.keys()
+        _lockstep(f._reach.get(q, False), g._reach.get(q, False), False)
+        for q in f._reach.keys() | g._reach.keys()
     )
 
 
@@ -370,34 +368,35 @@ def is_total(f: Flowchart) -> tuple[bool, UpPoint | None]:
     """Does every point have a true path?
 
     The points with a true path are those reaching some leaf: the union
-    of the reach sets.  A join family that misses part of its domain is
+    of the reach tries.  A join family that misses part of its domain is
     not by itself a failure; the point may still ride an overlapping
     sibling branch to a leaf.  On failure the witness is the least point
     with no true path, read off the union's leftmost False leaf.
     """
-    reached = ClopenSet.empty(f.space)
-    for d in f._reach.values():
-        reached = reached.union(d)
-    if reached.is_full:
+    reached = False
+    for t in f._reach.values():
+        reached = _combine(reached, t, True)
+    if reached is True:
         return True, None
-    return False, _leftmost(f.space, reached.trie, False)
+    return False, _leftmost(f.space, reached, False)
 
 
 def is_deterministic(f: Flowchart) -> tuple[bool, UpPoint | None]:
     """Can two true paths ever disagree on the label?
 
-    Exactly when the reach sets of distinct labels never meet;
-    same-label overlap is allowed.  Each label's reach set is met with
+    Exactly when the reach tries of distinct labels never meet;
+    same-label overlap is allowed.  Each label's reach trie is met with
     the union of the labels before it.  On failure the witness is the
-    least point reached by two distinct labels.
+    least point reached by two distinct labels, read off the clash
+    trie's leftmost True leaf.
     """
-    seen = clash = ClopenSet.empty(f.space)
-    for d in f._reach.values():
-        clash = clash.union(seen.intersect(d))
-        seen = seen.union(d)
-    if clash.is_empty:
+    seen = clash = False
+    for t in f._reach.values():
+        clash = _combine(clash, _combine(seen, t, False), True)
+        seen = _combine(seen, t, True)
+    if clash is False:
         return True, None
-    return False, least_point(clash)
+    return False, _leftmost(f.space, clash, True)
 
 
 def is_monotone(f: Flowchart) -> bool:

@@ -479,8 +479,10 @@ def render_word(w: Word) -> str:
 
 def parse_word(text: str) -> Word:
     text = text.strip()
-    if text == "e" or text == "":
+    if text == "e":
         return ()
+    if not text:
+        raise ParseError("blank text is not a word (the empty word is e)")
     if "." in text:
         parts = text.split(".")
         try:
@@ -502,7 +504,7 @@ def parse_point(space: Space, text: str) -> UpPoint:
         raise ParseError("a point literal is prefix(period), got %r" % text)
     head, _, tail = text[:-1].partition("(")
     prefix = parse_word(head) if head.strip() else ()
-    period = parse_word(tail)
+    period = parse_word(tail) if tail.strip() else ()
     if not period:
         raise ParseError("the period of a point literal is nonempty")
     return UpPoint(space, prefix, period)

@@ -205,6 +205,8 @@ def _is_identity(f: Transducer) -> bool:
 
 def _normalized(f: Transducer) -> Transducer:
     """f in normal form; f itself when it already is."""
+    if f is identity_map(f.input_space):
+        return f
     steps = _numbered(f.init, f.input_space.alphabet_size, f.step)
     if f.init == 0 and steps == f.steps:
         return f
@@ -543,7 +545,10 @@ def decode_transducer(doc) -> Transducer:
             raise DocumentError("output words are written as word literals")
         if (s, a) in delta:
             raise DocumentError("duplicate transition for state %d letter %d" % (s, a))
-        delta[(s, a)] = (nxt, parse_word(word_text))
+        try:
+            delta[(s, a)] = (nxt, parse_word(word_text))
+        except ParseError as e:
+            raise DocumentError("transition for state %d letter %d: %s" % (s, a, e)) from None
     for s in range(n):
         for a in range(k_in):
             if (s, a) not in delta:

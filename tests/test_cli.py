@@ -132,6 +132,15 @@ def test_check_long_silent_chain(capsys, tmp_path, back):
         assert (code, out, err) == (0, "productive: pass (20000 states)\n", "")
 
 
+@pytest.mark.parametrize("blank", ["", " "])
+def test_check_transducer_blank_output_word(capsys, tmp_path, blank):
+    doc = tr.encode_transducer(tr.drop_first(SP2))
+    doc["trans"][3]["out"] = blank
+    code, out, err = run(capsys, ["check", write_doc(tmp_path, "x.tr", json.dumps(doc))])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: transition for state 1 letter 1: ")
+
+
 def _one_as_true(doc, *path):
     doc = json.loads(json.dumps(doc))
     *head, last = path
@@ -457,7 +466,7 @@ def test_dot_is_deterministic(capsys, fc_path):
     code, second, _ = run(capsys, ["dot", fc_path])
     assert first == second
     assert first.startswith("digraph term {")
-    assert '"e" -> "1" [label="1"];' in first
+    assert 'n0 -> n2 [label="1"];' in first
     assert "S = {1}" in first
 
 

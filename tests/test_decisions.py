@@ -1,0 +1,270 @@
+"""Differential tests: the chart deciders, the domain compile and the
+padding construction against set-algebra references.
+
+The references are the earlier forms of the code: domains built by
+ClopenSet difference and intersection, reach sets as ClopenSet unions,
+the deciders as Boolean operations on those sets, and a padding
+construction that checks every join's hole before it pads any join.
+"""
+
+import json
+import random
+
+import pytest
+
+from vebflow import command as cm
+from vebflow import flowchart as fl
+from vebflow.command import ArrowSite, Command, JoinSite
+from vebflow.errors import UnsupportedError
+from vebflow.flowchart import Flowchart
+from vebflow.generate import (
+    random_command,
+    random_flowchart,
+    random_normal_term,
+    random_term,
+    random_total_det_flowchart,
+)
+from vebflow.ordinal import ONE, CnfOrdinal, parse_ordinal, render_ordinal
+from vebflow.space import ClopenSet, Space, _leftmost, _level, least_point, parse_clopen, render_point
+from vebflow.term import ArrowL, Const, JoinL, has_veblen, is_normal, parse_term
+from vebflow.transducer import identity_map
+
+SPACES = (Space(2), Space(3))
+LEVELS = (ONE, CnfOrdinal.from_int(2), parse_ordinal("w"), parse_ordinal("w*2 + 1"))
+
+
+# -- references ----------------------------------------------------------------
+
+
+def ref_domains(f, known=None):
+    """The domain assignment, top down; with `known` (the domains of the
+    chart f was shrunk from) the tries are taken from there and only the
+    levels are computed."""
+    tree = f.tree
+    domains = {(): ClopenSet.full(f.space)}
+    for addr in tree.addresses():
+        if not addr:
+            continue
+        parent, i = addr[:-1], addr[-1]
+        label = tree.label(parent)
+        d = domains[parent]
+        if isinstance(label, ArrowL):
+            s, negate = f.at(parent), i == 0
+        elif isinstance(label, JoinL):
+            s, negate = f.at(parent)[i], False
+        else:
+            domains[addr] = d
+            continue
+        if known is not None:
+            domains[addr] = ClopenSet._of(f.space, known[addr].trie, _level(d, s, negate))
+        elif negate:
+            domains[addr] = d.difference(s)
+        else:
+            domains[addr] = d.intersect(s)
+    return domains
+
+
+def ref_reach(f):
+    tree = f.tree
+    reach = {}
+    for addr, d in ref_domains(f).items():
+        label = tree.label(addr)
+        if isinstance(label, Const):
+            q = label.label
+            reach[q] = reach[q].union(d) if q in reach else d
+    return reach
+
+
+def ref_is_total(f):
+    reached = ClopenSet.empty(f.space)
+    for d in ref_reach(f).values():
+        reached = reached.union(d)
+    if reached.is_full:
+        return True, None
+    return False, _leftmost(f.space, reached.trie, False)
+
+
+def ref_is_deterministic(f):
+    seen = clash = ClopenSet.empty(f.space)
+    for d in ref_reach(f).values():
+        clash = clash.union(seen.intersect(d))
+        seen = seen.union(d)
+    if clash.is_empty:
+        return True, None
+    return False, least_point(clash)
+
+
+def ref_equivalent(f, g):
+    if f.space != g.space:
+        return False
+    fr, gr = ref_reach(f), ref_reach(g)
+    empty = ClopenSet.empty(f.space)
+    return all(fr.get(q, empty) == gr.get(q, empty) for q in fr.keys() | gr.keys())
+
+
+def ref_make_strongly_total(c):
+    """Refuse a term with Veblen nodes, a command that is not simple or
+    not total, and then any join with a hole; pad in a second loop."""
+    if has_veblen(c.term):
+        raise UnsupportedError("the padding construction needs a veblen-free term")
+    if not cm.is_simple(c):
+        raise UnsupportedError("the padding construction needs a simple command")
+    f = cm.command_to_flowchart(c)
+    total, witness = ref_is_total(f)
+    if not total:
+        raise UnsupportedError("the command is not total (no true path at %s)" % witness)
+    domains = ref_domains(f)
+    for addr, sets in f.assign:
+        if not isinstance(sets, tuple):
+            continue
+        hole = domains[addr]
+        for s in sets:
+            hole = hole.difference(s)
+        if not hole.is_empty:
+            raise UnsupportedError(
+                "the join family at %s misses part of its domain (least point %s)"
+                % (addr, render_point(least_point(hole)))
+            )
+    ident = identity_map(c.space)
+    assign = {}
+    for addr, site in c.assign:
+        d = domains[addr]
+        if isinstance(site, ArrowSite):
+            assign[addr] = ArrowSite(d.intersect(site.test).with_level(ONE), ident)
+        else:
+            members = []
+            for n, (test, _) in enumerate(site.members):
+                shrunk = d.intersect(test)
+                if n == 0:
+                    shrunk = shrunk.union(d.complement())
+                members.append((shrunk.with_level(ONE), ident))
+            assign[addr] = JoinSite(tuple(members))
+    return Command(c.term, c.space, assign)
+
+
+# -- inputs --------------------------------------------------------------------
+
+
+def cs(text, space=Space(2)):
+    return parse_clopen(space, text)
+
+
+def near_miss_pairs():
+    """Charts that agree on the whole 64-point grid and differ at
+    0000011(0), which no grid point enters."""
+    sp = Space(2)
+    t = parse_term('join(q"a", q"b")')
+    yield (Flowchart(t, sp, {(): (cs("{0}"), cs("{1, 0000011}"))}),
+           Flowchart(t, sp, {(): (cs("{0}"), cs("{1}"))}))
+    t = parse_term('q"a" ~> q"b"')
+    yield (Flowchart(t, sp, {(): cs("{0000011}")}), Flowchart(t, sp, {(): ClopenSet.empty(sp)}))
+
+
+def seeded_charts(rng, space, n):
+    """Arbitrary charts, many of them not total or not deterministic,
+    some with raised declared levels; total deterministic charts; and
+    to_monotone's results, each with the chart it was shrunk from."""
+    for i in range(n):
+        term = random_term(rng, 4) if i % 2 else random_normal_term(rng, 4)
+        f = random_flowchart(rng, term, space, 3)
+        if i % 3 == 0:
+            f = f.replace_sets(lambda addr, s: s.with_level(rng.choice(LEVELS)))
+        yield f, None
+        if is_normal(term):
+            yield fl.to_monotone(f), f
+        yield random_total_det_flowchart(rng, random_normal_term(rng, 3), space, 3), None
+
+
+def _domains_text(domains):
+    return {a: (d.antichain, render_ordinal(d.declared_level)) for a, d in domains.items()}
+
+
+# -- the deciders and the domain compile -----------------------------------------
+
+
+def test_deciders_match_the_set_algebra():
+    rng = random.Random(14)
+    verdicts = set()
+    for space in SPACES:
+        charts = list(seeded_charts(rng, space, 150))
+        for (f, source), (g, _) in zip(charts, charts[1:] + charts[:1]):
+            total, det = fl.is_total(f), fl.is_deterministic(f)
+            assert total == ref_is_total(f)
+            assert det == ref_is_deterministic(f)
+            verdicts.add((total[0], det[0]))
+            known = None if source is None else ref_domains(source)
+            assert _domains_text(fl.domain_assignment(f)) == _domains_text(ref_domains(f, known))
+            for other in (g, f, fl.to_reduced(f)):
+                assert fl.equivalent(f, other) == ref_equivalent(f, other)
+    assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_deciders_match_past_the_grid():
+    for f, g in near_miss_pairs():
+        for chart in (f, g):
+            assert fl.is_total(chart) == ref_is_total(chart)
+            assert fl.is_deterministic(chart) == ref_is_deterministic(chart)
+        assert fl.equivalent(f, g) is ref_equivalent(f, g) is False
+    f, _ = next(near_miss_pairs())
+    assert render_point(fl.is_deterministic(f)[1]) == "0000011(0)"
+
+
+# -- the padding construction --------------------------------------------------
+
+
+def _padded(pad, c):
+    """The padded command's document, or the refusal's message."""
+    try:
+        return json.dumps(cm.encode_command(pad(c)), sort_keys=True)
+    except UnsupportedError as e:
+        return "refused: %s" % e
+
+
+def seeded_commands(rng, space, n):
+    """Simple commands that pad, that are not total, or whose joins have
+    holes; and commands that are not simple or have Veblen nodes."""
+    for i in range(n):
+        term = random_normal_term(rng, 3, veblen=False)
+        yield cm.flowchart_to_simple_command(random_total_det_flowchart(rng, term, space, 3))
+        yield cm.flowchart_to_simple_command(random_flowchart(rng, term, space, 3))
+        if i % 4 == 0:
+            yield random_command(rng, random_term(rng, 3), space, 3)
+
+
+def test_padding_matches_the_two_loop_construction():
+    rng = random.Random(15)
+    kinds = set()
+    for space in SPACES:
+        for c in seeded_commands(rng, space, 150):
+            got = _padded(cm.make_strongly_total, c)
+            assert got == _padded(ref_make_strongly_total, c)
+            kinds.add(got.split(" (")[0] if got.startswith("refused") else "padded")
+    assert {"padded", "refused: the command is not total"} <= kinds
+    assert any(k.startswith("refused: the join family at") for k in kinds)
+
+
+def test_padding_names_the_first_join_with_a_hole():
+    # Total through the root's full members; both inner joins have holes.
+    sp = Space(2)
+    ident = identity_map(sp)
+    full = ClopenSet.full(sp)
+    c = Command(parse_term('join(join(q"a"), join(q"b"))'), sp, {
+        (): JoinSite(((full, ident), (full, ident))),
+        (0,): JoinSite(((cs("{1}"), ident),)),
+        (1,): JoinSite(((cs("{0}"), ident),)),
+    })
+    want = "refused: the join family at (0,) misses part of its domain (least point (0))"
+    assert _padded(cm.make_strongly_total, c) == _padded(ref_make_strongly_total, c) == want
+
+
+@pytest.mark.parametrize("test", ["{}", "{0}", "{0000011}"])
+def test_padding_refuses_a_simple_command_that_is_not_total(test):
+    sp = Space(2)
+    ident = identity_map(sp)
+    c = Command(parse_term('q"a" ~> join(q"b")'), sp, {
+        (): ArrowSite(cs("{e}"), ident),
+        (1,): JoinSite(((cs(test), ident),)),
+    })
+    got = _padded(cm.make_strongly_total, c)
+    assert got == _padded(ref_make_strongly_total, c)
+    assert got.startswith("refused: the command is not total (no true path at ")

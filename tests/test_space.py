@@ -242,6 +242,19 @@ def test_word_literals():
         parse_word("0x1")
 
 
+@pytest.mark.parametrize("blank", ["", " ", "\t\n"])
+def test_blank_text_is_not_a_word(blank):
+    # e is the one spelling of the empty word.
+    with pytest.raises(ParseError, match="the empty word is e"):
+        parse_word(blank)
+
+
+@pytest.mark.parametrize("text", ["0()", "( )", "1(e)", "(e)"])
+def test_empty_period_keeps_its_message(text):
+    with pytest.raises(ParseError, match="^the period of a point literal is nonempty$"):
+        parse_point(SP2, text)
+
+
 def test_point_literals():
     assert render_point(pt("(0)")) == "(0)"
     assert render_point(pt("00(0)")) == "(0)"

@@ -424,6 +424,16 @@ def test_compose_with_identity_matches_product():
     assert compose(ident, ident) == _product(ident, ident) == ident
 
 
+def test_compose_of_identities_does_no_renumbering(monkeypatch):
+    idents = [identity_map(Space(k)) for k in (1, 2, 3)]
+    calls = []
+    numbered = transducer._numbered
+    monkeypatch.setattr(transducer, "_numbered", lambda *a: calls.append(a) or numbered(*a))
+    for ident in idents:
+        assert compose(ident, ident) is ident
+    assert calls == []
+
+
 def test_compose_with_identity_normalises_the_other_side():
     # Two states, started in state 1: the product machine renumbers it.
     steps = (((0, (1,)), (0, (0,))), ((0, (0,)), (1, (1,))))
@@ -965,6 +975,14 @@ def test_decode_transducer_rejects_malformed():
     for b in bad_cases:
         with pytest.raises(DocumentError):
             decode_transducer(b)
+
+
+@pytest.mark.parametrize("blank", ["", " "])
+def test_blank_output_word_is_a_document_error(blank):
+    doc = encode_transducer(drop_first(SP2))
+    doc["trans"][2]["out"] = blank
+    with pytest.raises(DocumentError, match="^transition for state 1 letter 0: "):
+        decode_transducer(doc)
 
 
 def test_map_references():
