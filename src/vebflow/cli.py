@@ -345,7 +345,7 @@ def _fuzz_codecs(rng, args, space) -> str | None:
 def _fuzz_domains(rng, args, space) -> str | None:
     term = gen.random_term(rng, 3)
     f = gen.random_flowchart(rng, term, space, 3)
-    domains = f._domains
+    domains = fl.domain_assignment(f)
     for x in _grid(args, space):
         reached = set(fl.true_positions(f, x))
         for addr, d in domains.items():
@@ -358,7 +358,7 @@ def _fuzz_monotone(rng, args, space) -> str | None:
     term = gen.random_normal_term(rng, 3)
     f = gen.random_flowchart(rng, term, space, 3)
     g = fl.to_monotone(f)
-    domains = g._domains
+    domains = fl.domain_assignment(g)
     for addr, sets in g.assign:
         family = sets if isinstance(sets, tuple) else (sets,)
         if not all(s.is_subset(domains[addr]) for s in family):

@@ -394,7 +394,7 @@ def make_strongly_total(c: Command) -> Command:
     total, witness = fc.is_total(f)
     if not total:
         raise UnsupportedError("the command is not total (no true path at %s)" % witness)
-    domains = f._domains
+    domains = fc.domain_assignment(f)
     ident = identity_map(c.space)
     assign: dict[Address, Site] = {}
     for addr, site in c.assign:

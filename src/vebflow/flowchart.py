@@ -9,22 +9,25 @@ to every member whose set contains the point, a Veblen node passes
 through.  The labels of the leaves reached this way are the value.
 
 The domain assignment D gives each address the set of points that
-reach it.  A chart is compiled once, on first use: D, and for each
-label the union of the domains of the leaves carrying it, its reach
-trie.  The reach tries are the chart's multi-terminal decision diagram
-sliced per label.  Totality, determinism and whole-space equivalence
-are decided on those tries, exactly, with least-point witnesses on
-failure.  Evaluation walks the outcome trie, the product of the reach
-tries, which is expanded one cell at a time as points walk it: one
-walk per point, ending at an interned outcome token.  The pointwise
-walker (true_positions, true_paths) reports which nodes a point
-passes; it serves traces and is not used by evaluation.
+reach it.  A chart is compiled once, on first use, to tries alone: the
+trie of each domain, and for each label the union of the domains of
+the leaves carrying it, its reach trie; domain_assignment adds the
+declared levels.  The reach tries are the chart's multi-terminal
+decision diagram sliced per label.  Totality, determinism and
+whole-space equivalence are decided on those tries, exactly, with
+least-point witnesses on failure.  Evaluation walks the outcome trie,
+the product of the reach tries, which is expanded one cell at a time
+as points walk it: one walk per point, ending at an interned outcome
+token.  The pointwise walker (true_positions, true_paths) reports
+which nodes a point passes; it serves traces and is not used by
+evaluation.
 
 Transformations: to_monotone shrinks every assigned set into its
-domain (normal terms only), to_reduced makes join families pairwise
-disjoint by successive differences, pullback substitutes a continuous
-map into every set, and vaught_transform pushes a flowchart forward
-along an open surjection of name spaces.
+domain (normal terms only) and shares its source's compile, to_reduced
+makes join families pairwise disjoint by successive differences,
+pullback substitutes a continuous map into every set, and
+vaught_transform pushes a flowchart forward along an open surjection
+of name spaces.
 """
 
 from __future__ import annotations
@@ -158,33 +161,11 @@ class Flowchart:
         return _map_sets(self, rewrite, self.space)
 
     @cached_property
-    def _domains(self) -> dict[Address, ClopenSet]:
-        """The domain assignment, computed top down on first use.
-
-        A chart made by to_monotone keeps its source's domains as sets;
-        it takes their tries and computes only the declared levels.
-        """
-        tree = self.tree
-        source = self.__dict__.pop("_same_domains", None)
-        known = source._domains if source is not None else None
-        full = ClopenSet.full(self.space)
-        domains: dict[Address, ClopenSet] = {(): full}
-        # Sorted addresses put the root first and every parent before its children.
-        for addr in tree.addresses()[1:]:
-            parent, i = addr[:-1], addr[-1]
-            label = tree.label(parent)
-            if isinstance(label, ArrowL):
-                s, negate = self._at[parent], i == 0
-            elif isinstance(label, JoinL):
-                s, negate = self._at[parent][i], False
-            else:
-                s, negate = full, False
-            d = domains[parent]
-            domains[addr] = ClopenSet._of(
-                self.space,
-                known[addr].trie if known is not None else _combine(d.trie, s.trie, False, negate),
-                _level(d, s, negate),
-            )
+    def _domains(self) -> dict[Address, Trie]:
+        """Each address's domain trie, computed top down on first use."""
+        domains: dict[Address, Trie] = {(): True}
+        for addr, parent, s, negate in _edges(self):
+            domains[addr] = _combine(domains[parent], s.trie, False, negate)
         return domains
 
     @cached_property
@@ -197,7 +178,7 @@ class Flowchart:
             label = tree.label(addr)
             if isinstance(label, Const):
                 q = label.label
-                reach[q] = _combine(reach.get(q, False), d.trie, True)
+                reach[q] = _combine(reach.get(q, False), d, True)
         return reach
 
     @cached_property
@@ -250,15 +231,32 @@ def _map_sets(f: Flowchart, rewrite, space: Space) -> Flowchart:
 # Domains and evaluation.
 
 
-def domain_assignment(f: Flowchart) -> dict[Address, ClopenSet]:
-    """The set of points reaching each address.
+def _edges(f: Flowchart):
+    """Each tree edge as (addr, parent, set, negate), parents first.  A
+    ~> node sends its set's complement left and its set right, a join
+    node meets each family member, a Veblen node passes the full space."""
+    tree = f.tree
+    full = ClopenSet.full(f.space)
+    # Sorted addresses put the root first and every parent before its children.
+    for addr in tree.addresses()[1:]:
+        parent, i = addr[:-1], addr[-1]
+        label = tree.label(parent)
+        if isinstance(label, ArrowL):
+            yield addr, parent, f._at[parent], i == 0
+        elif isinstance(label, JoinL):
+            yield addr, parent, f._at[parent][i], False
+        else:
+            yield addr, parent, full, False
 
-    The root gets the full space.  A ~> node sends its set's complement
-    left and its set right, a join node intersects with each family
-    member, a Veblen node passes its domain through unchanged.  Returns
-    a copy of the chart's compiled domains.
-    """
-    return dict(f._domains)
+
+def domain_assignment(f: Flowchart) -> dict[Address, ClopenSet]:
+    """The set of points reaching each address (the root's is the full
+    space): the compiled domain tries, at the levels _edges gives them."""
+    tries = f._domains
+    domains = {(): ClopenSet.full(f.space)}
+    for addr, parent, s, negate in _edges(f):
+        domains[addr] = ClopenSet._of(f.space, tries[addr], _level(domains[parent], s, negate))
+    return domains
 
 
 def true_positions(f: Flowchart, x: UpPoint) -> list[Address]:
@@ -404,7 +402,7 @@ def is_monotone(f: Flowchart) -> bool:
     domains = f._domains
     for addr, sets in f.assign:
         family = sets if isinstance(sets, tuple) else (sets,)
-        if not all(s.is_subset(domains[addr]) for s in family):
+        if not all(_lockstep(s.trie, domains[addr], True) for s in family):
             return False
     return True
 
@@ -420,14 +418,13 @@ def to_monotone(f: Flowchart) -> Flowchart:
     within rank (the out-branch of a ~> node leads into a leaf or a
     Veblen node, whose rank absorbs the bump).  Evaluation is unchanged
     pointwise, errors included, because domains are invariant: the
-    result keeps f's domain tries and recomputes only their levels.
+    result shares f's compiled domain tries.
     """
     if not is_normal(f.term):
         raise NonNormalTermError("the shrink-to-domain transform needs a normal term")
-    domains = f._domains
+    domains = domain_assignment(f)
     g = f.replace_sets(lambda addr, s: domains[addr].intersect(s))
-    # Read once, by g's first domain compile, and dropped there.
-    object.__setattr__(g, "_same_domains", f)
+    object.__setattr__(g, "_domains", f._domains)
     return g
 
 

@@ -143,8 +143,6 @@ Term = Const | Var | Arrow | Join | Veblen
 
 
 # Labels of the inner nodes of a syntax tree; a leaf is its own label.
-# The numeric codec kinds are const=0, var=1, arrow=2, join=3, veblen=4,
-# mirrored by the string kinds in encode_tree.
 
 
 @dataclass(frozen=True)

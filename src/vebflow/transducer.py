@@ -38,8 +38,8 @@ from .space import (
     Trie,
     UpPoint,
     Word,
+    _leftmost,
     _node,
-    least_point,
     parse_clopen,
     parse_word,
     render_clopen,
@@ -272,31 +272,29 @@ def out_map(v: ClopenSet) -> Transducer:
     space = v.space
     if v.is_empty:
         return identity_map(space)
-    comp = v.complement()
     k = space.alphabet_size
-    words = set(v.antichain)
-    prefixes = {w[:i] for w in words for i in range(len(w))}
-    delta = {}
-    for p in sorted(prefixes):
-        for a in range(k):
+    delta = {("copy", a): ("copy", (a,)) for a in range(k)}
+    # (p, the inner node of V's trie at p): p is the held-back path.
+    stack = [((), v.trie)]
+    while stack:
+        p, node = stack.pop()
+        for a, child in enumerate(node):
             w = p + (a,)
-            if w in words:
+            if child is True:
                 # x is now known to lie in V; p is the longest prefix whose
-                # cylinder still meets the complement (canonical antichains
-                # guarantee it does).
-                target = least_point(comp.intersect(ClopenSet(space, (p,))))
-                delta[(("t",) + p, a)] = (("pump", target.period), target.prefix + target.period)
-            elif w in prefixes:
-                delta[(("t",) + p, a)] = (("t",) + w, ())
-            else:
+                # cylinder still meets the complement (a reduced inner node
+                # is never full), so x goes to the least point there.
+                tail = _leftmost(space, node, False)
+                target = UpPoint(space, p + tail.prefix, tail.period)
+                pump = ("pump", target.period)
+                delta[(("t",) + p, a)] = (pump, target.prefix + target.period)
+                delta.update({(pump, b): (pump, target.period) for b in range(k)})
+            elif child is False:
                 # x has left the trie: it is outside V, replay the buffer.
                 delta[(("t",) + p, a)] = ("copy", w)
-    for a in range(k):
-        delta[("copy", a)] = ("copy", (a,))
-    pumps = {nxt for nxt, _ in delta.values() if isinstance(nxt, tuple) and nxt and nxt[0] == "pump"}
-    for pump in pumps:
-        for a in range(k):
-            delta[(pump, a)] = (pump, pump[1])
+            else:
+                delta[(("t",) + p, a)] = (("t",) + w, ())
+                stack.append((w, child))
     return Transducer.build(space, space, ("t",), delta)
 
 

@@ -1,10 +1,12 @@
-"""Differential tests: the chart deciders, the domain compile and the
-padding construction against set-algebra references.
+"""Differential tests: the chart deciders, the domain compile, the
+padding construction and the retraction onto a complement against
+set-algebra references.
 
 The references are the earlier forms of the code: domains built by
 ClopenSet difference and intersection, reach sets as ClopenSet unions,
-the deciders as Boolean operations on those sets, and a padding
-construction that checks every join's hole before it pads any join.
+the deciders as Boolean operations on those sets, a padding
+construction that checks every join's hole before it pads any join,
+and out_map built from V's antichain and its prefixes.
 """
 
 import json
@@ -18,6 +20,7 @@ from vebflow.command import ArrowSite, Command, JoinSite
 from vebflow.errors import UnsupportedError
 from vebflow.flowchart import Flowchart
 from vebflow.generate import (
+    random_clopen,
     random_command,
     random_flowchart,
     random_normal_term,
@@ -27,7 +30,7 @@ from vebflow.generate import (
 from vebflow.ordinal import ONE, CnfOrdinal, parse_ordinal, render_ordinal
 from vebflow.space import ClopenSet, Space, _leftmost, _level, least_point, parse_clopen, render_point
 from vebflow.term import ArrowL, Const, JoinL, has_veblen, is_normal, parse_term
-from vebflow.transducer import identity_map
+from vebflow.transducer import Transducer, encode_transducer, identity_map, out_map
 
 SPACES = (Space(2), Space(3))
 LEVELS = (ONE, CnfOrdinal.from_int(2), parse_ordinal("w"), parse_ordinal("w*2 + 1"))
@@ -62,6 +65,15 @@ def ref_domains(f, known=None):
         else:
             domains[addr] = d.intersect(s)
     return domains
+
+
+def ref_is_monotone(f):
+    domains = ref_domains(f)
+    return all(
+        s.is_subset(domains[addr])
+        for addr, sets in f.assign
+        for s in (sets if isinstance(sets, tuple) else (sets,))
+    )
 
 
 def ref_reach(f):
@@ -142,6 +154,36 @@ def ref_make_strongly_total(c):
     return Command(c.term, c.space, assign)
 
 
+def ref_out_map(v):
+    """Walk the proper prefixes of V's antichain words in order; the
+    pump states are collected from the table afterwards."""
+    space = v.space
+    if v.is_empty:
+        return identity_map(space)
+    comp = v.complement()
+    k = space.alphabet_size
+    words = set(v.antichain)
+    prefixes = {w[:i] for w in words for i in range(len(w))}
+    delta = {}
+    for p in sorted(prefixes):
+        for a in range(k):
+            w = p + (a,)
+            if w in words:
+                target = least_point(comp.intersect(ClopenSet(space, (p,))))
+                delta[(("t",) + p, a)] = (("pump", target.period), target.prefix + target.period)
+            elif w in prefixes:
+                delta[(("t",) + p, a)] = (("t",) + w, ())
+            else:
+                delta[(("t",) + p, a)] = ("copy", w)
+    for a in range(k):
+        delta[("copy", a)] = ("copy", (a,))
+    pumps = {nxt for nxt, _ in delta.values() if isinstance(nxt, tuple) and nxt and nxt[0] == "pump"}
+    for pump in pumps:
+        for a in range(k):
+            delta[(pump, a)] = (pump, pump[1])
+    return Transducer.build(space, space, ("t",), delta)
+
+
 # -- inputs --------------------------------------------------------------------
 
 
@@ -209,6 +251,41 @@ def test_deciders_match_past_the_grid():
     assert render_point(fl.is_deterministic(f)[1]) == "0000011(0)"
 
 
+def monotone_family(rng, space, n):
+    """Seeded charts with to_monotone's results, the results shrunk
+    again, and charts rewritten from a result, which compile their own
+    domains."""
+    for f, _ in seeded_charts(rng, space, n):
+        yield f
+        if is_normal(f.term):
+            m = fl.to_monotone(f)
+            yield fl.to_monotone(m)
+            yield m.replace_sets(lambda addr, s: s.complement())
+            yield m.replace_sets(lambda addr, s: s.with_level(rng.choice(LEVELS)))
+
+
+def test_domain_levels_and_monotonicity_match_the_set_algebra():
+    rng = random.Random(16)
+    verdicts = set()
+    for space in SPACES:
+        for f in monotone_family(rng, space, 60):
+            assert _domains_text(fl.domain_assignment(f)) == _domains_text(ref_domains(f))
+            got = fl.is_monotone(f)
+            assert got is ref_is_monotone(f)
+            verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_to_monotone_shares_its_source_compile():
+    rng = random.Random(17)
+    for space in SPACES:
+        for f, source in seeded_charts(rng, space, 40):
+            assert not any(isinstance(d, ClopenSet) for d in f._domains.values())
+            if source is not None:
+                assert f._domains is source._domains
+                assert fl.to_monotone(f)._domains is source._domains
+
+
 # -- the padding construction --------------------------------------------------
 
 
@@ -268,3 +345,21 @@ def test_padding_refuses_a_simple_command_that_is_not_total(test):
     got = _padded(cm.make_strongly_total, c)
     assert got == _padded(ref_make_strongly_total, c)
     assert got.startswith("refused: the command is not total (no true path at ")
+
+
+# -- the retraction onto a complement ------------------------------------------
+
+
+def test_out_map_matches_the_antichain_construction():
+    rng = random.Random(18)
+    built = 0
+    for k in (2, 3, 4):
+        space = Space(k)
+        for n in range(600):
+            v = random_clopen(rng, space, 1 + n % 5)
+            if v.is_full:
+                continue
+            got = encode_transducer(out_map(v))
+            assert got == encode_transducer(ref_out_map(v)), v
+            built += got["states"] > 1
+    assert built > 500
