@@ -358,7 +358,9 @@ def _fuzz_monotone(rng, args, space) -> str | None:
     term = gen.random_normal_term(rng, 3)
     f = gen.random_flowchart(rng, term, space, 3)
     g = fl.to_monotone(f)
-    domains = fl.domain_assignment(g)
+    # g shares f's compile; its sets are checked against a fresh one.
+    fresh = fl.Flowchart(g.term, g.space, g.assign)
+    domains = fl.domain_assignment(fresh)
     for addr, sets in g.assign:
         family = sets if isinstance(sets, tuple) else (sets,)
         if not all(s.is_subset(domains[addr]) for s in family):
@@ -366,6 +368,8 @@ def _fuzz_monotone(rng, args, space) -> str | None:
     for x in _grid(args, space):
         if fl.eval_outcome(f, x) != fl.eval_outcome(g, x):
             return "monotone eval mismatch at %s" % render_point(x)
+    if not fl.equivalent(f, fresh):
+        return "monotone output differs off the grid"
     if fl.to_monotone(g) != g:
         return "monotone transform is not idempotent"
     return None
@@ -411,6 +415,10 @@ def _fuzz_translation(rng, args, space) -> str | None:
             return "translation round trip mismatch at %s" % render_point(x)
         if cm.eval_outcome(st, x) != want:
             return "strongly-total eval mismatch at %s" % render_point(x)
+    if not fl.equivalent(f, back):
+        return "translation round trip differs off the grid"
+    if not fl.equivalent(f, cm.command_to_flowchart(st)):
+        return "strongly-total output differs off the grid"
     return None
 
 

@@ -40,7 +40,7 @@ from .errors import (
     UnsupportedError,
 )
 from .ordinal import ONE
-from .space import ClopenSet, Space, UpPoint, least_point, render_point
+from .space import ClopenSet, Space, UpPoint, _combine, _leftmost, render_point
 from .term import (
     Address,
     ArrowL,
@@ -246,13 +246,13 @@ def _fit(site, addr: Address, label, here: Space, arity: int) -> Site:
         if test is not None:
             if not isinstance(test, ClopenSet):
                 raise ValueError("test at %r is not a set" % (addr,))
-            if test.space != here:
+            if test.space is not here and test.space != here:
                 raise SpaceMismatchError(
                     "test at %r lives in %r but the node works in %r" % (addr, test.space, here)
                 )
         if not isinstance(m, Transducer):
             raise ValueError("map at %r is not a transducer" % (addr,))
-        if m.input_space != here:
+        if m.input_space is not here and m.input_space != here:
             raise SpaceMismatchError(
                 "map at %r reads %r but the node works in %r" % (addr, m.input_space, here)
             )
@@ -373,13 +373,16 @@ def flowchart_to_simple_command(f: fc.Flowchart) -> Command:
 def make_strongly_total(c: Command) -> Command:
     """Pad a total simple command so every join family covers the space.
 
-    Working over the domain assignment D of the transported flowchart:
-    every test is first shrunk into its node's domain, then the
-    0-indexed join member absorbs the complement of the domain.  Points
-    inside D_sigma never meet the padding, so evaluation is unchanged;
-    points outside D_sigma are off every true path through sigma, so
-    routing them into member 0 is harmless.  All maps stay the
-    identity and the result's levels are 1.
+    Working over the domains D of the transported flowchart, whose sets
+    are the command's tests: every test is first shrunk into its node's
+    domain, then the 0-indexed join member absorbs the complement of
+    the domain.  The shrunk tests are the child domains the flowchart's
+    compile already holds (D ∩ S at a ~> node's right child, D ∩ S_i at
+    join child i), so they are read off it.  Points inside D_sigma
+    never meet the padding, so evaluation is unchanged; points outside
+    D_sigma are off every true path through sigma, so routing them
+    into member 0 is harmless.  All maps stay the identity and the
+    result's levels are 1.
 
     Every join family must already cover its own domain.  A family
     that leaves a hole inside D_sigma cannot be padded into a cover of
@@ -394,25 +397,27 @@ def make_strongly_total(c: Command) -> Command:
     total, witness = fc.is_total(f)
     if not total:
         raise UnsupportedError("the command is not total (no true path at %s)" % witness)
-    domains = fc.domain_assignment(f)
-    ident = identity_map(c.space)
+    tries, space = f._domains, c.space
+    ident = identity_map(space)
     assign: dict[Address, Site] = {}
     for addr, site in c.assign:
-        d = domains[addr]
         if isinstance(site, ArrowSite):
-            assign[addr] = ArrowSite(d.intersect(site.test).with_level(ONE), ident)
+            assign[addr] = ArrowSite(ClopenSet._of(space, tries[addr + (1,)], ONE), ident)
             continue
-        hole, members = d, []
-        for test, _ in site.members:
-            hole = hole.difference(test)
-            members.append(d.intersect(test))
-        if not hole.is_empty:
+        d = tries[addr]
+        kids = [tries[addr + (i,)] for i in range(len(site.members))]
+        covered = False
+        for kid in kids:
+            covered = _combine(covered, kid, True)
+        hole = _combine(d, covered, False, True)
+        if hole is not False:
             raise UnsupportedError(
                 "the join family at %s misses part of its domain (least point %s)"
-                % (addr, render_point(least_point(hole)))
+                % (fc.render_address(addr) or "e", render_point(_leftmost(space, hole, True)))
             )
-        members[0] = members[0].union(d.complement())
-        assign[addr] = JoinSite(tuple((s.with_level(ONE), ident) for s in members))
+        # Member 0 absorbs the complement of the domain.
+        kids[0] = _combine(kids[0], d, True, True)
+        assign[addr] = JoinSite(tuple((ClopenSet._of(space, t, ONE), ident) for t in kids))
     return Command(c.term, c.space, assign)
 
 

@@ -23,11 +23,11 @@ which nodes a point passes; it serves traces and is not used by
 evaluation.
 
 Transformations: to_monotone shrinks every assigned set into its
-domain (normal terms only) and shares its source's compile, to_reduced
-makes join families pairwise disjoint by successive differences,
-pullback substitutes a continuous map into every set, and
-vaught_transform pushes a flowchart forward along an open surjection
-of name spaces.
+domain (normal terms only); the shrunk sets are the child domains of
+the compile, which the result shares.  to_reduced makes join families
+pairwise disjoint by successive differences, pullback substitutes a
+continuous map into every set, and vaught_transform pushes a flowchart
+forward along an open surjection of name spaces.
 """
 
 from __future__ import annotations
@@ -140,7 +140,7 @@ class Flowchart:
     def _check_set(self, s, addr):
         if not isinstance(s, ClopenSet):
             raise ValueError("assignment at %r is not a set" % (addr,))
-        if s.space != self.space:
+        if s.space is not self.space and s.space != self.space:
             raise SpaceMismatchError(
                 "set at %r lives in %r, flowchart in %r" % (addr, s.space, self.space)
             )
@@ -414,16 +414,25 @@ def is_monotone(f: Flowchart) -> bool:
 def to_monotone(f: Flowchart) -> Flowchart:
     """Shrink every assigned set into its domain: S' = D ∩ S.
 
-    Only for normal terms; there the shrunken sets keep their levels
-    within rank (the out-branch of a ~> node leads into a leaf or a
-    Veblen node, whose rank absorbs the bump).  Evaluation is unchanged
-    pointwise, errors included, because domains are invariant: the
-    result shares f's compiled domain tries.
+    D ∩ S is the domain of the ~> node's right child, and D ∩ S_i that
+    of join child i (_edges), so the shrunk sets are read off f's
+    compile, at the levels domain_assignment gives them.  Only for
+    normal terms; there the shrunken sets keep their levels within rank
+    (the out-branch of a ~> node leads into a leaf or a Veblen node,
+    whose rank absorbs the bump).  Evaluation is unchanged pointwise,
+    errors included, because domains are invariant: the result shares
+    f's compiled domain tries.
     """
     if not is_normal(f.term):
         raise NonNormalTermError("the shrink-to-domain transform needs a normal term")
     domains = domain_assignment(f)
-    g = f.replace_sets(lambda addr, s: domains[addr].intersect(s))
+    new: dict[Address, NodeSets] = {}
+    for addr, sets in f.assign:
+        if isinstance(sets, tuple):
+            new[addr] = tuple(domains[addr + (i,)] for i in range(len(sets)))
+        else:
+            new[addr] = domains[addr + (1,)]
+    g = Flowchart(f.term, f.space, new)
     object.__setattr__(g, "_domains", f._domains)
     return g
 
@@ -441,11 +450,13 @@ def to_reduced(f: Flowchart) -> Flowchart:
         if not isinstance(sets, tuple):
             new[addr] = sets
             continue
-        seen = ClopenSet.empty(f.space)
+        seen: Trie = False
         family = []
-        for s in sets:
-            family.append(s.difference(seen).with_level(s.declared_level))
-            seen = seen.union(s)
+        for n, s in enumerate(sets, 1):
+            family.append(ClopenSet._of(f.space, _combine(s.trie, seen, False, True), s.declared_level))
+            # The union after the last member would never be read.
+            if n < len(sets):
+                seen = _combine(seen, s.trie, True)
         new[addr] = tuple(family)
     return Flowchart(f.term, f.space, new)
 

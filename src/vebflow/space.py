@@ -383,7 +383,7 @@ class ClopenSet:
         return ClopenSet._of(self.space, self.trie, level)
 
     def _check_space(self, other: "ClopenSet"):
-        if self.space != other.space:
+        if self.space is not other.space and self.space != other.space:
             raise SpaceMismatchError("sets live in %r and %r" % (self.space, other.space))
 
     # -- Boolean algebra (exact) ---------------------------------------

@@ -219,7 +219,7 @@ def compose(outer: Transducer, inner: Transducer) -> Transducer:
     When either side is the identity the product machine is the other
     side, renumbered from its initial state, so that is returned.
     """
-    if inner.output_space != outer.input_space:
+    if inner.output_space is not outer.input_space and inner.output_space != outer.input_space:
         raise SpaceMismatchError(
             "cannot compose: inner emits %r, outer reads %r"
             % (inner.output_space, outer.input_space)
@@ -344,7 +344,7 @@ def preimage(f: Transducer, a: ClopenSet) -> ClopenSet:
     (productivity), so every branch reaches a leaf of the trie at
     bounded depth: True accepts the input cylinder, False rejects it.
     """
-    if a.space != f.output_space:
+    if a.space is not f.output_space and a.space != f.output_space:
         raise SpaceMismatchError("set in %r, map emits %r" % (a.space, f.output_space))
     if _is_identity(f):
         return a

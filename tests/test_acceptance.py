@@ -135,6 +135,33 @@ def test_criterion_3_monotone_lemma():
     announce(3, failures == 0, "%d flowcharts with Veblen nodes%s" % (cases, note))
 
 
+def test_monotone_output_against_a_fresh_compile():
+    # Criterion 3's corpus.  to_monotone's sets are its source's compiled
+    # child domains and its result shares that compile, so here the sets
+    # are checked against a chart that compiles its own domains.
+    rng = random.Random(418)
+    for _ in range(500):
+        f = gen.random_flowchart(rng, gen.random_normal_term(rng, 4), SP2, 3)
+        g = fl.to_monotone(f)
+        fresh = fl.Flowchart(g.term, g.space, g.assign)
+        assert fresh._domains is not f._domains
+        domains = fl.domain_assignment(fresh)
+        assert all(s.is_subset(domains[addr]) for addr, sets in g.assign for s in node_sets(sets))
+        assert fl.equivalent(f, fresh)
+
+
+def test_padded_command_compiles_its_own_chart(clopen_corpus):
+    # Criterion 1 evaluates the padded command through its own compile,
+    # not the one its sets were read off.
+    charts, _ = clopen_corpus
+    for f in charts:
+        c = cm.flowchart_to_simple_command(f)
+        padded = cm.command_to_flowchart(cm.make_strongly_total(c))
+        for source in (f, cm.command_to_flowchart(c)):
+            assert padded is not source
+            assert padded._domains is not source._domains
+
+
 def test_monotone_output_is_equivalent_on_the_whole_space(clopen_corpus):
     charts, _ = clopen_corpus
     for f in charts:

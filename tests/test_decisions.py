@@ -1,12 +1,14 @@
 """Differential tests: the chart deciders, the domain compile, the
-padding construction and the retraction onto a complement against
-set-algebra references.
+shrink-to-domain transform, the padding construction and the
+retraction onto a complement against set-algebra references.
 
 The references are the earlier forms of the code: domains built by
 ClopenSet difference and intersection, reach sets as ClopenSet unions,
 the deciders as Boolean operations on those sets, a padding
 construction that checks every join's hole before it pads any join,
-and out_map built from V's antichain and its prefixes.
+the one-loop padding construction and the shrink-to-domain transform
+by ClopenSet intersection, and out_map built from V's antichain and
+its prefixes.
 """
 
 import json
@@ -17,7 +19,7 @@ import pytest
 from vebflow import command as cm
 from vebflow import flowchart as fl
 from vebflow.command import ArrowSite, Command, JoinSite
-from vebflow.errors import UnsupportedError
+from vebflow.errors import NonNormalTermError, UnsupportedError
 from vebflow.flowchart import Flowchart
 from vebflow.generate import (
     random_clopen,
@@ -135,7 +137,7 @@ def ref_make_strongly_total(c):
         if not hole.is_empty:
             raise UnsupportedError(
                 "the join family at %s misses part of its domain (least point %s)"
-                % (addr, render_point(least_point(hole)))
+                % (fl.render_address(addr) or "e", render_point(least_point(hole)))
             )
     ident = identity_map(c.space)
     assign = {}
@@ -152,6 +154,47 @@ def ref_make_strongly_total(c):
                 members.append((shrunk.with_level(ONE), ident))
             assign[addr] = JoinSite(tuple(members))
     return Command(c.term, c.space, assign)
+
+
+def ref_make_strongly_total_one_loop(c):
+    """Refuse as above, then check each join's hole as the join is
+    padded, with every set shrunk by ClopenSet intersection."""
+    if has_veblen(c.term):
+        raise UnsupportedError("the padding construction needs a veblen-free term")
+    if not cm.is_simple(c):
+        raise UnsupportedError("the padding construction needs a simple command")
+    f = cm.command_to_flowchart(c)
+    total, witness = fl.is_total(f)
+    if not total:
+        raise UnsupportedError("the command is not total (no true path at %s)" % witness)
+    domains = fl.domain_assignment(f)
+    ident = identity_map(c.space)
+    assign = {}
+    for addr, site in c.assign:
+        d = domains[addr]
+        if isinstance(site, ArrowSite):
+            assign[addr] = ArrowSite(d.intersect(site.test).with_level(ONE), ident)
+            continue
+        hole, members = d, []
+        for test, _ in site.members:
+            hole = hole.difference(test)
+            members.append(d.intersect(test))
+        if not hole.is_empty:
+            raise UnsupportedError(
+                "the join family at %s misses part of its domain (least point %s)"
+                % (fl.render_address(addr) or "e", render_point(least_point(hole)))
+            )
+        members[0] = members[0].union(d.complement())
+        assign[addr] = JoinSite(tuple((s.with_level(ONE), ident) for s in members))
+    return Command(c.term, c.space, assign)
+
+
+def ref_to_monotone(f):
+    """Every set met with its node's domain by ClopenSet intersection."""
+    if not is_normal(f.term):
+        raise NonNormalTermError("the shrink-to-domain transform needs a normal term")
+    domains = ref_domains(f)
+    return f.replace_sets(lambda addr, s: domains[addr].intersect(s))
 
 
 def ref_out_map(v):
@@ -276,6 +319,29 @@ def test_domain_levels_and_monotonicity_match_the_set_algebra():
     assert verdicts == {True, False}
 
 
+def _shrunk(shrink, f):
+    """The shrunk chart's document, or the refusal's message."""
+    try:
+        return json.dumps(fl.encode_flowchart(shrink(f)), sort_keys=True)
+    except NonNormalTermError as e:
+        return "refused: %s" % e
+
+
+def test_to_monotone_matches_the_intersections():
+    # The shrunk sets are read off the compile; here they are computed
+    # as domain ∩ set, levels included.
+    rng = random.Random(19)
+    kinds = set()
+    for space in SPACES:
+        for f, _ in seeded_charts(rng, space, 60):
+            got = _shrunk(fl.to_monotone, f)
+            assert got == _shrunk(ref_to_monotone, f)
+            kinds.add(got.startswith("refused"))
+        for f in monotone_family(rng, space, 40):
+            assert _shrunk(fl.to_monotone, f) == _shrunk(ref_to_monotone, f)
+    assert kinds == {True, False}
+
+
 def test_to_monotone_shares_its_source_compile():
     rng = random.Random(17)
     for space in SPACES:
@@ -320,6 +386,17 @@ def test_padding_matches_the_two_loop_construction():
     assert any(k.startswith("refused: the join family at") for k in kinds)
 
 
+def test_padding_matches_the_one_loop_construction():
+    rng = random.Random(20)
+    holes = 0
+    for space in SPACES:
+        for c in seeded_commands(rng, space, 150):
+            got = _padded(cm.make_strongly_total, c)
+            assert got == _padded(ref_make_strongly_total_one_loop, c)
+            holes += got.startswith("refused: the join family at")
+    assert holes > 0
+
+
 def test_padding_names_the_first_join_with_a_hole():
     # Total through the root's full members; both inner joins have holes.
     sp = Space(2)
@@ -330,7 +407,7 @@ def test_padding_names_the_first_join_with_a_hole():
         (0,): JoinSite(((cs("{1}"), ident),)),
         (1,): JoinSite(((cs("{0}"), ident),)),
     })
-    want = "refused: the join family at (0,) misses part of its domain (least point (0))"
+    want = "refused: the join family at 0 misses part of its domain (least point (0))"
     assert _padded(cm.make_strongly_total, c) == _padded(ref_make_strongly_total, c) == want
 
 
