@@ -398,6 +398,8 @@ def _fuzz_reduced(rng, args, space) -> str | None:
     for x in _grid(args, space):
         if fl.eval_outcome(ftd, x) != fl.eval_outcome(gtd, x):
             return "reduced eval mismatch at %s" % render_point(x)
+    if not fl.equivalent(ftd, gtd):
+        return "reduced output differs off the grid"
     return None
 
 

@@ -275,7 +275,7 @@ def val(c: Command, addr: Address) -> Transducer:
 
 
 def true_positions(c: Command, x: UpPoint) -> list[Address]:
-    if x.space != c.space:
+    if x.space is not c.space and x.space != c.space:
         raise SpaceMismatchError("point in %r, command in %r" % (x.space, c.space))
     return fc.true_positions(command_to_flowchart(c), x)
 

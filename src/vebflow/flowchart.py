@@ -261,7 +261,7 @@ def domain_assignment(f: Flowchart) -> dict[Address, ClopenSet]:
 
 def true_positions(f: Flowchart, x: UpPoint) -> list[Address]:
     """All addresses the point reaches, branching down from the root."""
-    if x.space != f.space:
+    if x.space is not f.space and x.space != f.space:
         raise SpaceMismatchError("point in %r, flowchart in %r" % (x.space, f.space))
     tree = f.tree
     out: list[Address] = []

@@ -10,14 +10,14 @@ and a node whose children are all True, or all False, collapses to that
 leaf.  Reduced tries are canonical, so set equality is trie equality.
 Equality and inclusion are one lockstep walk over pairs of nodes, which
 differ only in the leaf pairs that pass.  Union, intersection,
-difference and complement are one kernel: a walk over pairs of nodes
-that expands each pair once and reduces the rows it built in
-post-order; difference reads the right trie's leaves negated as it
-goes, and complement is the difference from the full space.  Membership
-reads one letter per level.  The canonical antichain (the words leading
-to True leaves: pairwise incomparable under the prefix order, never all
-k siblings present, sorted) is derived on demand; it is the printed and
-codec form.
+difference and complement are one kernel: a single depth-first pass
+over pairs of nodes, which builds each pair's row of children once, on
+a stack of frames, and reduces it as soon as it is full; difference
+reads the right trie's leaves negated as it goes, and complement is the
+difference from the full space.  Membership reads one letter per level.
+The canonical antichain (the words leading to True leaves: pairwise
+incomparable under the prefix order, never all k siblings present,
+sorted) is derived on demand; it is the printed and codec form.
 
 Every clopen set carries a declared_level, an ordinal >= 1 recording the
 additive class the set is *declared* at; the sets themselves are always
@@ -205,9 +205,17 @@ def _combine(x: Trie, y: Trie, absorb: bool, negate: bool = False) -> Trie:
     A leaf equal to `absorb` decides its pair; the other leaf leaves the
     other side as it is.  Under `negate` y's leaves count negated, a pair
     of one node with itself is `absorb`, and a pair under x's unit leaf
-    is walked on, so that y's subtrie comes out flipped.  Each pair is
-    expanded once into a row of leaves, subtries and the indices of
-    pairs still to build; rows are reduced in post-order.
+    is walked on, so that y's subtrie comes out flipped.
+
+    One depth-first pass over a stack of frames, one frame per pair
+    being built: the iterator over the pair's letters (so it resumes at
+    the next letter), the pair's memo key and its row so far.  The
+    current frame fills its row in letter order; a leaf rule, or a pair
+    already built, goes into the row at once, and a new pair's frame
+    takes over while its parent waits on the stack.  A full row is
+    reduced, memoised and appended to its parent's row, and the parent
+    resumes.  Tries are DAGs, so no pair is met again while its own
+    frame is open, and each pair is built once.
     """
     unit = not absorb
     # y's leaf that decides the pair, and y's leaf that leaves x as it is.
@@ -224,56 +232,36 @@ def _combine(x: Trie, y: Trie, absorb: bool, negate: bool = False) -> Trie:
     units = (unit,) * len(y)
     # x's leaf that passes y through: none under negation.
     passes = None if negate else unit
-    index: dict[tuple[int, int], int] = {(id(x), id(y)): 0}
-    # rows[i] is None before pair i is expanded, its row while a child
-    # pair is pending, and its trie once reduced.  An int on the stack
-    # asks for its pair's row to be reduced, after the pairs above it.
-    rows: list = [None]
-    stack: list = [(x, y, 0)]
-    while stack:
-        top = stack.pop()
-        if top.__class__ is int:
-            i = top
-            row = [rows[c] if c.__class__ is int else c for c in rows[i]]
+    done: dict[tuple[int, int], Trie] = {}
+    stack: list = []
+    letters, key, row = zip(units if x is unit else x, y), None, []
+    while True:
+        for c, d in letters:
+            if c is absorb or d is decides:
+                row.append(absorb)
+            elif d is keeps:
+                row.append(c)
+            elif c is passes:
+                row.append(d)
+            elif c is d:
+                row.append(absorb if negate else d)
+            else:
+                pair = (id(c), id(d))
+                t = done.get(pair)
+                if t is None:
+                    stack.append((letters, key, row))
+                    letters, key, row = zip(units if c is unit else c, d), pair, []
+                    break
+                row.append(t)
         else:
-            p, q, i = top
-            if rows[i] is not None:
-                continue
-            row = []
-            stack.append(i)
-            pending = False
-            for c, d in zip(units if p is unit else p, q):
-                if c is absorb or d is decides:
-                    row.append(absorb)
-                elif d is keeps:
-                    row.append(c)
-                elif c is passes:
-                    row.append(d)
-                elif c is d:
-                    row.append(absorb if negate else d)
-                else:
-                    key = (id(c), id(d))
-                    j = index.get(key)
-                    if j is None:
-                        j = index[key] = len(rows)
-                        rows.append(None)
-                    elif rows[j] is not None:
-                        # Reduced under an earlier sibling.  (A pair
-                        # still being expanded would be an ancestor.)
-                        row.append(rows[j])
-                        continue
-                    # New, or queued further down: expand it first.
-                    stack.append((c, d, j))
-                    row.append(j)
-                    pending = True
-            if pending:
-                rows[i] = row
-                continue
-            stack.pop()
-        # As _node, inlined: this is the kernel's innermost step.
-        first = row[0]
-        rows[i] = first if first.__class__ is bool and row.count(first) == len(row) else tuple(row)
-    return rows[0]
+            # As _node, inlined: this is the kernel's innermost step.
+            first = row[0]
+            t = first if first.__class__ is bool and row.count(first) == len(row) else tuple(row)
+            if not stack:
+                return t
+            done[key] = t
+            letters, key, row = stack.pop()
+            row.append(t)
 
 
 def _lockstep(x: Trie, y: Trie, subset: bool) -> bool:
@@ -412,7 +400,8 @@ class ClopenSet:
         if not isinstance(other, ClopenSet):
             return NotImplemented
         x, y = self.trie, other.trie
-        return self.space == other.space and (x is y or _lockstep(x, y, False))
+        same = self.space is other.space or self.space == other.space
+        return same and (x is y or _lockstep(x, y, False))
 
     def __hash__(self):
         # Rarely needed; the antichain is as canonical as the trie.
@@ -427,7 +416,7 @@ class ClopenSet:
 
 def member(x: UpPoint, a: ClopenSet) -> bool:
     """Decide x in a: follow the stream's letters down the trie to a leaf."""
-    if x.space != a.space:
+    if x.space is not a.space and x.space != a.space:
         raise SpaceMismatchError("point in %r, set in %r" % (x.space, a.space))
     node = a.trie
     i = 0

@@ -309,7 +309,7 @@ def apply(f: Transducer, x: UpPoint) -> UpPoint:
     input period) must repeat within |states| * |period| steps; the
     output emitted between two visits is the output period.
     """
-    if x.space != f.input_space:
+    if x.space is not f.input_space and x.space != f.input_space:
         raise SpaceMismatchError("point in %r, map reads %r" % (x.space, f.input_space))
     state = f.init
     out: list[int] = []
@@ -343,42 +343,48 @@ def preimage(f: Transducer, a: ClopenSet) -> ClopenSet:
     the next state.  Along any input branch the output grows
     (productivity), so every branch reaches a leaf of the trie at
     bounded depth: True accepts the input cylinder, False rejects it.
+    The walk is `space._combine`'s: one frame per pair being built,
+    resuming at its next letter once the pair that letter reaches is
+    built, so each letter's step and descent is made once.  Silent
+    cycles are banned, so a pair never waits on itself.
     """
     if a.space is not f.output_space and a.space != f.output_space:
         raise SpaceMismatchError("set in %r, map emits %r" % (a.space, f.output_space))
     if _is_identity(f):
         return a
-    k_in = f.input_space.alphabet_size
-    memo: dict[tuple[int, int], Trie] = {}
-    stack = [(f.init, a.trie)] if a.trie.__class__ is tuple else []
-    while stack:
-        state, node = stack[-1]
-        key = (state, id(node))
-        if key in memo:
-            stack.pop()
-            continue
-        kids = []
-        ready = True
-        for letter in range(k_in):
-            nxt, out = f.step(state, letter)
+    t = a.trie
+    if t.__class__ is not tuple:
+        return ClopenSet._of(f.input_space, t, a.declared_level)
+    steps = f.steps
+    done: dict[tuple[int, int], Trie] = {}
+    stack: list = []
+    # A frame: the iterator over a state's steps, the node they read,
+    # the pair's memo key and its children so far.
+    moves, node, key, kids = iter(steps[f.init]), t, None, []
+    while True:
+        for nxt, out in moves:
             sub = node
             for c in out:
                 sub = sub[c]
                 if sub.__class__ is bool:
                     break
             if sub.__class__ is tuple:
-                pair = (nxt, sub)
-                sub = memo.get((nxt, id(sub)))
-                if sub is None:
-                    # Build the children first, then revisit this pair.
-                    stack.append(pair)
-                    ready = False
+                pair = (nxt, id(sub))
+                t = done.get(pair)
+                if t is None:
+                    stack.append((moves, node, key, kids))
+                    moves, node, key, kids = iter(steps[nxt]), sub, pair, []
+                    break
+                sub = t
             kids.append(sub)
-        if ready:
-            stack.pop()
-            memo[key] = _node(kids)
-    trie = memo[(f.init, id(a.trie))] if memo else a.trie
-    return ClopenSet._of(f.input_space, trie, a.declared_level)
+        else:
+            t = _node(kids)
+            if not stack:
+                break
+            done[key] = t
+            moves, node, key, kids = stack.pop()
+            kids.append(t)
+    return ClopenSet._of(f.input_space, t, a.declared_level)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +441,7 @@ def image(f: Transducer, a: ClopenSet, depth_bound: int) -> ClopenSet:
     sets.  A returned set is exactly f[a]: every leaf of its trie is a
     configuration set proven empty or covering.
     """
-    if a.space != f.input_space:
+    if a.space is not f.input_space and a.space != f.input_space:
         raise SpaceMismatchError("set in %r, map reads %r" % (a.space, f.input_space))
     k_out = f.output_space.alphabet_size
     root = _settle(f, [f.run_word(f.init, w) for w in a.antichain])

@@ -265,6 +265,22 @@ def test_criterion_6_vaught_determination():
     )
 
 
+def test_vaught_determination_on_the_whole_space():
+    # Criterion 6's corpus, decided at every point: g(delta(p)) = f(p)
+    # for all p says that g pulled back along delta is f, and since
+    # delta is onto, g is the chart f was pulled back from.
+    rng = random.Random(419)
+    for delta in (tr.identity_map(SP2), tr.drop_first(SP2), tr.parity_merge()):
+        for _ in range(100):
+            source = gen.random_total_det_flowchart(
+                rng, gen.random_normal_term(rng, 3, veblen=False), SP2, 3
+            )
+            f = fl.to_monotone(fl.pullback(source, delta))
+            g = fl.vaught_transform(f, delta, 6)
+            assert fl.equivalent(f, fl.pullback(g, delta))
+            assert fl.equivalent(source, g)
+
+
 def test_criterion_7_ordinal_oracle():
     ords = [to_ordinal(e) for e in POOL]
     pairs = 0

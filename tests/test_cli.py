@@ -9,7 +9,7 @@ from vebflow import command as cm
 from vebflow import flowchart as fl
 from vebflow import transducer as tr
 from vebflow.space import ClopenSet, Space, parse_clopen
-from vebflow.term import parse_term
+from vebflow.term import JoinL, parse_term
 
 SP2 = Space(2)
 
@@ -519,6 +519,23 @@ def test_fuzz_catches_broken_transform(capsys, monkeypatch):
     code, out, _ = run(capsys, ["--seed", "1", "fuzz", "--iters", "25"])
     assert code == 1
     assert "monotone: FAIL seed=" in out
+
+
+def test_fuzz_checks_reduced_output_off_the_grid(capsys, monkeypatch):
+    # Every `~>` test also takes in [0000011], which no grid point
+    # enters, so the grid check passes and only `equivalent` can fail.
+    real = fl.to_reduced
+    deep = parse_clopen(Space(2), "{0000011}")
+
+    def widened(f):
+        g = real(f)
+        return g.replace_sets(lambda addr, s: s if isinstance(g.tree.label(addr), JoinL) else s.union(deep))
+
+    monkeypatch.setattr(fl, "to_reduced", widened)
+    code, out, _ = run(capsys, ["--seed", "1", "fuzz", "--iters", "25"])
+    assert code == 1
+    failing = [line for line in out.splitlines() if not line.endswith(": 25 cases, ok")]
+    assert len(failing) == 1 and failing[0].startswith("reduced: FAIL seed=")
 
 
 def test_fuzz_checks_eval_against_the_walker(capsys, monkeypatch):

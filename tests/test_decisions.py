@@ -8,7 +8,8 @@ the deciders as Boolean operations on those sets, a padding
 construction that checks every join's hole before it pads any join,
 the one-loop padding construction and the shrink-to-domain transform
 by ClopenSet intersection, and out_map built from V's antichain and
-its prefixes.
+its prefixes; the set kernel and the preimage walk as they were
+before each became one pass over a stack of frames.
 """
 
 import json
@@ -16,12 +17,15 @@ import random
 
 import pytest
 
+from test_transducer import _random_machine
+
 from vebflow import command as cm
 from vebflow import flowchart as fl
 from vebflow.command import ArrowSite, Command, JoinSite
 from vebflow.errors import NonNormalTermError, UnsupportedError
 from vebflow.flowchart import Flowchart
 from vebflow.generate import (
+    map_palette,
     random_clopen,
     random_command,
     random_flowchart,
@@ -30,9 +34,20 @@ from vebflow.generate import (
     random_total_det_flowchart,
 )
 from vebflow.ordinal import ONE, CnfOrdinal, parse_ordinal, render_ordinal
-from vebflow.space import ClopenSet, Space, _leftmost, _level, least_point, parse_clopen, render_point
+from vebflow.space import (
+    ClopenSet,
+    Space,
+    _combine,
+    _leftmost,
+    _level,
+    _lockstep,
+    _node,
+    least_point,
+    parse_clopen,
+    render_point,
+)
 from vebflow.term import ArrowL, Const, JoinL, has_veblen, is_normal, parse_term
-from vebflow.transducer import Transducer, encode_transducer, identity_map, out_map
+from vebflow.transducer import Transducer, _is_identity, encode_transducer, identity_map, out_map, preimage
 
 SPACES = (Space(2), Space(3))
 LEVELS = (ONE, CnfOrdinal.from_int(2), parse_ordinal("w"), parse_ordinal("w*2 + 1"))
@@ -225,6 +240,102 @@ def ref_out_map(v):
         for a in range(k):
             delta[(pump, a)] = (pump, pump[1])
     return Transducer.build(space, space, ("t",), delta)
+
+
+def ref_combine(x, y, absorb, negate=False):
+    """The set kernel as two visits per pair: expand each pair into a
+    row of leaves, subtries and the indices of pairs still to build,
+    then reduce the rows in post-order."""
+    unit = not absorb
+    decides, keeps = (unit, absorb) if negate else (absorb, unit)
+    if x is absorb or y is decides:
+        return absorb
+    if y is keeps:
+        return x
+    if x is y:
+        return absorb if negate else x
+    if x is unit and not negate:
+        return y
+    units = (unit,) * len(y)
+    passes = None if negate else unit
+    index = {(id(x), id(y)): 0}
+    rows = [None]
+    stack = [(x, y, 0)]
+    while stack:
+        top = stack.pop()
+        if top.__class__ is int:
+            i = top
+            row = [rows[c] if c.__class__ is int else c for c in rows[i]]
+        else:
+            p, q, i = top
+            if rows[i] is not None:
+                continue
+            row = []
+            stack.append(i)
+            pending = False
+            for c, d in zip(units if p is unit else p, q):
+                if c is absorb or d is decides:
+                    row.append(absorb)
+                elif d is keeps:
+                    row.append(c)
+                elif c is passes:
+                    row.append(d)
+                elif c is d:
+                    row.append(absorb if negate else d)
+                else:
+                    key = (id(c), id(d))
+                    j = index.get(key)
+                    if j is None:
+                        j = index[key] = len(rows)
+                        rows.append(None)
+                    elif rows[j] is not None:
+                        row.append(rows[j])
+                        continue
+                    stack.append((c, d, j))
+                    row.append(j)
+                    pending = True
+            if pending:
+                rows[i] = row
+                continue
+            stack.pop()
+        rows[i] = _node(row)
+    return rows[0]
+
+
+def ref_preimage(f, a):
+    """The preimage walk that revisits a pair once its children are
+    built, making every letter's step and descent again."""
+    if _is_identity(f):
+        return a
+    memo = {}
+    stack = [(f.init, a.trie)] if a.trie.__class__ is tuple else []
+    while stack:
+        state, node = stack[-1]
+        key = (state, id(node))
+        if key in memo:
+            stack.pop()
+            continue
+        kids = []
+        ready = True
+        for letter in range(f.input_space.alphabet_size):
+            nxt, out = f.step(state, letter)
+            sub = node
+            for c in out:
+                sub = sub[c]
+                if sub.__class__ is bool:
+                    break
+            if sub.__class__ is tuple:
+                pair = (nxt, sub)
+                sub = memo.get((nxt, id(sub)))
+                if sub is None:
+                    stack.append(pair)
+                    ready = False
+            kids.append(sub)
+        if ready:
+            stack.pop()
+            memo[key] = _node(kids)
+    trie = memo[(f.init, id(a.trie))] if memo else a.trie
+    return ClopenSet._of(f.input_space, trie, a.declared_level)
 
 
 # -- inputs --------------------------------------------------------------------
@@ -440,3 +551,116 @@ def test_out_map_matches_the_antichain_construction():
             assert got == encode_transducer(ref_out_map(v)), v
             built += got["states"] > 1
     assert built > 500
+
+
+# -- the set kernel and the preimage walk --------------------------------------
+
+MODES = ((True, False), (False, False), (False, True), (True, True))
+
+
+def _same_dag(got, ref, inputs):
+    """Is `got` the trie `ref` with the same node sharing: one lockstep
+    walk that pairs their inner nodes one to one, and takes a node of
+    the operands (`inputs`, by id) only where `ref` takes that node?"""
+    there, back = {}, {}
+    stack = [(got, ref)]
+    while stack:
+        g, r = stack.pop()
+        if g.__class__ is bool or r.__class__ is bool:
+            if g is not r:
+                return False
+            continue
+        if id(g) in there or id(r) in back:
+            if there.get(id(g)) != id(r) or back.get(id(r)) != id(g):
+                return False
+            continue
+        there[id(g)], back[id(r)] = id(r), id(g)
+        if len(g) != len(r) or (id(g) in inputs or id(r) in inputs) and (g is not r):
+            return False
+        stack.extend(zip(g, r))
+    return True
+
+
+def _inner(t):
+    """The ids of a trie's distinct inner nodes."""
+    seen = set()
+    stack = [t]
+    while stack:
+        n = stack.pop()
+        if n.__class__ is tuple and id(n) not in seen:
+            seen.add(id(n))
+            stack.extend(n)
+    return seen
+
+
+def _check_kernel(x, y):
+    inputs = _inner(x) | _inner(y)
+    for absorb, negate in MODES:
+        got, ref = _combine(x, y, absorb, negate), ref_combine(x, y, absorb, negate)
+        assert (got is x, got is y) == (ref is x, ref is y)
+        assert _lockstep(got, ref, False)
+        assert len(_inner(got)) == len(_inner(ref))
+        assert _same_dag(got, ref, inputs)
+
+
+def kernel_operands(rng, space, n):
+    """Pairs of seeded tries, and pairs whose right trie is built from
+    the left one, so that the two share subtries."""
+    for _ in range(n):
+        a = random_clopen(rng, space, 5).trie
+        c = random_clopen(rng, space, 5).trie
+        yield a, c
+        for absorb, negate in MODES:
+            b = _combine(a, c, absorb, negate)
+            yield a, b
+            yield b, a
+        if a.__class__ is tuple:
+            yield a, rng.choice(a)
+        yield a, a
+
+
+def test_kernel_matches_the_two_visit_kernel():
+    rng = random.Random(17)
+    walked = 0
+    for k in (1, 2, 3, 4):
+        for x, y in kernel_operands(rng, Space(k), 120):
+            _check_kernel(x, y)
+            walked += x.__class__ is tuple and y.__class__ is tuple
+    assert walked > 1200
+
+
+def test_kernel_on_a_deep_pair():
+    # Two 3000-letter words that share a 2999-letter prefix, and their
+    # complements: a stack of frames 3000 deep, far past the recursion
+    # limit.
+    space = Space(2)
+    rng = random.Random(29)
+    stem = tuple(rng.randrange(2) for _ in range(2999))
+    a, b = ClopenSet(space, [stem + (0,)]), ClopenSet(space, [stem + (1,)])
+    sets = [a.trie, b.trie, a.complement().trie, b.complement().trie]
+    for x in sets:
+        for y in sets:
+            _check_kernel(x, y)
+    # The two cylinders merge into the stem's, 2999 letters deep.
+    assert _lockstep(_combine(a.trie, b.trie, True), ClopenSet(space, [stem]).trie, False)
+
+
+def test_preimage_matches_the_revisiting_walk():
+    rng = random.Random(31)
+    walked = 0
+    for k in (1, 2, 3, 4):
+        space = Space(k)
+        retracts = (random_clopen(rng, space, 3) for _ in range(8))
+        machines = map_palette(space) + [out_map(v) for v in retracts if not v.is_full]
+        machines += [_random_machine(rng, k) for _ in range(30)]
+        for f in machines:
+            for _ in range(12):
+                a = random_clopen(rng, space, 5)
+                got, ref = preimage(f, a), ref_preimage(f, a)
+                assert (got is a) == (ref is a)
+                assert got == ref
+                assert got.declared_level is ref.declared_level
+                assert len(_inner(got.trie)) == len(_inner(ref.trie))
+                assert _same_dag(got.trie, ref.trie, _inner(a.trie))
+                walked += got.trie.__class__ is tuple
+    assert walked > 300
