@@ -323,7 +323,7 @@ def cmd_dot(args) -> int:
 # (deliberately broken) operation is caught by the suites.
 
 
-def _fuzz_codecs(rng, args, space) -> str | None:
+def _fuzz_codecs(rng, grid, space) -> str | None:
     term = gen.random_term(rng, 3, closed=rng.random() < 0.8)
     text = render_term(term)
     if parse_term(text) != term:
@@ -342,11 +342,11 @@ def _fuzz_codecs(rng, args, space) -> str | None:
     return None
 
 
-def _fuzz_domains(rng, args, space) -> str | None:
+def _fuzz_domains(rng, grid, space) -> str | None:
     term = gen.random_term(rng, 3)
     f = gen.random_flowchart(rng, term, space, 3)
     domains = fl.domain_assignment(f)
-    for x in _grid(args, space):
+    for x in grid:
         reached = set(fl.true_positions(f, x))
         for addr, d in domains.items():
             if (addr in reached) != member(x, d):
@@ -354,7 +354,7 @@ def _fuzz_domains(rng, args, space) -> str | None:
     return None
 
 
-def _fuzz_monotone(rng, args, space) -> str | None:
+def _fuzz_monotone(rng, grid, space) -> str | None:
     term = gen.random_normal_term(rng, 3)
     f = gen.random_flowchart(rng, term, space, 3)
     g = fl.to_monotone(f)
@@ -365,7 +365,7 @@ def _fuzz_monotone(rng, args, space) -> str | None:
         family = sets if isinstance(sets, tuple) else (sets,)
         if not all(s.is_subset(domains[addr]) for s in family):
             return "monotone output not within domains at %s" % (addr,)
-    for x in _grid(args, space):
+    for x in grid:
         if fl.eval_outcome(f, x) != fl.eval_outcome(g, x):
             return "monotone eval mismatch at %s" % render_point(x)
     if not fl.equivalent(f, fresh):
@@ -375,7 +375,7 @@ def _fuzz_monotone(rng, args, space) -> str | None:
     return None
 
 
-def _fuzz_reduced(rng, args, space) -> str | None:
+def _fuzz_reduced(rng, grid, space) -> str | None:
     term = gen.random_term(rng, 3)
     f = gen.random_flowchart(rng, term, space, 3)
     g = fl.to_reduced(f)
@@ -395,7 +395,7 @@ def _fuzz_reduced(rng, args, space) -> str | None:
             return "reduced union changed at %s" % (addr,)
     ftd = gen.random_total_det_flowchart(rng, gen.random_normal_term(rng, 3), space, 3)
     gtd = fl.to_reduced(ftd)
-    for x in _grid(args, space):
+    for x in grid:
         if fl.eval_outcome(ftd, x) != fl.eval_outcome(gtd, x):
             return "reduced eval mismatch at %s" % render_point(x)
     if not fl.equivalent(ftd, gtd):
@@ -403,7 +403,7 @@ def _fuzz_reduced(rng, args, space) -> str | None:
     return None
 
 
-def _fuzz_translation(rng, args, space) -> str | None:
+def _fuzz_translation(rng, grid, space) -> str | None:
     term = gen.random_normal_term(rng, 3, veblen=False)
     f = gen.random_total_det_flowchart(rng, term, space, 3)
     c = cm.flowchart_to_simple_command(f)
@@ -411,7 +411,7 @@ def _fuzz_translation(rng, args, space) -> str | None:
     st = cm.make_strongly_total(c)
     if not cm.is_strongly_total(st):
         return "make_strongly_total output is not strongly total"
-    for x in _grid(args, space):
+    for x in grid:
         want = fl.eval_outcome(f, x)
         if fl.eval_outcome(back, x) != want:
             return "translation round trip mismatch at %s" % render_point(x)
@@ -435,12 +435,11 @@ def _walked_outcome(f, x) -> tuple:
     return ("value", labels.pop())
 
 
-def _fuzz_decisions(rng, args, space) -> str | None:
+def _fuzz_decisions(rng, grid, space) -> str | None:
     term = gen.random_term(rng, 3)
     f = gen.random_flowchart(rng, term, space, 3)
     total, tw = fl.is_total(f)
     det, dw = fl.is_deterministic(f)
-    grid = _grid(args, space)
     outcomes = [fl.eval_outcome(f, x) for x in grid]
     saw_no_path = ("no-true-path",) in outcomes
     saw_ambiguous = any(o[0] == "ambiguous" for o in outcomes)
@@ -472,12 +471,14 @@ def cmd_fuzz(args) -> int:
     if args.iters <= 0:
         return 0
     space = Space(args.space)
+    # The suites share one sample grid; its points are immutable.
+    grid = _grid(args, space)
     failures = 0
     for name, suite in _SUITES:
         bad = None
         for i in range(args.iters):
             case_seed = args.seed * 1000003 + i
-            note = suite(random.Random(case_seed), args, space)
+            note = suite(random.Random(case_seed), grid, space)
             if note is not None:
                 bad = (case_seed, note)
                 break

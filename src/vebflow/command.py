@@ -460,7 +460,7 @@ def encode_command(c: Command) -> dict:
     }
 
 
-def _decode_site_record(entry, space: Space, addr: Address, want_test: bool):
+def _decode_site_record(entry, space: Space, addr: Address, known: dict, want_test: bool):
     if not isinstance(entry, dict):
         raise DocumentError("a site record is a JSON object, got %r" % (entry,))
     allowed = {"test", "map", "else"} if want_test else {"map"}
@@ -471,7 +471,7 @@ def _decode_site_record(entry, space: Space, addr: Address, want_test: bool):
             raise DocumentError("site record needs a test")
         if entry.get("else", "identity") != "identity":
             raise DocumentError("the fallthrough edge of a ~> node must keep the identity map")
-        test = fc._decode_set(space, entry["test"], addr)
+        test = fc._decode_set(space, entry["test"], addr, known)
     else:
         test = None
     m = decode_map(entry.get("map", "identity"), space)
@@ -481,23 +481,27 @@ def _decode_site_record(entry, space: Space, addr: Address, want_test: bool):
 def decode_command(doc) -> Command:
     """Decode the JSON side of a command: record keys, the `else` edge,
     map references and set literals, each read in its node's working
-    space.  The Command built from the sites then checks them, so a map
-    that does not read its node's space is reported after every
-    decoding error, whatever its address."""
+    space, each distinct set literal once per space.  The Command built
+    from the sites then checks them, so a map that does not read its
+    node's space is reported after every decoding error, whatever its
+    address."""
     space, term, raw = fc._decode_header(doc, "command")
     entries = {fc.parse_address(key): entry for key, entry in raw.items()}
+    # The set entries decoded so far, per working space.
+    known: dict[Space, dict] = {}
 
     def read(addr, label, here, arity):
         if addr not in entries:
             raise DocumentError("missing site at %r" % (addr,))
         entry = entries[addr]
+        sets = known.setdefault(here, {})
         if isinstance(label, ArrowL):
-            return ArrowSite(*_decode_site_record(entry, here, addr, want_test=True))
+            return ArrowSite(*_decode_site_record(entry, here, addr, sets, want_test=True))
         if isinstance(label, JoinL):
             if not isinstance(entry, list) or len(entry) != arity:
                 raise DocumentError("join node %r needs %d site records" % (addr, arity))
-            return JoinSite(tuple(_decode_site_record(r, here, addr, want_test=True) for r in entry))
-        return VeblenSite(_decode_site_record(entry, here, addr, want_test=False)[1])
+            return JoinSite(tuple(_decode_site_record(r, here, addr, sets, want_test=True) for r in entry))
+        return VeblenSite(_decode_site_record(entry, here, addr, sets, want_test=False)[1])
 
     sites, _ = _wire(syntax_tree(term), space, entries, read, DocumentError)
     try:

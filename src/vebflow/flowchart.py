@@ -32,6 +32,7 @@ forward along an open surjection of name spaces.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -113,8 +114,9 @@ class Flowchart:
             raise OpenTermError("flowcharts need closed terms")
         cooked: dict[Address, NodeSets] = _cook(self.assign, "assignment")
         tree = self.tree
-        for addr in tree.addresses():
-            label = tree.label(addr)
+        nodes = tree.nodes
+        # A term's table is in address order.
+        for addr, label in nodes.items():
             if isinstance(label, ArrowL):
                 got = cooked.get(addr)
                 if not isinstance(got, ClopenSet):
@@ -131,7 +133,7 @@ class Flowchart:
                     self._check_set(s, addr)
             elif addr in cooked:
                 raise ValueError("node %r takes no assignment" % (addr,))
-        extra = set(cooked) - set(tree.addresses())
+        extra = cooked.keys() - nodes.keys()
         if extra:
             raise ValueError("assignment at addresses outside the tree: %r" % sorted(extra))
         object.__setattr__(self, "assign", tuple(sorted(cooked.items())))
@@ -235,12 +237,15 @@ def _edges(f: Flowchart):
     """Each tree edge as (addr, parent, set, negate), parents first.  A
     ~> node sends its set's complement left and its set right, a join
     node meets each family member, a Veblen node passes the full space."""
-    tree = f.tree
+    nodes = f.tree.nodes
     full = ClopenSet.full(f.space)
-    # Sorted addresses put the root first and every parent before its children.
-    for addr in tree.addresses()[1:]:
+    # A term's table is in address order: the root first, and every
+    # parent before its children.
+    for addr in nodes:
+        if not addr:
+            continue
         parent, i = addr[:-1], addr[-1]
-        label = tree.label(parent)
+        label = nodes[parent]
         if isinstance(label, ArrowL):
             yield addr, parent, f._at[parent], i == 0
         elif isinstance(label, JoinL):
@@ -501,7 +506,8 @@ def check_levels(f: Flowchart) -> bool:
     for addr, sets in f.assign:
         rank = ranks[addr]
         family = sets if isinstance(sets, tuple) else (sets,)
-        if any(cmp(s.declared_level, rank) > 0 for s in family):
+        # Every rank is at least 1, so a set at level 1 is always within it.
+        if any(s.declared_level is not ONE and cmp(s.declared_level, rank) > 0 for s in family):
             return False
     return True
 
@@ -515,6 +521,15 @@ def check_levels(f: Flowchart) -> bool:
 # Addresses are dotted ASCII decimals without leading zeros ("" is the
 # root), so each address has one key.  A set is its literal when at
 # level 1, else {"set": literal, "level": ordinal}.
+#
+# A document is decoded in one pass over each table: the node table
+# gives one label per distinct kind and payload (term._read_nodes), and
+# each distinct set entry is parsed once, so equal entries decode to
+# one shared, immutable ClopenSet.  Output bytes are those of the sets
+# and labels, so sharing changes none.
+
+# A dotted address key: ASCII decimals without leading zeros.
+_ADDRESS_KEY = re.compile(r"(?:0|[1-9][0-9]*)(?:\.(?:0|[1-9][0-9]*))*")
 
 
 def render_address(addr: Address) -> str:
@@ -524,10 +539,9 @@ def render_address(addr: Address) -> str:
 def parse_address(text: str) -> Address:
     if text == "":
         return ()
-    parts = text.split(".")
-    if not all(p.isascii() and p.isdigit() and (p == "0" or p[0] != "0") for p in parts):
+    if not _ADDRESS_KEY.fullmatch(text):
         raise DocumentError("bad address key %r" % text)
-    return tuple(int(p) for p in parts)
+    return tuple(map(int, text.split(".")))
 
 
 def _encode_set(s: ClopenSet):
@@ -540,10 +554,26 @@ def _clip(text: str, limit: int) -> str:
     return text if len(text) <= limit else text[: limit - 3] + "..."
 
 
-def _decode_set(space: Space, entry, addr: Address) -> ClopenSet:
-    """The set an entry at `addr` writes.  An error names the address
-    and the parser's reason, which carries its line and column, on one
-    capped line; the entry itself may be any size."""
+def _decode_set(space: Space, entry, addr: Address, known: dict) -> ClopenSet:
+    """The set an entry at `addr` writes.  An entry that is a string, or
+    an object of strings, is parsed once: `known` holds the sets decoded
+    so far in `space`, by entry."""
+    if isinstance(entry, str):
+        key = entry
+    elif isinstance(entry, dict) and all(isinstance(v, str) for v in entry.values()):
+        key = frozenset(entry.items())
+    else:
+        return _parse_set(space, entry, addr)
+    s = known.get(key)
+    if s is None:
+        s = known[key] = _parse_set(space, entry, addr)
+    return s
+
+
+def _parse_set(space: Space, entry, addr: Address) -> ClopenSet:
+    """An error names the address and the parser's reason, which carries
+    its line and column, on one capped line; the entry itself may be
+    any size."""
     try:
         if isinstance(entry, str):
             return parse_clopen(space, entry)
@@ -599,12 +629,13 @@ def decode_flowchart(doc) -> Flowchart:
     """Decode and validate: shapes, spaces, and the level discipline."""
     space, term, raw = _decode_header(doc, "flowchart")
     assign: dict[Address, NodeSets] = {}
+    known: dict = {}
     for key, entry in raw.items():
         addr = parse_address(key)
         if isinstance(entry, list):
-            assign[addr] = tuple(_decode_set(space, e, addr) for e in entry)
+            assign[addr] = tuple(_decode_set(space, e, addr, known) for e in entry)
         else:
-            assign[addr] = _decode_set(space, entry, addr)
+            assign[addr] = _decode_set(space, entry, addr, known)
     try:
         f = Flowchart(term, space, assign)
     except (ValueError, OpenTermError, SpaceMismatchError) as e:

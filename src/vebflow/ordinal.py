@@ -212,16 +212,18 @@ class _Scanner:
             self.error("expected %r" % word)
 
     def digits(self) -> str:
-        """The run of digits at the cursor, possibly empty."""
+        """The run of ASCII digits at the cursor, possibly empty.  Other
+        Unicode digits are not digits here, so every number has one
+        spelling up to leading zeros."""
         self.peek()
         start = self.i
-        while self.i < len(self.text) and self.text[self.i].isdigit():
+        while self.i < len(self.text) and "0" <= self.text[self.i] <= "9":
             self.i += 1
         return self.text[start : self.i]
 
     def nat(self) -> int:
         run = self.digits()
-        if not run.isdecimal():
+        if not run:
             self.error("expected a natural number")
         return int(run)
 
@@ -253,7 +255,7 @@ class _Scanner:
                         continue
                     exp = _finite(self.nat())
                 total = add(total, self._power(exp))
-            elif ch.isdigit():
+            elif "0" <= ch <= "9":
                 total = add(total, _finite(self.nat()))
             else:
                 self.error("expected 'w' or a natural number")

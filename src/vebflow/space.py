@@ -453,9 +453,10 @@ def enumerate_cylinders(a: ClopenSet) -> list[Word]:
 
 # ---------------------------------------------------------------------------
 # Literals.  Words are digit strings when every letter is below 10, else
-# dot-separated numbers; "e" denotes the empty word.  A point literal is
-# prefix(period); a set literal is {w1, w2, ...} with {} empty and {e}
-# the full space.
+# dot-separated numbers; "e" denotes the empty word.  Digits are ASCII
+# digits only, and a number is nothing but digits (no sign, underscore
+# or inner space).  A point literal is prefix(period); a set literal is
+# {w1, w2, ...} with {} empty and {e} the full space.
 
 
 def render_word(w: Word) -> str:
@@ -472,14 +473,13 @@ def parse_word(text: str) -> Word:
         return ()
     if not text:
         raise ParseError("blank text is not a word (the empty word is e)")
+    if not (text.isascii() and text.replace(".", "").isdigit()):
+        raise ParseError("bad word %r" % text)
     if "." in text:
         parts = text.split(".")
-        try:
-            return tuple(int(p) for p in parts)
-        except ValueError:
-            raise ParseError("bad word %r" % text) from None
-    if not text.isdigit():
-        raise ParseError("bad word %r" % text)
+        if not all(parts):
+            raise ParseError("bad word %r" % text)
+        return tuple(int(p) for p in parts)
     return tuple(int(c) for c in text)
 
 

@@ -17,8 +17,15 @@ has a leaf or a Veblen node on the left and a join on the right; the
 monotone transform is only available over normal terms.
 
 The node rules of a tree (a root, prefix closure, no gaps in child
-indices, each label's arity) are stated once, in _check_nodes, which
-decode_tree, term_from_tree and the document decoders all go through.
+indices, each label's arity) are enforced by _assemble, which builds
+the term from its table, sorted once, in one walk forward and one
+back; term_from_tree and the document decoders go through it.  It
+refuses a broken table without saying why.  _check_nodes, which
+decode_tree goes through, names the rule a table breaks, so
+term_from_tree hands it each table that _assemble refuses.  A
+document's node table is read with one label per distinct kind and
+payload, so each Veblen index is parsed once per document.  A term
+keeps its Borel ranks, as it keeps its syntax tree.
 
 The text form is read by one loop over an explicit stack of open
 brackets, on the scanner the ordinal reader uses, so veb[...] indices
@@ -77,10 +84,10 @@ class _Node:
         while stack:
             addr, s = stack.pop()
             if isinstance(s, Arrow):
-                nodes[addr] = ArrowL()
+                nodes[addr] = _ARROW
                 stack += [(addr + (1,), s.right), (addr + (0,), s.left)]
             elif isinstance(s, Join):
-                nodes[addr] = JoinL()
+                nodes[addr] = _JOIN
                 stack += [(addr + (n,), s.children[n]) for n in range(len(s.children) - 1, -1, -1)]
             elif isinstance(s, Veblen):
                 nodes[addr] = VeblenL(s.index)
@@ -88,6 +95,17 @@ class _Node:
             else:
                 nodes[addr] = s
         return SyntaxTree(nodes)
+
+    @cached_property
+    def _ranks(self) -> dict[Address, CnfOrdinal]:
+        """borel_rank at every address, in one top-down pass, kept."""
+        ranks: dict[Address, CnfOrdinal] = {}
+        below: dict[Address, CnfOrdinal] = {}  # the rank each node passes to its children
+        for addr, label in self._tree.nodes.items():
+            rank = below[addr[:-1]] if addr else ONE
+            ranks[addr] = rank
+            below[addr] = add(rank, omega_pow(label.index)) if isinstance(label, VeblenL) else rank
+        return ranks
 
 
 class _Inner(_Node):
@@ -162,6 +180,10 @@ class VeblenL:
 
 NodeLabel = Const | Var | ArrowL | JoinL | VeblenL
 
+# ArrowL and JoinL carry nothing, so one instance of each serves every tree.
+_ARROW = ArrowL()
+_JOIN = JoinL()
+
 
 class SyntaxTree:
     """A finite prefix-closed set of addresses, each carrying a node label."""
@@ -212,34 +234,65 @@ def syntax_tree(t: Term) -> SyntaxTree:
     return t._tree
 
 
-def _assemble(st: SyntaxTree, order, veblen) -> Term:
-    """Build a term bottom up, without recursion, visiting addresses in
-    `order` (children first); veblen(index, child) builds Veblen nodes."""
-    built: dict[Address, Term] = {}
-    for addr in order:
-        label = st.nodes[addr]
-        if isinstance(label, ArrowL):
-            built[addr] = Arrow(built.pop(addr + (0,)), built.pop(addr + (1,)))
+def _assemble(items: list[tuple[Address, NodeLabel]], veblen) -> Term | None:
+    """Build a term bottom up, without recursion, from its node table in
+    address order; veblen(index, child) builds Veblen nodes.  None when
+    the table breaks a node rule.
+
+    The forward walk counts each node's children: a child must find its
+    parent already counted, with exactly its index.  In reverse, every
+    subtree comes before its parent and leaves one term on the stack,
+    child 0 on top, so each node takes its children off the top.
+    """
+    arity: dict[Address, int] = {}
+    for addr, _ in items:
+        if addr:
+            parent = addr[:-1]
+            n = arity.get(parent)
+            # No parent yet (no root, or not prefix closed), or a gap.
+            if n != addr[-1]:
+                return None
+            arity[parent] = n + 1
+        arity[addr] = 0
+    stack: list[Term] = []
+    for addr, label in reversed(items):
+        n = arity[addr]
+        if isinstance(label, (Const, Var)):
+            if n:
+                return None
+            stack.append(label)
+        elif isinstance(label, ArrowL):
+            if n != 2:
+                return None
+            stack.append(Arrow(stack.pop(), stack.pop()))
         elif isinstance(label, JoinL):
-            built[addr] = Join(tuple(built.pop(c) for c in st.children(addr)))
+            if not n:
+                return None
+            stack[-n:] = [Join(tuple(reversed(stack[-n:])))]
         elif isinstance(label, VeblenL):
-            built[addr] = veblen(label.index, built.pop(addr + (0,)))
+            if n != 1:
+                return None
+            stack.append(veblen(label.index, stack.pop()))
         else:
-            built[addr] = label
-    return built[()]
+            return None
+    return stack[0] if stack else None
 
 
 def term_from_tree(st: SyntaxTree) -> Term:
     """Rebuild the term from its syntax tree (inverse of syntax_tree).
 
-    The tree is held to decode_tree's rules, then built bottom up
-    without recursion.  A copy of it, in address order, is kept as the
-    root term's syntax tree, so it is not walked again.
+    The tree is held to decode_tree's rules as it is built bottom up,
+    in one pass and without recursion.  A copy of it, in address order,
+    is kept as the root term's syntax tree, so it is not walked again.
     """
-    _check_nodes(st.nodes)
-    t = _assemble(st, sorted(st.nodes, key=len, reverse=True), Veblen)
+    items = sorted(st.nodes.items())
+    t = _assemble(items, Veblen)
+    if t is None:
+        # _check_nodes states the rule the table breaks.
+        _check_nodes(st.nodes)
+        raise AssertionError("_assemble refused a table that _check_nodes accepts")
     # _tree is a cached_property: the instance attribute is its cache.
-    object.__setattr__(t, "_tree", SyntaxTree(dict(sorted(st.nodes.items()))))
+    object.__setattr__(t, "_tree", SyntaxTree(items))
     return t
 
 
@@ -286,9 +339,8 @@ def apply_fixed_point(t: Term) -> Term:
     without recursion; the result has no such tower anywhere.  Equal
     indices are left alone.
     """
-    st = syntax_tree(t)
-    # The table lists parents first, so reversed it lists children first.
-    return _assemble(st, reversed(st.nodes), _collapse)
+    # A term's table is in address order.
+    return _assemble(list(syntax_tree(t).nodes.items()), _collapse)
 
 
 def neck(t: Term) -> tuple[list[CnfOrdinal], Term]:
@@ -314,14 +366,9 @@ def borel_rank(t: Term, addr: Address) -> CnfOrdinal:
 
 
 def borel_ranks(t: Term) -> dict[Address, CnfOrdinal]:
-    """borel_rank at every address of t, in one top-down pass."""
-    ranks: dict[Address, CnfOrdinal] = {}
-    below: dict[Address, CnfOrdinal] = {}  # the rank each node passes to its children
-    for addr, label in syntax_tree(t).nodes.items():
-        rank = below[addr[:-1]] if addr else ONE
-        ranks[addr] = rank
-        below[addr] = add(rank, omega_pow(label.index)) if isinstance(label, VeblenL) else rank
-    return ranks
+    """borel_rank at every address of t: a fresh copy of the table the
+    term keeps, computed in one top-down pass on first request."""
+    return dict(t._ranks)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +415,7 @@ def _leaf(sc: _Scanner, alphabet) -> Term:
         label = _string(sc)
         if ch == "x":
             return Var(label)
-    elif ch.isdigit():
+    elif "0" <= ch <= "9":
         label = sc.digits()
     else:
         sc.error("expected a term")
@@ -509,52 +556,66 @@ def decode_tree(doc) -> SyntaxTree:
     return st
 
 
+# How a payload that is not a string is refused, for each kind that takes one.
+_PAYLOADS = {
+    "const": "const payload must be a string",
+    "var": "var payload must be a string",
+    "veblen": "veblen payload must be an ordinal string",
+}
+
+
 def _read_nodes(doc) -> SyntaxTree:
-    """The node table of a coded document: entry shapes, addresses, kinds
-    and payloads are checked here, the shape of the tree is not."""
+    """The node table of a coded document, in document order: entry
+    shapes, addresses, kinds and payloads are checked here, the shape of
+    the tree is not.  Equal (kind, payload) pairs share one label."""
     if not isinstance(doc, dict) or "nodes" not in doc or not isinstance(doc["nodes"], list):
         raise DocumentError("a tree document is {'nodes': [...]}")
     nodes: dict[Address, NodeLabel] = {}
+    labels: dict[tuple[str, str], NodeLabel] = {}
     for entry in doc["nodes"]:
         if not isinstance(entry, dict) or "addr" not in entry or "kind" not in entry:
             raise DocumentError("each node needs 'addr' and 'kind'")
         raw_addr = entry["addr"]
-        if not isinstance(raw_addr, list) or not all(
-            isinstance(i, int) and not isinstance(i, bool) and i >= 0 for i in raw_addr
-        ):
+        if not isinstance(raw_addr, list):
             raise DocumentError("addresses are lists of naturals, got %r" % (raw_addr,))
+        for i in raw_addr:
+            if not (type(i) is int and i >= 0):
+                raise DocumentError("addresses are lists of naturals, got %r" % (raw_addr,))
         addr = tuple(raw_addr)
         if addr in nodes:
             raise DocumentError("duplicate address %r" % (addr,))
         kind = entry["kind"]
         if kind not in _KINDS:
             raise DocumentError("unknown kind %r" % (kind,))
+        if kind == "arrow":
+            nodes[addr] = _ARROW
+            continue
+        if kind == "join":
+            nodes[addr] = _JOIN
+            continue
         payload = entry.get("payload")
-        if kind == "const":
-            if not isinstance(payload, str):
-                raise DocumentError("const payload must be a string")
-            nodes[addr] = Const(payload)
-        elif kind == "var":
-            if not isinstance(payload, str):
-                raise DocumentError("var payload must be a string")
-            nodes[addr] = Var(payload)
-        elif kind == "arrow":
-            nodes[addr] = ArrowL()
-        elif kind == "join":
-            nodes[addr] = JoinL()
-        else:
-            if not isinstance(payload, str):
-                raise DocumentError("veblen payload must be an ordinal string")
-            try:
-                nodes[addr] = VeblenL(parse_ordinal(payload))
-            except ParseError as e:
-                raise DocumentError("bad veblen index: %s" % e) from None
+        if not isinstance(payload, str):
+            raise DocumentError(_PAYLOADS[kind])
+        label = labels.get((kind, payload))
+        if label is None:
+            if kind == "const":
+                label = Const(payload)
+            elif kind == "var":
+                label = Var(payload)
+            else:
+                try:
+                    label = VeblenL(parse_ordinal(payload))
+                except ParseError as e:
+                    raise DocumentError("bad veblen index: %s" % e) from None
+            labels[(kind, payload)] = label
+        nodes[addr] = label
     return SyntaxTree(nodes)
 
 
 def _check_nodes(nodes: dict[Address, NodeLabel]) -> None:
-    """The node rules, stated once: a root, prefix closure, child indices
-    0..n-1 under every node, and the arity of each label."""
+    """Name the node rule a table breaks: a root, prefix closure, child
+    indices 0..n-1 under every node, or the arity of each label.
+    _assemble enforces the same rules as it builds, without messages."""
     if () not in nodes:
         raise DocumentError("missing root node")
     arity = dict.fromkeys(nodes, 0)

@@ -8,7 +8,7 @@ from vebflow import cli
 from vebflow import command as cm
 from vebflow import flowchart as fl
 from vebflow import transducer as tr
-from vebflow.space import ClopenSet, Space, parse_clopen
+from vebflow.space import ClopenSet, Space, parse_clopen, sample_grid
 from vebflow.term import JoinL, parse_term
 
 SP2 = Space(2)
@@ -690,3 +690,16 @@ def test_usage_error_from_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["check"])  # missing path
     assert exc.value.code == 2
+
+
+def test_fuzz_builds_its_sample_grid_once(capsys, monkeypatch):
+    shapes = []
+
+    def counted(space, max_prefix, max_period):
+        shapes.append((space, max_prefix, max_period))
+        return sample_grid(space, max_prefix, max_period)
+
+    monkeypatch.setattr(cli, "sample_grid", counted)
+    code, out, _ = run(capsys, ["--grid-prefix", "3", "fuzz", "--iters", "2"])
+    assert code == 0 and out.count(": 2 cases, ok") == len(cli._SUITES)
+    assert shapes == [(SP2, 3, 2)]

@@ -627,3 +627,24 @@ def test_decode_resolves_maps_in_working_spaces():
     })
     doc = encode_command(c)
     assert decode_command(json.loads(json.dumps(doc))) == c
+
+
+def test_equal_test_literals_are_shared_within_a_working_space_only():
+    # The root works in Space(2); the join under the arrow's right edge
+    # works in Space(1), through a map into it.  Each space reads "{e}"
+    # as its own full set, and equal literals are one set per space.
+    t = parse_term('q"a" ~> join(q"b", q"c")')
+    sp1 = Space(1)
+    c = Command(t, SP2, {
+        (): ArrowSite(ClopenSet.full(SP2), _const_into_sp1()),
+        (1,): JoinSite(((ClopenSet.full(sp1), identity_map(sp1)),
+                        (ClopenSet.full(sp1), identity_map(sp1)))),
+    })
+    doc = json.loads(json.dumps(encode_command(c)))
+    assert doc["assign"][""]["test"] == doc["assign"]["1"][0]["test"] == "{e}"
+    got = decode_command(doc)
+    root, join = got.at(()).test, got.at((1,)).members
+    assert join[0][0] is join[1][0]
+    assert root is not join[0][0]
+    assert root.space == SP2 and join[0][0].space == sp1
+    assert got == c

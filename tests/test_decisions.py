@@ -9,7 +9,9 @@ construction that checks every join's hole before it pads any join,
 the one-loop padding construction and the shrink-to-domain transform
 by ClopenSet intersection, and out_map built from V's antichain and
 its prefixes; the set kernel and the preimage walk as they were
-before each became one pass over a stack of frames.
+before each became one pass over a stack of frames; and the document
+decoder that checked a node table's rules, then built its term from a
+table of built subterms, and parsed every label and set entry afresh.
 """
 
 import json
@@ -22,7 +24,14 @@ from test_transducer import _random_machine
 from vebflow import command as cm
 from vebflow import flowchart as fl
 from vebflow.command import ArrowSite, Command, JoinSite
-from vebflow.errors import NonNormalTermError, UnsupportedError
+from vebflow.errors import (
+    DocumentError,
+    NonNormalTermError,
+    OpenTermError,
+    ParseError,
+    SpaceMismatchError,
+    UnsupportedError,
+)
 from vebflow.flowchart import Flowchart
 from vebflow.generate import (
     map_palette,
@@ -33,7 +42,7 @@ from vebflow.generate import (
     random_term,
     random_total_det_flowchart,
 )
-from vebflow.ordinal import ONE, CnfOrdinal, parse_ordinal, render_ordinal
+from vebflow.ordinal import ONE, CnfOrdinal, add, cmp, parse_ordinal, render_ordinal
 from vebflow.space import (
     ClopenSet,
     Space,
@@ -46,7 +55,23 @@ from vebflow.space import (
     parse_clopen,
     render_point,
 )
-from vebflow.term import ArrowL, Const, JoinL, has_veblen, is_normal, parse_term
+from vebflow.term import (
+    Arrow,
+    ArrowL,
+    Const,
+    Join,
+    JoinL,
+    SyntaxTree,
+    Var,
+    Veblen,
+    VeblenL,
+    borel_rank,
+    has_veblen,
+    is_normal,
+    parse_term,
+    render_term,
+    syntax_tree,
+)
 from vebflow.transducer import Transducer, _is_identity, encode_transducer, identity_map, out_map, preimage
 
 SPACES = (Space(2), Space(3))
@@ -336,6 +361,151 @@ def ref_preimage(f, a):
             memo[key] = _node(kids)
     trie = memo[(f.init, id(a.trie))] if memo else a.trie
     return ClopenSet._of(f.input_space, trie, a.declared_level)
+
+
+def ref_read_nodes(doc):
+    """The node table of a tree document, one fresh label per node."""
+    if not isinstance(doc, dict) or "nodes" not in doc or not isinstance(doc["nodes"], list):
+        raise DocumentError("a tree document is {'nodes': [...]}")
+    nodes = {}
+    for entry in doc["nodes"]:
+        if not isinstance(entry, dict) or "addr" not in entry or "kind" not in entry:
+            raise DocumentError("each node needs 'addr' and 'kind'")
+        raw_addr = entry["addr"]
+        if not isinstance(raw_addr, list) or not all(
+            isinstance(i, int) and not isinstance(i, bool) and i >= 0 for i in raw_addr
+        ):
+            raise DocumentError("addresses are lists of naturals, got %r" % (raw_addr,))
+        addr = tuple(raw_addr)
+        if addr in nodes:
+            raise DocumentError("duplicate address %r" % (addr,))
+        kind = entry["kind"]
+        if kind not in ("const", "var", "arrow", "join", "veblen"):
+            raise DocumentError("unknown kind %r" % (kind,))
+        payload = entry.get("payload")
+        if kind == "const":
+            if not isinstance(payload, str):
+                raise DocumentError("const payload must be a string")
+            nodes[addr] = Const(payload)
+        elif kind == "var":
+            if not isinstance(payload, str):
+                raise DocumentError("var payload must be a string")
+            nodes[addr] = Var(payload)
+        elif kind == "arrow":
+            nodes[addr] = ArrowL()
+        elif kind == "join":
+            nodes[addr] = JoinL()
+        else:
+            if not isinstance(payload, str):
+                raise DocumentError("veblen payload must be an ordinal string")
+            try:
+                nodes[addr] = VeblenL(parse_ordinal(payload))
+            except ParseError as e:
+                raise DocumentError("bad veblen index: %s" % e) from None
+    return SyntaxTree(nodes)
+
+
+def ref_term_from_tree(st):
+    """Check every node rule over the whole table, then build the term
+    deepest addresses first, each subterm kept in a table until its
+    parent takes it."""
+    nodes = st.nodes
+    if () not in nodes:
+        raise DocumentError("missing root node")
+    arity = dict.fromkeys(nodes, 0)
+    for addr in nodes:
+        if addr:
+            if addr[:-1] not in nodes:
+                raise DocumentError("addresses are not prefix closed at %r" % (addr,))
+            arity[addr[:-1]] += 1
+    gapped = {a[:-1] for a in nodes if a and a[-1] > 0 and a[:-1] + (a[-1] - 1,) not in nodes}
+    for addr, label in nodes.items():
+        n = arity[addr]
+        if addr in gapped:
+            raise DocumentError("child indices of %r have gaps" % (addr,))
+        if isinstance(label, (Const, Var)) and n:
+            raise DocumentError("arity mismatch: leaf %r has children" % (addr,))
+        if isinstance(label, ArrowL) and n != 2:
+            raise DocumentError("arity mismatch: arrow %r has %d children" % (addr, n))
+        if isinstance(label, JoinL) and not n:
+            raise DocumentError("arity mismatch: join %r has no children" % (addr,))
+        if isinstance(label, VeblenL) and n != 1:
+            raise DocumentError("arity mismatch: veblen %r has %d children" % (addr, n))
+        if not isinstance(label, (Const, Var, ArrowL, JoinL, VeblenL)):
+            raise DocumentError("unknown label at %r" % (addr,))
+    built = {}
+    for addr in sorted(nodes, key=len, reverse=True):
+        label = nodes[addr]
+        if isinstance(label, ArrowL):
+            built[addr] = Arrow(built.pop(addr + (0,)), built.pop(addr + (1,)))
+        elif isinstance(label, JoinL):
+            built[addr] = Join(tuple(built.pop(c) for c in st.children(addr)))
+        elif isinstance(label, VeblenL):
+            built[addr] = Veblen(label.index, built.pop(addr + (0,)))
+        else:
+            built[addr] = label
+    return built[()]
+
+
+def _ref_parse_address(text):
+    if text == "":
+        return ()
+    parts = text.split(".")
+    if not all(p.isascii() and p.isdigit() and (p == "0" or p[0] != "0") for p in parts):
+        raise DocumentError("bad address key %r" % text)
+    return tuple(int(p) for p in parts)
+
+
+def _ref_decode_set(space, entry, addr):
+    try:
+        if isinstance(entry, str):
+            return parse_clopen(space, entry)
+        if isinstance(entry, dict) and set(entry) <= {"set", "level"} and "set" in entry:
+            level = ONE
+            if "level" in entry:
+                if not isinstance(entry["level"], str):
+                    raise DocumentError("a level is an ordinal string")
+                level = parse_ordinal(entry["level"])
+            if not isinstance(entry["set"], str):
+                raise DocumentError("a set is written as a literal string")
+            return parse_clopen(space, entry["set"], level)
+    except (ParseError, ValueError) as e:
+        where = fl._clip(fl.render_address(addr), 40)
+        raise DocumentError("bad set entry at address %r: %s" % (where, fl._clip(str(e), 160))) from None
+    raise DocumentError("malformed set entry at address %r" % fl._clip(fl.render_address(addr), 40))
+
+
+def ref_decode_flowchart(doc):
+    """The flowchart decoder over the references above: every set entry
+    parsed where it stands, levels checked node by node with borel_rank."""
+    if not isinstance(doc, dict) or doc.get("kind") != "flowchart":
+        raise DocumentError("a flowchart document has kind 'flowchart'")
+    if type(doc.get("space")) is not int:
+        raise DocumentError("flowchart document needs an integer space")
+    try:
+        space = Space(doc["space"])
+    except ValueError as e:
+        raise DocumentError(str(e)) from None
+    term = ref_term_from_tree(ref_read_nodes(doc.get("term")))
+    raw = doc.get("assign")
+    if not isinstance(raw, dict):
+        raise DocumentError("flowchart document needs an assign object")
+    assign = {}
+    for key, entry in raw.items():
+        addr = _ref_parse_address(key)
+        if isinstance(entry, list):
+            assign[addr] = tuple(_ref_decode_set(space, e, addr) for e in entry)
+        else:
+            assign[addr] = _ref_decode_set(space, entry, addr)
+    try:
+        f = Flowchart(term, space, assign)
+    except (ValueError, OpenTermError, SpaceMismatchError) as e:
+        raise DocumentError(str(e)) from None
+    for addr, sets in f.assign:
+        family = sets if isinstance(sets, tuple) else (sets,)
+        if any(cmp(s.declared_level, borel_rank(term, addr)) > 0 for s in family):
+            raise DocumentError("declared level exceeds the node rank")
+    return f
 
 
 # -- inputs --------------------------------------------------------------------
@@ -664,3 +834,158 @@ def test_preimage_matches_the_revisiting_walk():
                 assert _same_dag(got.trie, ref.trie, _inner(a.trie))
                 walked += got.trie.__class__ is tuple
     assert walked > 300
+
+
+# -- the document decoder ------------------------------------------------------
+
+
+def _decoded(decode, doc):
+    """A decoder's value, or the type and message of its refusal."""
+    try:
+        return decode(doc)
+    except Exception as e:
+        return type(e), str(e)
+
+
+def _documents(rng, n):
+    """Flowchart and command documents, Veblen nodes included, some with
+    raised levels and some with their node lists shuffled; each with
+    the canonical text it was encoded as."""
+    for i in range(n):
+        space = SPACES[i // 2 % 2]
+        term = random_term(rng, 4) if i % 3 else random_normal_term(rng, 4)
+        if i % 2:
+            f = random_flowchart(rng, term, space, 3)
+            if i % 4 == 1:
+                f = f.replace_sets(lambda addr, s: s.with_level(rng.choice(LEVELS)))
+            doc = fl.encode_flowchart(f)
+        else:
+            doc = cm.encode_command(random_command(rng, term, space, 3))
+        text = json.dumps(doc, sort_keys=True)
+        doc = json.loads(text)
+        if i % 5 == 0:
+            rng.shuffle(doc["term"]["nodes"])
+        yield doc, text
+
+
+def test_decoder_matches_the_reference_decoder():
+    rng = random.Random(37)
+    accepted = veblen = 0
+    for doc, text in _documents(rng, 500):
+        want_term = ref_term_from_tree(ref_read_nodes(doc["term"]))
+        if doc["kind"] == "flowchart":
+            got, want = _decoded(fl.decode_flowchart, doc), _decoded(ref_decode_flowchart, doc)
+            if isinstance(want, tuple):
+                assert got == want
+                continue
+            assert got == want
+            assert json.dumps(fl.encode_flowchart(got), sort_keys=True) == text
+            assert json.dumps(fl.encode_flowchart(want), sort_keys=True) == text
+        else:
+            got = cm.decode_command(doc)
+            assert json.dumps(cm.encode_command(got), sort_keys=True) == text
+        # Terms compare through the table they keep, so the built
+        # structure is compared through the text it renders to.
+        assert got.term == want_term and render_term(got.term) == render_term(want_term)
+        assert [got.term.__class__, *got.tree.nodes.items()] == [
+            want_term.__class__,
+            *sorted(syntax_tree(want_term).nodes.items()),
+        ]
+        accepted += 1
+        veblen += has_veblen(got.term)
+    assert accepted > 400 and veblen > 100
+
+
+_BAD_SETS = (
+    "{5}", "{1_0}", "{+1}", "{١}", "{", "{1,}", 5, ["{1}"], {"set": 3}, {"set": "{1}", "level": "w^"},
+)
+_BAD_PAYLOADS = ("w^", "w^١", "1_0", "", 3, None)
+# Each kind turned into one whose arity its children break.
+_WRONG_KIND = {
+    "const": ("arrow", None), "arrow": ("veblen", "0"), "join": ("const", "z"), "veblen": ("arrow", None),
+}
+
+
+def _mutant(rng, doc, fault):
+    """The document with one fault of the given kind, or None when the
+    document has no place for it."""
+    doc = json.loads(json.dumps(doc))
+    nodes, assign = doc["term"]["nodes"], doc["assign"]
+    keys = sorted(assign)
+    if fault == "drop":
+        del nodes[rng.randrange(len(nodes))]
+    elif fault == "duplicate":
+        nodes.insert(rng.randrange(len(nodes) + 1), dict(rng.choice(nodes)))
+    elif fault == "gap":
+        # Move a last child, with its subtree, one index up.
+        addrs = {tuple(e["addr"]) for e in nodes}
+        last = sorted(a for a in addrs if a and a[:-1] + (a[-1] + 1,) not in addrs)
+        if not last:
+            return None
+        moved = rng.choice(last)
+        for e in nodes:
+            if tuple(e["addr"][: len(moved)]) == moved:
+                e["addr"][len(moved) - 1] += 1
+    elif fault == "arity":
+        e = rng.choice(nodes)
+        e["kind"], payload = _WRONG_KIND[e["kind"]]
+        e.pop("payload", None)
+        if payload is not None:
+            e["payload"] = payload
+    elif fault == "payload":
+        e = rng.choice([e for e in nodes if e["kind"] == "veblen"] or nodes)
+        e["kind"], e["payload"] = "veblen", rng.choice(_BAD_PAYLOADS)
+    elif not keys:
+        return None
+    elif fault == "key":
+        key = rng.choice(keys)
+        assign["0" + key if key else "+"] = assign.pop(key)
+    else:
+        key = rng.choice(keys)
+        entry, i = assign[key], None
+        if isinstance(entry, list):
+            i = rng.randrange(len(entry))
+            entry = entry[i]
+        if fault == "set":
+            bad = rng.choice(_BAD_SETS)
+        else:
+            # One above the node's rank.
+            term = ref_term_from_tree(ref_read_nodes(doc["term"]))
+            level = add(borel_rank(term, fl.parse_address(key)), ONE)
+            bad = {"set": entry if isinstance(entry, str) else entry["set"], "level": render_ordinal(level)}
+        if i is None:
+            assign[key] = bad
+        else:
+            assign[key][i] = bad
+    return doc
+
+
+def test_decoder_refuses_single_faults_as_the_reference_does():
+    rng = random.Random(41)
+    term_faults = ("drop", "duplicate", "gap", "arity", "payload")
+    refused = dict.fromkeys(term_faults + ("set", "level", "key"), 0)
+    for doc, _ in _documents(rng, 500):
+        if doc["kind"] == "flowchart" and isinstance(_decoded(ref_decode_flowchart, doc), tuple):
+            continue
+        for fault in refused if doc["kind"] == "flowchart" else term_faults + ("key",):
+            bad = _mutant(rng, doc, fault)
+            if bad is None:
+                continue
+            if doc["kind"] == "flowchart":
+                want = _decoded(ref_decode_flowchart, bad)
+                assert _decoded(fl.decode_flowchart, bad) == want, (fault, bad)
+            elif fault == "key":
+                key = next(k for k in bad["assign"] if k not in doc["assign"])
+                want = (DocumentError, "bad address key %r" % key)
+                assert _decoded(cm.decode_command, bad) == want, bad
+            else:
+                # A command's term is decoded before its sites; a fault
+                # that leaves a valid term (a dropped last join member)
+                # is a fault of the sites.
+                want = _decoded(lambda d: ref_term_from_tree(ref_read_nodes(d["term"])), bad)
+                if not isinstance(want, tuple):
+                    continue
+                assert _decoded(cm.decode_command, bad) == want, (fault, bad)
+            assert isinstance(want, tuple) and want[0] is DocumentError, (fault, bad, want)
+            refused[fault] += 1
+    assert min(refused.values()) > 50, refused

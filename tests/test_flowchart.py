@@ -12,6 +12,7 @@ from vebflow.errors import (
     NoTruePathError,
     NotMonotoneError,
     OpenTermError,
+    ParseError,
     SpaceMismatchError,
     UnsupportedError,
     VebflowError,
@@ -683,6 +684,51 @@ def test_address_keys_are_canonical_ascii_decimals(key):
     for text in (key, "1." + key):
         with pytest.raises(DocumentError, match="bad address key"):
             parse_address(text)
+
+
+# Each of these once read as another literal ({1_0.1} as {10.1}, {+1.2}
+# as {12}, w^١ as w, ...), so decoding and encoding again changed it.
+@pytest.mark.parametrize(
+    "read, text",
+    [
+        (lambda t: parse_clopen(SP2, t), "{1_0.1}"),
+        (lambda t: parse_clopen(SP2, t), "{+1.2}"),
+        (lambda t: parse_clopen(SP2, t), "{1 .0}"),
+        (lambda t: parse_clopen(SP2, t), "{١}"),
+        (lambda t: parse_clopen(SP2, t), "{²}"),
+        (lambda t: parse_point(SP2, t), "١(0)"),
+        (lambda t: parse_point(SP2, t), "1(-0)"),
+        (parse_ordinal, "w^١"),
+        (parse_ordinal, "w*١"),
+        (parse_ordinal, "١"),
+        (parse_term, "١"),
+        (parse_term, 'veb[w^١](q"a")'),
+    ],
+)
+def test_literals_read_ascii_digits_only(read, text):
+    with pytest.raises(ParseError):
+        read(text)
+
+
+@pytest.mark.parametrize("literal", ["{1_0.1}", "{+1.2}", "{١}"])
+def test_decoders_refuse_sugared_digits_in_set_entries(literal):
+    doc = encode_flowchart(FC)
+    doc["assign"][""] = literal
+    with pytest.raises(DocumentError, match="bad set entry at address ''"):
+        decode_flowchart(doc)
+
+
+def test_equal_set_entries_decode_to_one_set():
+    doc = encode_flowchart(FC)
+    doc["assign"][""] = "{10}"
+    doc["assign"]["1"] = ["{10}", {"set": "{10}", "level": "1"}]
+    f = decode_flowchart(doc)
+    (_, root), (_, (first, second)) = f.assign
+    assert root is first
+    # A dict entry is another entry, though it writes the same set.
+    assert second == first and second is not first
+    # The sets are immutable, so sharing them changes no output.
+    assert encode_flowchart(f)["assign"] == {"": "{10}", "1": ["{10}", "{10}"]}
 
 
 def test_decoders_reject_a_second_key_for_an_address():

@@ -236,6 +236,16 @@ def test_borel_ranks_match_borel_rank():
             assert rank == borel_rank(t, addr)
 
 
+def test_borel_ranks_hands_out_a_fresh_dict():
+    t = parse_term('veb[w](q"a" ~> join(q"b"))')
+    ranks = borel_ranks(t)
+    want = dict(ranks)
+    ranks[(0,)] = ONE
+    del ranks[()]
+    assert borel_ranks(t) == want
+    assert borel_ranks(t) is not borel_ranks(t)
+
+
 # -- parse / render --------------------------------------------------------
 
 def test_parse_examples():
