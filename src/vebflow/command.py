@@ -339,7 +339,11 @@ def command_to_flowchart(c: Command) -> fc.Flowchart:
     """Pull every test back to the input: S = preimage(val, U).
 
     The command's evaluators run on this chart, built once per command;
-    its declared levels are all 1 (every set here is clopen).
+    its declared levels are all 1 (every set here is clopen).  It
+    compiles its own domains, and must not take them from a chart the
+    command was translated from: transform --verify and the round-trip
+    checks compare the two sides' compiles, which sharing would make
+    one compile compared with itself.
     """
     return c._lowered[1]
 

@@ -15,19 +15,21 @@ the leaves carrying it, its reach trie; domain_assignment adds the
 declared levels.  The reach tries are the chart's multi-terminal
 decision diagram sliced per label.  Totality, determinism and
 whole-space equivalence are decided on those tries, exactly, with
-least-point witnesses on failure.  Evaluation walks the outcome trie,
-the product of the reach tries, which is expanded one cell at a time
-as points walk it: one walk per point, ending at an interned outcome
-token.  The pointwise walker (true_positions, true_paths) reports
-which nodes a point passes; it serves traces and is not used by
-evaluation.
+least-point witnesses on failure; totality and determinism share the
+running unions of the reach tries, kept with the compile.  Evaluation
+walks the outcome trie, the product of the reach tries, which is
+expanded one cell at a time as points walk it: one walk per point,
+ending at an interned outcome token.  The pointwise walker
+(true_positions, true_paths) reports which nodes a point passes; it
+serves traces and is not used by evaluation.
 
 Transformations: to_monotone shrinks every assigned set into its
 domain (normal terms only); the shrunk sets are the child domains of
-the compile, which the result shares.  to_reduced makes join families
-pairwise disjoint by successive differences, pullback substitutes a
-continuous map into every set, and vaught_transform pushes a flowchart
-forward along an open surjection of name spaces.
+the compile, which the result shares, so is_monotone finds them in
+place.  to_reduced makes join families pairwise disjoint by successive
+differences, pullback substitutes a continuous map into every set, and
+vaught_transform pushes a flowchart forward along an open surjection
+of name spaces.
 """
 
 from __future__ import annotations
@@ -182,6 +184,18 @@ class Flowchart:
                 q = label.label
                 reach[q] = _combine(reach.get(q, False), d, True)
         return reach
+
+    @cached_property
+    def _unions(self) -> tuple[Trie, ...]:
+        """The running unions of the reach tries, in _reach order: entry n
+        is the union of the first n + 1.  The last is the set of points
+        with a true path; is_total and is_deterministic both read them."""
+        unions = []
+        seen: Trie = False
+        for t in self._reach.values():
+            seen = _combine(seen, t, True)
+            unions.append(seen)
+        return tuple(unions)
 
     @cached_property
     def _outcomes(self):
@@ -371,14 +385,14 @@ def is_total(f: Flowchart) -> tuple[bool, UpPoint | None]:
     """Does every point have a true path?
 
     The points with a true path are those reaching some leaf: the union
-    of the reach tries.  A join family that misses part of its domain is
-    not by itself a failure; the point may still ride an overlapping
+    of the reach tries, the last of the chart's running unions
+    (Flowchart._unions).  A join family that misses part of its domain
+    is not by itself a failure; the point may still ride an overlapping
     sibling branch to a leaf.  On failure the witness is the least point
     with no true path, read off the union's leftmost False leaf.
     """
-    reached = False
-    for t in f._reach.values():
-        reached = _combine(reached, t, True)
+    # A closed term has a leaf, so the chart reaches at least one label.
+    reached = f._unions[-1]
     if reached is True:
         return True, None
     return False, _leftmost(f.space, reached, False)
@@ -389,26 +403,35 @@ def is_deterministic(f: Flowchart) -> tuple[bool, UpPoint | None]:
 
     Exactly when the reach tries of distinct labels never meet;
     same-label overlap is allowed.  Each label's reach trie is met with
-    the union of the labels before it.  On failure the witness is the
-    least point reached by two distinct labels, read off the clash
-    trie's leftmost True leaf.
+    the running union before it, which the chart's compile holds
+    (Flowchart._unions, shared with is_total).  On failure the witness
+    is the least point reached by two distinct labels, read off the
+    clash trie's leftmost True leaf.
     """
-    seen = clash = False
-    for t in f._reach.values():
+    clash: Trie = False
+    for seen, t in zip((False,) + f._unions, f._reach.values()):
         clash = _combine(clash, _combine(seen, t, False), True)
-        seen = _combine(seen, t, True)
     if clash is False:
         return True, None
     return False, _leftmost(f.space, clash, True)
 
 
 def is_monotone(f: Flowchart) -> bool:
-    """Is every assigned set contained in its node's domain?"""
+    """Is every assigned set contained in its node's domain?
+
+    A set whose trie is the compiled domain of its own child edge (the
+    right child of a ~> node, child i for join member i) is D ∩ S by
+    _edges, so it lies in D and is not walked: every set of
+    to_monotone's result is one of these.  Every other set is checked
+    by one inclusion walk against its node's domain.
+    """
     domains = f._domains
     for addr, sets in f.assign:
-        family = sets if isinstance(sets, tuple) else (sets,)
-        if not all(_lockstep(s.trie, domains[addr], True) for s in family):
-            return False
+        d = domains[addr]
+        for i, s in enumerate(sets) if isinstance(sets, tuple) else ((1, sets),):
+            t = s.trie
+            if t is not domains[addr + (i,)] and not _lockstep(t, d, True):
+                return False
     return True
 
 
@@ -485,8 +508,12 @@ def vaught_transform(f: Flowchart, delta: Transducer, depth_bound: int) -> Flowc
     fiber intersection is relatively open, and a nonempty open subset of
     a Polish fiber is non-meager, so the category transform and the
     direct image agree.  Monotonicity of the input is required;
-    surjectivity is spot-checked as image(delta, full) = full.  Raises
-    UndecidedImageError if any image is unresolved at the depth bound.
+    surjectivity is spot-checked as image(delta, full) = full.  Each
+    distinct trie is pushed forward once per call, in assignment order,
+    and each result keeps its own set's declared level: the empty trie
+    goes to the empty set and the full trie to the range just found
+    full.  Raises UndecidedImageError at the first set whose image is
+    unresolved at the depth bound.
     """
     if delta.input_space != f.space:
         raise SpaceMismatchError(
@@ -497,7 +524,17 @@ def vaught_transform(f: Flowchart, delta: Transducer, depth_bound: int) -> Flowc
     onto = image(delta, ClopenSet.full(f.space), depth_bound)
     if not onto.is_full:
         raise UnsupportedError("the name map is not surjective; its range is %s" % onto)
-    return _map_sets(f, lambda addr, s: image(delta, s, depth_bound), delta.output_space)
+    out = delta.output_space
+    # Keyed by id: the tries are f's, alive for the whole call.
+    images: dict[int, Trie] = {id(False): False, id(True): onto.trie}
+
+    def push(addr, s):
+        t = images.get(id(s.trie))
+        if t is None:
+            t = images[id(s.trie)] = image(delta, s, depth_bound).trie
+        return ClopenSet._of(out, t, s.declared_level)
+
+    return _map_sets(f, push, out)
 
 
 def check_levels(f: Flowchart) -> bool:

@@ -520,26 +520,25 @@ def parse_clopen(space: Space, text: str, level: CnfOrdinal = ONE) -> ClopenSet:
 
 def sample_grid(space: Space, max_prefix: int, max_period: int) -> list[UpPoint]:
     """All ultimately periodic points with prefix length <= max_prefix and
-    period length <= max_period, canonicalized and deduplicated."""
+    period length <= max_period, each once, in canonical form, sorted by
+    (prefix, period).
+
+    A point is canonical when its period is primitive and its prefix is
+    empty or ends in a letter other than the period's last, so the grid
+    is those pairs and nothing else: each is built once, through
+    UpPoint's own constructor, which keeps it as it is.
+    """
     k = space.alphabet_size
-    prefixes: list[Word] = [()]
-    frontier: list[Word] = [()]
-    for _ in range(max_prefix):
-        frontier = [w + (a,) for w in frontier for a in range(k)]
-        prefixes.extend(frontier)
-    periods: list[Word] = []
-    frontier = [()]
-    for _ in range(max_period):
-        frontier = [w + (a,) for w in frontier for a in range(k)]
-        periods.extend(frontier)
-    seen = set()
-    out = []
-    for p in prefixes:
-        for w in periods:
-            x = UpPoint(space, p, w)
-            key = (x.prefix, x.period)
-            if key not in seen:
-                seen.add(key)
-                out.append(x)
-    out.sort(key=lambda x: (x.prefix, x.period))
-    return out
+
+    def words(n: int) -> list[Word]:
+        """The words of length 0..n, in lexicographic order."""
+        out: list[Word] = [()]
+        frontier: list[Word] = [()]
+        for _ in range(n):
+            frontier = [w + (a,) for w in frontier for a in range(k)]
+            out.extend(frontier)
+        out.sort()
+        return out
+
+    periods = [w for w in words(max_period)[1:] if len(_primitive(w)) == len(w)]
+    return [UpPoint(space, p, w) for p in words(max_prefix) for w in periods if not p or p[-1] != w[-1]]

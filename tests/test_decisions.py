@@ -11,7 +11,10 @@ by ClopenSet intersection, and out_map built from V's antichain and
 its prefixes; the set kernel and the preimage walk as they were
 before each became one pass over a stack of frames; and the document
 decoder that checked a node table's rules, then built its term from a
-table of built subterms, and parsed every label and set entry afresh.
+table of built subterms, and parsed every label and set entry afresh;
+the Vaught transform that pushed every assigned set forward on its own,
+and the sample grid that canonicalized every prefix and period pair
+and dropped the repeats.
 """
 
 import json
@@ -27,9 +30,11 @@ from vebflow.command import ArrowSite, Command, JoinSite
 from vebflow.errors import (
     DocumentError,
     NonNormalTermError,
+    NotMonotoneError,
     OpenTermError,
     ParseError,
     SpaceMismatchError,
+    UndecidedImageError,
     UnsupportedError,
 )
 from vebflow.flowchart import Flowchart
@@ -51,9 +56,11 @@ from vebflow.space import (
     _level,
     _lockstep,
     _node,
+    UpPoint,
     least_point,
     parse_clopen,
     render_point,
+    sample_grid,
 )
 from vebflow.term import (
     Arrow,
@@ -72,7 +79,18 @@ from vebflow.term import (
     render_term,
     syntax_tree,
 )
-from vebflow.transducer import Transducer, _is_identity, encode_transducer, identity_map, out_map, preimage
+from vebflow.transducer import (
+    Transducer,
+    _is_identity,
+    const_zero,
+    drop_first,
+    encode_transducer,
+    identity_map,
+    image,
+    out_map,
+    parity_merge,
+    preimage,
+)
 
 SPACES = (Space(2), Space(3))
 LEVELS = (ONE, CnfOrdinal.from_int(2), parse_ordinal("w"), parse_ordinal("w*2 + 1"))
@@ -235,6 +253,46 @@ def ref_to_monotone(f):
         raise NonNormalTermError("the shrink-to-domain transform needs a normal term")
     domains = ref_domains(f)
     return f.replace_sets(lambda addr, s: domains[addr].intersect(s))
+
+
+def ref_vaught_transform(f, delta, depth_bound):
+    """One image per assigned set, each computed afresh."""
+    if delta.input_space != f.space:
+        raise SpaceMismatchError(
+            "map reads %r, flowchart lives in %r" % (delta.input_space, f.space)
+        )
+    if not ref_is_monotone(f):
+        raise NotMonotoneError("the Vaught transform needs a monotone flowchart")
+    onto = image(delta, ClopenSet.full(f.space), depth_bound)
+    if not onto.is_full:
+        raise UnsupportedError("the name map is not surjective; its range is %s" % onto)
+    return fl._map_sets(f, lambda addr, s: image(delta, s, depth_bound), delta.output_space)
+
+
+def ref_sample_grid(space, max_prefix, max_period):
+    """Every prefix with every period, canonicalized and deduplicated."""
+    k = space.alphabet_size
+    prefixes = [()]
+    frontier = [()]
+    for _ in range(max_prefix):
+        frontier = [w + (a,) for w in frontier for a in range(k)]
+        prefixes.extend(frontier)
+    periods = []
+    frontier = [()]
+    for _ in range(max_period):
+        frontier = [w + (a,) for w in frontier for a in range(k)]
+        periods.extend(frontier)
+    seen = set()
+    out = []
+    for p in prefixes:
+        for w in periods:
+            x = UpPoint(space, p, w)
+            key = (x.prefix, x.period)
+            if key not in seen:
+                seen.add(key)
+                out.append(x)
+    out.sort(key=lambda x: (x.prefix, x.period))
+    return out
 
 
 def ref_out_map(v):
@@ -600,6 +658,79 @@ def test_domain_levels_and_monotonicity_match_the_set_algebra():
     assert verdicts == {True, False}
 
 
+def test_is_monotone_walks_no_set_of_a_shrunk_chart(monkeypatch):
+    # to_monotone's sets are the child domains of the compile its result
+    # shares, so each passes by identity, while the chart it was shrunk
+    # from is walked.  Agreement with ref_is_monotone on monotone_family
+    # is test_domain_levels_and_monotonicity_match_the_set_algebra.
+    calls = []
+    lockstep = fl._lockstep
+
+    def counted(x, y, subset):
+        calls.append(subset)
+        return lockstep(x, y, subset)
+
+    monkeypatch.setattr(fl, "_lockstep", counted)
+    rng = random.Random(23)
+    shrunk = walked = 0
+    for space in SPACES:
+        for f, source in seeded_charts(rng, space, 60):
+            if source is None:
+                continue
+            del calls[:]
+            fl.is_monotone(source)
+            walked += bool(calls)
+            for g in (f, fl.to_monotone(f)):
+                del calls[:]
+                assert fl.is_monotone(g) is True
+                assert calls == []
+                shrunk += 1
+    assert shrunk > 50 and walked > 20
+
+
+def test_deciders_agree_in_either_order():
+    # Both deciders read the chart's running unions, whichever builds
+    # them; a fresh chart on the same assignment compiles its own.
+    rng = random.Random(29)
+    charts = [f for space in SPACES for f, _ in seeded_charts(rng, space, 80)]
+    charts += [f for pair in near_miss_pairs() for f in pair]
+    verdicts = set()
+    for f in charts:
+        want = ref_is_total(f), ref_is_deterministic(f)
+        g = Flowchart(f.term, f.space, f.assign)
+        det = fl.is_deterministic(f)
+        assert (fl.is_total(f), det) == want
+        total = fl.is_total(g)
+        assert (total, fl.is_deterministic(g)) == want
+        verdicts.add((total[0], det[0]))
+    assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_is_total_decides_on_the_last_running_union(monkeypatch):
+    calls = []
+    combine = fl._combine
+
+    def counted(*args):
+        calls.append(args)
+        return combine(*args)
+
+    monkeypatch.setattr(fl, "_combine", counted)
+    rng = random.Random(31)
+    for space in SPACES:
+        for f, _ in seeded_charts(rng, space, 40):
+            reached = ClopenSet.empty(space)
+            for d in ref_reach(f).values():
+                reached = reached.union(d)
+            unions = f._unions
+            assert len(unions) == len(f._reach)
+            assert _lockstep(unions[-1], reached.trie, False)
+            del calls[:]
+            got = fl.is_total(f)
+            assert calls == []
+            assert got == ((True, None) if unions[-1] is True else (False, _leftmost(space, unions[-1], False)))
+            assert f._unions is unions
+
+
 def _shrunk(shrink, f):
     """The shrunk chart's document, or the refusal's message."""
     try:
@@ -631,6 +762,48 @@ def test_to_monotone_shares_its_source_compile():
             if source is not None:
                 assert f._domains is source._domains
                 assert fl.to_monotone(f)._domains is source._domains
+
+
+# -- the Vaught transform ------------------------------------------------------
+
+
+def _pushed(f, delta, depth_bound, transform):
+    """The pushed chart's document, levels included, or the refusal."""
+    try:
+        return json.dumps(fl.encode_flowchart(transform(f, delta, depth_bound)), sort_keys=True)
+    except (NotMonotoneError, UndecidedImageError, UnsupportedError) as e:
+        return "refused: %s: %s" % (type(e).__name__, e)
+
+
+def test_vaught_transform_matches_one_image_per_set():
+    # Criterion 6's corpus at its own bound and at bounds too small for
+    # some images, with raised levels on tries that repeat; non-monotone
+    # charts; and const_zero, which is not onto Space(2) (its range is
+    # one point, so that image is refused) but is onto Space(1).
+    rng = random.Random(419)
+    sp = Space(2)
+    deltas = (identity_map(sp), drop_first(sp), parity_merge(), const_zero(sp, sp), const_zero(sp, Space(1)))
+    outcomes = set()
+    for delta in deltas:
+        for _ in range(60):
+            term = random_normal_term(rng, 3, veblen=False)
+            source = random_total_det_flowchart(rng, term, delta.output_space, 3)
+            f = fl.to_monotone(fl.pullback(source, delta))
+            raised = f.replace_sets(lambda addr, s: s.with_level(rng.choice(LEVELS)))
+            rough = random_flowchart(rng, term, sp, 3)
+            for chart, bound in ((f, 6), (f, rng.choice((1, 2))), (raised, 6), (rough, 6)):
+                got = _pushed(chart, delta, bound, fl.vaught_transform)
+                assert got == _pushed(chart, delta, bound, ref_vaught_transform)
+                outcomes.add(got.split(":")[1] if got.startswith("refused") else "pushed")
+    assert outcomes == {"pushed", " NotMonotoneError", " UndecidedImageError"}
+
+
+def test_sample_grid_matches_the_deduplicating_grid():
+    for k in range(1, 5):
+        for max_prefix in range(5):
+            for max_period in range(1, 4):
+                space = Space(k)
+                assert sample_grid(space, max_prefix, max_period) == ref_sample_grid(space, max_prefix, max_period)
 
 
 # -- the padding construction --------------------------------------------------
