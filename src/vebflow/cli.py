@@ -283,9 +283,10 @@ def cmd_dot(args) -> int:
         raise DocumentError("dot needs a term, flowchart, or command document")
     tree = syntax_tree(term)
     ranks = borel_ranks(term)
-    # Nodes are n0, n1, ... in address order, so the output grows with
-    # the node count; each address is written once, as its node's tooltip.
-    ids = {addr: "n%d" % n for n, addr in enumerate(tree.addresses())}
+    # Nodes are n0, n1, ... in address order, the order of the term's
+    # table, so the output grows with the node count; each address is
+    # written once, as its node's tooltip.
+    ids = {addr: "n%d" % n for n, addr in enumerate(tree.nodes)}
     lines = ["digraph term {", "  node [shape=box];"]
     for addr, node in ids.items():
         label = tree.label(addr)

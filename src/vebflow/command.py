@@ -10,9 +10,10 @@ test passes, applying that member's map; a Veblen edge applies its map
 unconditionally.  val gives the composite map accumulated along a path.
 
 Each node works in the output space of the map on the edge into it.
-One top-down walk, _wire, gives every node its working space; the
-constructor runs it with _fit checking each site against its node, and
-decode_command runs it to read each site in its node's space.
+One top-down walk, _wire, gives every node its working space and the
+maps on its edges out; the constructor runs it with _fit checking each
+site against its node and keeps both, and decode_command runs it to
+read each site in its node's space.
 
 The value at a node is val applied to the input, so testing it against
 U is testing the input against preimage(val, U).  Evaluation is defined
@@ -134,7 +135,7 @@ class Command:
         if not is_closed(self.term):
             raise OpenTermError("commands need closed terms")
         cooked: dict[Address, Site] = fc._cook(self.assign, "site")
-        _, spaces = _wire(
+        _, spaces, edges = _wire(
             self.tree,
             self.space,
             cooked,
@@ -143,6 +144,7 @@ class Command:
         object.__setattr__(self, "assign", tuple(sorted(cooked.items())))
         object.__setattr__(self, "_at", cooked)
         object.__setattr__(self, "_spaces", spaces)
+        object.__setattr__(self, "_edges", edges)
 
     @property
     def tree(self) -> SyntaxTree:
@@ -166,8 +168,7 @@ class Command:
         """The reassignment applied when stepping from addr[:-1] to addr."""
         if not addr or addr not in self.tree:
             raise InvalidAddressError("no edge into %r" % (addr,))
-        parent = addr[:-1]
-        return _edge_maps(self._at[parent], self._spaces[parent])[addr[-1]]
+        return self._edges[addr[:-1]][addr[-1]]
 
     @cached_property
     def _lowered(self) -> tuple[dict[Address, Transducer], fc.Flowchart]:
@@ -182,7 +183,7 @@ class Command:
                 sets[addr] = preimage(acc, site.test).with_level(ONE)
             elif isinstance(site, JoinSite):
                 sets[addr] = tuple(preimage(acc, test).with_level(ONE) for test, _ in site.members)
-            for n, m in enumerate(_edge_maps(site, self._spaces[addr])):
+            for n, m in enumerate(self._edges[addr]):
                 vals[addr + (n,)] = compose(m, acc)
         return vals, fc.Flowchart(self.term, self.space, sets)
 
@@ -191,7 +192,8 @@ class Command:
 
 
 def _wire(tree: SyntaxTree, space: Space, keys, site_at, error=ValueError):
-    """Give every node its working space and its site, top down.
+    """Give every node its working space, its site and the maps on its
+    edges out (_edge_maps), top down.
 
     The root works in `space`, a child in the output space of the map
     on the edge into it (a ~> node's fallthrough edge keeps the space).
@@ -201,20 +203,23 @@ def _wire(tree: SyntaxTree, space: Space, keys, site_at, error=ValueError):
     """
     spaces: dict[Address, Space] = {(): space}
     sites: dict[Address, Site] = {}
-    for addr in tree.addresses():
+    edges: dict[Address, tuple[Transducer, ...]] = {}
+    arity = tree.arity
+    # A term's table is in address order: every parent before its children.
+    for addr, label in tree.nodes.items():
         here = spaces[addr]
-        label = tree.label(addr)
         if isinstance(label, Const):
             if addr in keys:
                 raise error("leaf %r takes no site" % (addr,))
             continue
-        site = sites[addr] = site_at(addr, label, here, len(tree.children(addr)))
-        for n, m in enumerate(_edge_maps(site, here)):
+        site = sites[addr] = site_at(addr, label, here, arity[addr])
+        maps = edges[addr] = _edge_maps(site, here)
+        for n, m in enumerate(maps):
             spaces[addr + (n,)] = m.output_space
     extra = set(keys) - tree.nodes.keys()
     if extra:
         raise error("sites at addresses outside the tree: %r" % sorted(extra))
-    return sites, spaces
+    return sites, spaces, edges
 
 
 def _edge_maps(site: Site, here: Space) -> tuple[Transducer, ...]:
@@ -317,7 +322,7 @@ def is_simple(c: Command) -> bool:
         _is_identity(m)
         for addr, site in c.assign
         if not isinstance(site, VeblenSite)
-        for m in _edge_maps(site, c.space_at(addr))
+        for m in c._edges[addr]
     )
 
 
@@ -357,8 +362,9 @@ def flowchart_to_simple_command(f: fc.Flowchart) -> Command:
     """
     ident = identity_map(f.space)
     assign: dict[Address, Site] = {}
-    for addr in f.tree.addresses():
-        label = f.tree.label(addr)
+    # A term's table is in address order, so the first refusal is the
+    # least address's.
+    for addr, label in f.tree.nodes.items():
         if isinstance(label, VeblenL):
             if not label.index.is_zero:
                 raise UnsupportedError(
@@ -507,7 +513,7 @@ def decode_command(doc) -> Command:
             return JoinSite(tuple(_decode_site_record(r, here, addr, sets, want_test=True) for r in entry))
         return VeblenSite(_decode_site_record(entry, here, addr, sets, want_test=False)[1])
 
-    sites, _ = _wire(syntax_tree(term), space, entries, read, DocumentError)
+    sites, _, _ = _wire(syntax_tree(term), space, entries, read, DocumentError)
     try:
         return Command(term, space, sites)
     except (ValueError, OpenTermError, SpaceMismatchError) as e:

@@ -117,6 +117,7 @@ class Flowchart:
         cooked: dict[Address, NodeSets] = _cook(self.assign, "assignment")
         tree = self.tree
         nodes = tree.nodes
+        arities = tree.arity
         # A term's table is in address order.
         for addr, label in nodes.items():
             if isinstance(label, ArrowL):
@@ -126,7 +127,7 @@ class Flowchart:
                 self._check_set(got, addr)
             elif isinstance(label, JoinL):
                 got = cooked.get(addr)
-                arity = len(tree.children(addr))
+                arity = arities[addr]
                 if not isinstance(got, tuple) or len(got) != arity:
                     raise ValueError(
                         "join node %r needs a family of %d sets" % (addr, arity)

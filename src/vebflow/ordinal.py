@@ -10,6 +10,9 @@ the semantic ones.
 Construction does not normalize; the arithmetic below only ever builds
 canonical sequences, and parse_ordinal folds arbitrary sums through
 `add`, so non-canonical input text is normalized before it is stored.
+The constructor checks the sequence it is given; `add`, `omega_pow` and
+the text reader build canonical sequences of ordinals already built,
+through `CnfOrdinal._of`, which checks nothing.
 """
 
 from __future__ import annotations
@@ -49,6 +52,13 @@ class CnfOrdinal:
             if prev is not None and cmp(prev, exp) <= 0:
                 raise ValueError("exponents must be strictly decreasing")
             prev = exp
+
+    @classmethod
+    def _of(cls, terms: tuple[tuple["CnfOrdinal", int], ...]) -> "CnfOrdinal":
+        """Wrap a sequence already in Cantor normal form, unchecked."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "terms", terms)
+        return out
 
     @classmethod
     def from_int(cls, n: int) -> "CnfOrdinal":
@@ -137,13 +147,15 @@ def add(a: CnfOrdinal, b: CnfOrdinal) -> CnfOrdinal:
             break
     if merged_coeff:
         first = (lead, merged_coeff + b.terms[0][1])
-        return CnfOrdinal(tuple(kept) + (first,) + b.terms[1:])
-    return CnfOrdinal(tuple(kept) + b.terms)
+        return CnfOrdinal._of(tuple(kept) + (first,) + b.terms[1:])
+    return CnfOrdinal._of(tuple(kept) + b.terms)
 
 
 def omega_pow(a: CnfOrdinal) -> CnfOrdinal:
     """w raised to the ordinal a."""
-    return CnfOrdinal(((a, 1),))
+    if not isinstance(a, CnfOrdinal):
+        raise TypeError("exponent must be a CnfOrdinal, got %r" % (a,))
+    return CnfOrdinal._of(((a, 1),))
 
 
 def rank_sum(alphas) -> CnfOrdinal:
@@ -177,7 +189,7 @@ _MAX_NESTING = 100
 
 def _finite(n: int) -> CnfOrdinal:
     # 0 and 1 are the shared ZERO and ONE, so cmp meets them by identity.
-    return (ZERO, ONE)[n] if n < 2 else CnfOrdinal.from_int(n)
+    return (ZERO, ONE)[n] if n < 2 else CnfOrdinal._of(((ZERO, n),))
 
 
 class _Scanner:
@@ -234,7 +246,7 @@ class _Scanner:
             coeff = self.nat()
             if coeff == 0:
                 self.error("coefficient must be positive")
-        return CnfOrdinal(((exp, coeff),))
+        return CnfOrdinal._of(((exp, coeff),))
 
     def ordinal(self) -> CnfOrdinal:
         """Read one sum, without recursion: `outer` holds the sum to the

@@ -367,6 +367,9 @@ class ClopenSet:
         return self.trie is True
 
     def with_level(self, level: CnfOrdinal) -> "ClopenSet":
+        """The set at `level`: itself when that is the level it has."""
+        if level is self.declared_level:
+            return self
         _check_level(level)
         return ClopenSet._of(self.space, self.trie, level)
 

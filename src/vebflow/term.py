@@ -25,7 +25,9 @@ decode_tree goes through, names the rule a table breaks, so
 term_from_tree hands it each table that _assemble refuses.  A
 document's node table is read with one label per distinct kind and
 payload, so each Veblen index is parsed once per document.  A term
-keeps its Borel ranks, as it keeps its syntax tree.
+keeps its Borel ranks and the kinds of its labels, as it keeps its
+syntax tree, and the tree keeps each node's arity, counted by the
+walk that builds it.
 
 The text form is read by one loop over an explicit stack of open
 brackets, on the scanner the ordinal reader uses, so veb[...] indices
@@ -79,22 +81,34 @@ class _Node:
     def _tree(self) -> SyntaxTree:
         """The node's syntax tree, built on first request and kept."""
         nodes: dict[Address, NodeLabel] = {}
+        arity: dict[Address, int] = {}
         # Children are pushed last first, so addresses come out sorted.
         stack: list[tuple[Address, Term]] = [((), self)]
         while stack:
             addr, s = stack.pop()
             if isinstance(s, Arrow):
                 nodes[addr] = _ARROW
+                arity[addr] = 2
                 stack += [(addr + (1,), s.right), (addr + (0,), s.left)]
             elif isinstance(s, Join):
                 nodes[addr] = _JOIN
-                stack += [(addr + (n,), s.children[n]) for n in range(len(s.children) - 1, -1, -1)]
+                arity[addr] = n = len(s.children)
+                stack += [(addr + (i,), s.children[i]) for i in range(n - 1, -1, -1)]
             elif isinstance(s, Veblen):
                 nodes[addr] = VeblenL(s.index)
+                arity[addr] = 1
                 stack.append((addr + (0,), s.child))
             else:
                 nodes[addr] = s
-        return SyntaxTree(nodes)
+                arity[addr] = 0
+        tree = SyntaxTree(nodes)
+        tree.arity = arity
+        return tree
+
+    @cached_property
+    def _kinds(self) -> frozenset[type]:
+        """The classes of the labels in the term's table, collected once."""
+        return frozenset(map(type, self._tree.nodes.values()))
 
     @cached_property
     def _ranks(self) -> dict[Address, CnfOrdinal]:
@@ -191,6 +205,20 @@ class SyntaxTree:
     def __init__(self, nodes: dict[Address, NodeLabel]):
         self.nodes = dict(nodes)
 
+    @cached_property
+    def arity(self) -> dict[Address, int]:
+        """Each node's number of children (0, 1, ... present without a
+        gap), counted on first request and kept; a term's own tree is
+        given the counts its builder makes."""
+        nodes = self.nodes
+        arity = {}
+        for addr in nodes:
+            n = 0
+            while addr + (n,) in nodes:
+                n += 1
+            arity[addr] = n
+        return arity
+
     def addresses(self) -> list[Address]:
         return sorted(self.nodes)
 
@@ -201,12 +229,7 @@ class SyntaxTree:
             raise InvalidAddressError("no node at address %r" % (addr,)) from None
 
     def children(self, addr: Address) -> list[Address]:
-        out = []
-        n = 0
-        while addr + (n,) in self.nodes:
-            out.append(addr + (n,))
-            n += 1
-        return out
+        return [addr + (n,) for n in range(self.arity.get(addr, 0))]
 
     def is_leaf(self, addr: Address) -> bool:
         return addr + (0,) not in self.nodes
@@ -234,17 +257,17 @@ def syntax_tree(t: Term) -> SyntaxTree:
     return t._tree
 
 
-def _assemble(items: list[tuple[Address, NodeLabel]], veblen) -> Term | None:
+def _assemble(items: list[tuple[Address, NodeLabel]], veblen, arity: dict[Address, int]) -> Term | None:
     """Build a term bottom up, without recursion, from its node table in
     address order; veblen(index, child) builds Veblen nodes.  None when
     the table breaks a node rule.
 
-    The forward walk counts each node's children: a child must find its
-    parent already counted, with exactly its index.  In reverse, every
-    subtree comes before its parent and leaves one term on the stack,
-    child 0 on top, so each node takes its children off the top.
+    The forward walk counts each node's children into `arity`: a child
+    must find its parent already counted, with exactly its index.  In
+    reverse, every subtree comes before its parent and leaves one term
+    on the stack, child 0 on top, so each node takes its children off
+    the top.
     """
-    arity: dict[Address, int] = {}
     for addr, _ in items:
         if addr:
             parent = addr[:-1]
@@ -283,16 +306,20 @@ def term_from_tree(st: SyntaxTree) -> Term:
 
     The tree is held to decode_tree's rules as it is built bottom up,
     in one pass and without recursion.  A copy of it, in address order,
-    is kept as the root term's syntax tree, so it is not walked again.
+    is kept as the root term's syntax tree with the child counts the
+    build makes, so it is not walked again.
     """
     items = sorted(st.nodes.items())
-    t = _assemble(items, Veblen)
+    arity: dict[Address, int] = {}
+    t = _assemble(items, Veblen, arity)
     if t is None:
         # _check_nodes states the rule the table breaks.
         _check_nodes(st.nodes)
         raise AssertionError("_assemble refused a table that _check_nodes accepts")
+    tree = SyntaxTree(items)
+    tree.arity = arity
     # _tree is a cached_property: the instance attribute is its cache.
-    object.__setattr__(t, "_tree", SyntaxTree(items))
+    object.__setattr__(t, "_tree", tree)
     return t
 
 
@@ -314,11 +341,11 @@ def is_normal(t: Term) -> bool:
 
 
 def is_closed(t: Term) -> bool:
-    return not any(isinstance(label, Var) for label in syntax_tree(t).nodes.values())
+    return Var not in t._kinds
 
 
 def has_veblen(t: Term) -> bool:
-    return any(isinstance(label, VeblenL) for label in syntax_tree(t).nodes.values())
+    return VeblenL in t._kinds
 
 
 def constant_labels(t: Term) -> set[str]:
@@ -340,7 +367,7 @@ def apply_fixed_point(t: Term) -> Term:
     indices are left alone.
     """
     # A term's table is in address order.
-    return _assemble(list(syntax_tree(t).nodes.items()), _collapse)
+    return _assemble(list(syntax_tree(t).nodes.items()), _collapse, {})
 
 
 def neck(t: Term) -> tuple[list[CnfOrdinal], Term]:

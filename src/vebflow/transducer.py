@@ -29,7 +29,7 @@ guess, so a returned answer is always correct.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import DocumentError, EmptySetError, ParseError, SpaceMismatchError, UndecidedImageError
 from .space import (
@@ -117,6 +117,12 @@ class Transducer:
             raise ValueError("missing transition (%r, %d)" % e.args[0]) from None
         return cls(input_space, output_space, 0, steps)
 
+    @cached_property
+    def _identity(self) -> bool:
+        """Is this the machine identity_map builds: one state echoing
+        each letter?  Decided on first request and kept."""
+        return self == identity_map(self.input_space)
+
     def step(self, state: int, letter: int) -> tuple[int, Word]:
         return self.steps[state][letter]
 
@@ -199,13 +205,12 @@ def _numbered(init, k: int, step) -> tuple[tuple[tuple[int, Word], ...], ...]:
 
 def _is_identity(f: Transducer) -> bool:
     """Is f the machine identity_map builds: one state echoing each letter?"""
-    ident = identity_map(f.input_space)
-    return f is ident or f == ident
+    return f._identity
 
 
 def _normalized(f: Transducer) -> Transducer:
     """f in normal form; f itself when it already is."""
-    if f is identity_map(f.input_space):
+    if f._identity:
         return f
     steps = _numbered(f.init, f.input_space.alphabet_size, f.step)
     if f.init == 0 and steps == f.steps:

@@ -14,7 +14,11 @@ decoder that checked a node table's rules, then built its term from a
 table of built subterms, and parsed every label and set entry afresh;
 the Vaught transform that pushed every assigned set forward on its own,
 and the sample grid that canonicalized every prefix and period pair
-and dropped the repeats.
+and dropped the repeats; and the facts a term, a syntax tree, a map
+and a command keep, against the walks that found them afresh on every
+call: the label scans of is_closed and has_veblen, the probing child
+list, the identity test by comparison with identity_map, and each
+site's edge maps rebuilt from the site.
 """
 
 import json
@@ -29,6 +33,7 @@ from vebflow import flowchart as fl
 from vebflow.command import ArrowSite, Command, JoinSite
 from vebflow.errors import (
     DocumentError,
+    InvalidAddressError,
     NonNormalTermError,
     NotMonotoneError,
     OpenTermError,
@@ -72,21 +77,29 @@ from vebflow.term import (
     Var,
     Veblen,
     VeblenL,
+    apply_fixed_point,
     borel_rank,
+    decode_tree,
+    encode_tree,
     has_veblen,
+    is_closed,
     is_normal,
     parse_term,
     render_term,
     syntax_tree,
+    term_from_tree,
 )
 from vebflow.transducer import (
     Transducer,
     _is_identity,
+    compose,
     const_zero,
     drop_first,
     encode_transducer,
     identity_map,
     image,
+    in_map,
+    letter_double,
     out_map,
     parity_merge,
     preimage,
@@ -419,6 +432,29 @@ def ref_preimage(f, a):
             memo[key] = _node(kids)
     trie = memo[(f.init, id(a.trie))] if memo else a.trie
     return ClopenSet._of(f.input_space, trie, a.declared_level)
+
+
+def ref_is_closed(t):
+    return not any(isinstance(label, Var) for label in syntax_tree(t).nodes.values())
+
+
+def ref_has_veblen(t):
+    return any(isinstance(label, VeblenL) for label in syntax_tree(t).nodes.values())
+
+
+def ref_children(tree, addr):
+    """Probe child indices 0, 1, ... until one is missing."""
+    out = []
+    n = 0
+    while addr + (n,) in tree.nodes:
+        out.append(addr + (n,))
+        n += 1
+    return out
+
+
+def ref_is_identity(f):
+    ident = identity_map(f.input_space)
+    return f is ident or f == ident
 
 
 def ref_read_nodes(doc):
@@ -1162,3 +1198,214 @@ def test_decoder_refuses_single_faults_as_the_reference_does():
             assert isinstance(want, tuple) and want[0] is DocumentError, (fault, bad, want)
             refused[fault] += 1
     assert min(refused.values()) > 50, refused
+
+
+# -- the facts kept on terms, trees, maps and commands -----------------------------
+
+
+def _deep_texts(depth):
+    """Term texts `depth` nodes deep, far past the recursion limit."""
+    yield 'q"a" ~> ' * depth + 'q"b"'
+    yield "veb[1](" * depth + 'x"v"' + ")" * depth
+    yield 'join(q"a", ' * depth + 'q"b"' + ")" * depth
+
+
+def kept_fact_terms(rng, n):
+    """Random terms, open and closed; each decoded from its document
+    with the node list shuffled; each collapsed to its fixed point; and
+    2000-deep chains."""
+    for i in range(n):
+        t = random_term(rng, 4, closed=i % 2 == 0)
+        yield t
+        doc = encode_tree(syntax_tree(t))
+        rng.shuffle(doc["nodes"])
+        yield term_from_tree(decode_tree(doc))
+        yield apply_fixed_point(t)
+    for text in _deep_texts(2000):
+        yield parse_term(text)
+
+
+def test_kept_kinds_and_arities_match_the_walks():
+    rng = random.Random(53)
+    for t in kept_fact_terms(rng, 300):
+        st = syntax_tree(t)
+        assert is_closed(t) == ref_is_closed(t)
+        assert has_veblen(t) == ref_has_veblen(t)
+        for addr in st.nodes:
+            kids = ref_children(st, addr)
+            assert st.children(addr) == kids
+            assert st.arity[addr] == len(kids)
+        assert st.arity.keys() == st.nodes.keys()
+    # A table read from a shuffled document, outside any term, counts
+    # its children as the probe does.
+    doc = encode_tree(syntax_tree(parse_term('join(q"a", q"b" ~> q"c", veb[w](q"d"))')))
+    rng.shuffle(doc["nodes"])
+    st = decode_tree(doc)
+    assert all(st.children(addr) == ref_children(st, addr) for addr in st.nodes)
+
+
+def test_children_off_the_tree_are_none():
+    st = syntax_tree(parse_term('join(q"a", q"b") ~> q"c"'))
+    assert st.children((0,)) == [(0, 0), (0, 1)]
+    for addr in ((1,), (0, 1), (2,), (0, 2), (7, 7), (1, 0)):
+        assert st.children(addr) == [] == ref_children(st, addr)
+
+
+def _space_changing_command():
+    """A root working in Space(3) whose right edge lands in Space(2)."""
+    v = cs("{00, 10, 110}")
+    term = parse_term('q"a" ~> (q"b" ~> join(q"c", q"d"))')
+    sp3 = Space(3)
+    assign = {
+        (): ArrowSite(ClopenSet(sp3, [(2,)]), in_map(v)),
+        (1,): ArrowSite(cs("{1}"), drop_first(Space(2))),
+        (1, 1): JoinSite(((cs("{0}"), identity_map(Space(2))), (cs("{1}"), parity_merge()))),
+    }
+    return Command(term, sp3, assign)
+
+
+def kept_fact_commands(rng, n, deep_chain):
+    """Random commands, on fixed-point terms among them; each decoded
+    from its document; translated charts; one whose edges change the
+    working space; and a 2000-deep one."""
+    for i in range(n):
+        space = SPACES[i % 2]
+        term = random_term(rng, 4)
+        c = random_command(rng, apply_fixed_point(term) if i % 3 == 0 else term, space, 3)
+        yield c
+        yield cm.decode_command(json.loads(json.dumps(cm.encode_command(c))))
+        f = random_total_det_flowchart(rng, random_normal_term(rng, 3, veblen=False), space, 3)
+        yield cm.flowchart_to_simple_command(f)
+    yield _space_changing_command()
+    yield cm.flowchart_to_simple_command(deep_chain(2000))
+
+
+def test_kept_edge_maps_match_the_sites(deep_chain):
+    rng = random.Random(59)
+    for c in kept_fact_commands(rng, 120, deep_chain):
+        for addr, site in c.assign:
+            want = cm._edge_maps(site, c.space_at(addr))
+            assert c._edges[addr] == want
+            for n, m in enumerate(want):
+                assert c.edge_map(addr + (n,)) is c._edges[addr][n]
+                assert c.space_at(addr + (n,)) == m.output_space
+        assert c._edges.keys() == {addr for addr, _ in c.assign}
+        assert cm.is_simple(c) == all(
+            ref_is_identity(m)
+            for addr, site in c.assign
+            if not isinstance(site, cm.VeblenSite)
+            for m in cm._edge_maps(site, c.space_at(addr))
+        )
+
+
+def test_edge_map_refuses_what_is_not_an_edge():
+    c = _space_changing_command()
+    for addr in ((), (2,), (0, 0), (1, 1, 2), (5, 5)):
+        with pytest.raises(InvalidAddressError):
+            c.edge_map(addr)
+    assert c.edge_map((0,)) is identity_map(Space(3))
+    assert c.edge_map((1, 1, 1)) == parity_merge()
+
+
+def _echo(space):
+    """The identity machine built afresh: equal to identity_map's, not it."""
+    k = space.alphabet_size
+    return Transducer.build(space, space, 0, {(0, a): (0, (a,)) for a in range(k)})
+
+
+def test_identity_flag_matches_the_comparison():
+    rng = random.Random(61)
+    for space in (Space(1),) + SPACES:
+        echo = _echo(space)
+        assert echo is not identity_map(space) and echo == identity_map(space)
+        palette = map_palette(space) + [echo]
+        if space.alphabet_size > 1:
+            palette.append(out_map(ClopenSet(space, [(0,)])))
+        maps = palette + [compose(f, g) for f in palette for g in palette]
+        echo_row = tuple((0, (a,)) for a in range(space.alphabet_size))
+        # An echo into a larger space, and a two-state echo: the
+        # identity map, but not identity_map's machine.
+        maps.append(Transducer(space, Space(space.alphabet_size + 1), 0, (echo_row,)))
+        maps.append(Transducer(space, space, 0, (echo_row, echo_row)))
+        maps += [_random_machine(rng) for _ in range(30)]
+        for f in maps:
+            assert _is_identity(f) == ref_is_identity(f), f
+        # The fresh echo is the identity to compose and preimage ...
+        for g in palette:
+            if g.input_space == space:
+                assert compose(echo, g) == g and compose(g, echo) == g
+        assert compose(echo, echo) is echo
+        s = random_clopen(rng, space, 3)
+        assert preimage(echo, s) is s
+    # ... and to is_simple, on every ~> and join edge.
+    term = parse_term('q"a" ~> join(q"b", veb[0](q"c"))')
+    sp = Space(2)
+    echo = _echo(sp)
+    sites = {(): ArrowSite(cs("{1}"), echo), (1,): JoinSite(((cs("{0}"), echo), (cs("{1}"), echo))),
+             (1, 1): cm.VeblenSite(drop_first(sp))}
+    assert cm.is_simple(Command(term, sp, sites))
+    sites[(1,)] = JoinSite(((cs("{0}"), echo), (cs("{1}"), letter_double(sp))))
+    assert not cm.is_simple(Command(term, sp, sites))
+
+
+def test_with_level_keeps_the_set_at_its_own_level():
+    for s in (cs("{0, 11}"), ClopenSet.full(Space(2)), cs("{1}").with_level(LEVELS[2])):
+        assert s.with_level(s.declared_level) is s
+        for level in LEVELS:
+            if level is not s.declared_level:
+                t = s.with_level(level)
+                assert t is not s and t.trie is s.trie and t.declared_level is level
+                assert t == s and t.with_level(level) is t
+    with pytest.raises(ValueError):
+        cs("{1}").with_level(CnfOrdinal())
+
+
+def test_building_a_command_counts_no_children(monkeypatch, deep_chain):
+    rng = random.Random(67)
+    terms = [random_normal_term(rng, 4, veblen=False) for _ in range(30)]
+    charts = [random_total_det_flowchart(rng, t, Space(2), 3) for t in terms]
+    charts.append(deep_chain(300))
+    commands = [random_command(rng, random_term(rng, 4), SPACES[i % 2], 3) for i in range(30)]
+    docs = [cm.encode_command(c) for c in commands]
+    calls = []
+    children = SyntaxTree.children
+    monkeypatch.setattr(SyntaxTree, "children", lambda self, addr: calls.append(addr) or children(self, addr))
+    for f in charts:
+        Flowchart(f.term, f.space, f.assign)
+        cm.flowchart_to_simple_command(f)
+    for c, doc in zip(commands, docs):
+        Command(c.term, c.space, c.assign)
+        cm.decode_command(doc)
+    assert calls == []
+
+
+def test_lowering_reads_the_kept_edge_maps(monkeypatch):
+    rng = random.Random(71)
+    commands = [random_command(rng, random_term(rng, 4), SPACES[i % 2], 3) for i in range(30)]
+    for _ in range(10):
+        term = random_normal_term(rng, 4, veblen=False)
+        f = random_flowchart(rng, term, Space(2), 3)
+        commands += [cm.flowchart_to_simple_command(g) for g in (f, fl.to_monotone(f))]
+    commands.append(_space_changing_command())
+    calls = []
+    edge_maps = cm._edge_maps
+    monkeypatch.setattr(cm, "_edge_maps", lambda *args: calls.append(args) or edge_maps(*args))
+    for c in commands:
+        cm.is_simple(c)
+        cm.command_to_flowchart(c)
+        for addr in c.tree.nodes:
+            cm.val(c, addr)
+    assert calls == []
+
+
+def test_a_second_is_closed_walks_nothing():
+    for text in ('q"a" ~> join(q"b", veb[w](q"c"))', 'x"v" ~> q"a"', 'q"a"'):
+        t = parse_term(text)
+        closed, veblen = is_closed(t), has_veblen(t)
+        # Swap in a table with the opposite answers: the kept kinds
+        # answer, so the table is not read again.
+        other = Var("v") if closed else Const("a")
+        if not veblen:
+            other = Veblen(ONE, other)
+        object.__setattr__(t, "_tree", syntax_tree(other))
+        assert (is_closed(t), has_veblen(t)) == (closed, veblen)

@@ -214,6 +214,31 @@ def test_constructor_rejects_bad_terms():
         CnfOrdinal(((ONE, 1), (ONE, 1)))  # equal exponents
 
 
+def _checked(o):
+    """o rebuilt through the checking constructor, exponents first."""
+    return CnfOrdinal(tuple((_checked(e), c) for e, c in o.terms))
+
+
+def test_arithmetic_and_the_reader_build_without_checks(monkeypatch):
+    pairs = [(to_ordinal(e), to_ordinal(f)) for e in POOL[::5] for f in POOL[::7]]
+    texts = [render_ordinal(a) for a, _ in pairs[::9]]
+    texts += ["1 + w", "w^(w^2 + 1)*3 + w*2 + 7", "2 + w^(w) + w^(w + 1)*4 + 12"]
+    checks = []
+    check = CnfOrdinal.__post_init__
+    monkeypatch.setattr(CnfOrdinal, "__post_init__", lambda self: checks.append(self) or check(self))
+    built = [add(a, b) for a, b in pairs]
+    built += [omega_pow(a) for a, _ in pairs]
+    built += [rank_sum([a, b]) for a, b in pairs[::3]]
+    built += [parse_ordinal(t) for t in texts]
+    assert checks == []
+    # Every sequence built unchecked is one the constructor accepts.
+    for o in built:
+        assert _checked(o) == o
+    assert len(checks) > len(built)
+    with pytest.raises(TypeError):
+        omega_pow(2)
+
+
 def test_int_bridge():
     assert CnfOrdinal.from_int(0) == ZERO
     assert CnfOrdinal.from_int(1) == ONE
