@@ -138,20 +138,23 @@ def _outcome(doc):
     return fl.eval_outcome if isinstance(doc, fl.Flowchart) else cm.eval_outcome
 
 
+def _render_outcome(outcome) -> str:
+    """The label, no-true-path, or the ambiguous labels sorted."""
+    if outcome[0] == "value":
+        return outcome[1]
+    if outcome[0] == "no-true-path":
+        return "no-true-path"
+    return "ambiguous: %s" % ", ".join(sorted(outcome[1]))
+
+
 def cmd_eval(args) -> int:
     kind, doc = load_document(args.path)
     if kind not in ("flowchart", "command"):
         raise DocumentError("eval needs a flowchart or command document")
     x = parse_point(doc.space, args.point)
     outcome = _outcome(doc)(doc, x)
-    if outcome[0] == "value":
-        print(outcome[1])
-        return 0
-    if outcome[0] == "no-true-path":
-        print("no-true-path")
-        return 1
-    print("ambiguous: %s" % ", ".join(sorted(outcome[1])))
-    return 1
+    print(_render_outcome(outcome))
+    return 0 if outcome[0] == "value" else 1
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +169,7 @@ def _agreement(pairs) -> tuple[int, int, str | None]:
         if a == b:
             ok += 1
         elif first is None:
-            first = "%s: %r vs %r" % (render_point(x), a, b)
+            first = "%s: %s vs %s" % (render_point(x), _render_outcome(a), _render_outcome(b))
     return ok, total, first
 
 

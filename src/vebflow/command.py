@@ -57,7 +57,6 @@ from .term import (
 )
 from .transducer import (
     Transducer,
-    _is_identity,
     compose,
     decode_map,
     encode_map,
@@ -319,7 +318,7 @@ def is_simple(c: Command) -> bool:
     """Does every ~>/join edge keep the identity map?  (Veblen edges
     are unconstrained.)"""
     return all(
-        _is_identity(m)
+        m._identity
         for addr, site in c.assign
         if not isinstance(site, VeblenSite)
         for m in c._edges[addr]

@@ -17,13 +17,11 @@ has a leaf or a Veblen node on the left and a join on the right; the
 monotone transform is only available over normal terms.
 
 The node rules of a tree (a root, prefix closure, no gaps in child
-indices, each label's arity) are enforced by _assemble, which builds
-the term from its table, sorted once, in one walk forward and one
-back; term_from_tree and the document decoders go through it.  It
-refuses a broken table without saying why.  _check_nodes, which
-decode_tree goes through, names the rule a table breaks, so
-term_from_tree hands it each table that _assemble refuses.  A
-document's node table is read with one label per distinct kind and
+indices, each label's arity) are stated once, in _assemble, which
+builds the term from its table, sorted once, in one walk forward and
+one back, and raises a DocumentError naming the rule a table breaks;
+term_from_tree, decode_tree and the document decoders go through it.
+A document's node table is read with one label per distinct kind and
 payload, so each Veblen index is parsed once per document.  A term
 keeps its Borel ranks and the kinds of its labels, as it keeps its
 syntax tree, and the tree keeps each node's arity, counted by the
@@ -42,7 +40,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DocumentError, InvalidAddressError, ParseError
-from .ordinal import ONE, CnfOrdinal, _Scanner, add, cmp, omega_pow, parse_ordinal, rank_sum, render_ordinal
+from .ordinal import ONE, CnfOrdinal, _Scanner, add, cmp, omega_pow, parse_ordinal, render_ordinal
 
 __all__ = [
     "Const",
@@ -257,24 +255,32 @@ def syntax_tree(t: Term) -> SyntaxTree:
     return t._tree
 
 
-def _assemble(items: list[tuple[Address, NodeLabel]], veblen, arity: dict[Address, int]) -> Term | None:
-    """Build a term bottom up, without recursion, from its node table in
-    address order; veblen(index, child) builds Veblen nodes.  None when
-    the table breaks a node rule.
+def _assemble(nodes: dict[Address, NodeLabel], veblen) -> tuple[Term, SyntaxTree]:
+    """Build a term bottom up, without recursion, from a node table in
+    any order; veblen(index, child) builds Veblen nodes.  Returns the
+    term and the table in address order with its child counts.  Raises
+    DocumentError naming the node rule the table breaks.
 
-    The forward walk counts each node's children into `arity`: a child
-    must find its parent already counted, with exactly its index.  In
-    reverse, every subtree comes before its parent and leaves one term
-    on the stack, child 0 on top, so each node takes its children off
-    the top.
+    The forward walk counts each node's children: a child must find its
+    parent already counted, with exactly its index, else the first
+    address without its parent, in table order, or the gap is named.
+    In reverse, every subtree comes before its parent and leaves one
+    term on the stack, child 0 on top, so each node checks its count
+    against its label and takes its children off the top.
     """
+    if () not in nodes:
+        raise DocumentError("missing root node")
+    items = sorted(nodes.items())
+    arity: dict[Address, int] = {}
     for addr, _ in items:
         if addr:
             parent = addr[:-1]
             n = arity.get(parent)
-            # No parent yet (no root, or not prefix closed), or a gap.
             if n != addr[-1]:
-                return None
+                for orphan in nodes:
+                    if orphan and orphan[:-1] not in nodes:
+                        raise DocumentError("addresses are not prefix closed at %r" % (orphan,))
+                raise DocumentError("child indices of %r have gaps" % (parent,))
             arity[parent] = n + 1
         arity[addr] = 0
     stack: list[Term] = []
@@ -282,42 +288,36 @@ def _assemble(items: list[tuple[Address, NodeLabel]], veblen, arity: dict[Addres
         n = arity[addr]
         if isinstance(label, (Const, Var)):
             if n:
-                return None
+                raise DocumentError("arity mismatch: leaf %r has children" % (addr,))
             stack.append(label)
         elif isinstance(label, ArrowL):
             if n != 2:
-                return None
+                raise DocumentError("arity mismatch: arrow %r has %d children" % (addr, n))
             stack.append(Arrow(stack.pop(), stack.pop()))
         elif isinstance(label, JoinL):
             if not n:
-                return None
+                raise DocumentError("arity mismatch: join %r has no children" % (addr,))
             stack[-n:] = [Join(tuple(reversed(stack[-n:])))]
         elif isinstance(label, VeblenL):
             if n != 1:
-                return None
+                raise DocumentError("arity mismatch: veblen %r has %d children" % (addr, n))
             stack.append(veblen(label.index, stack.pop()))
         else:
-            return None
-    return stack[0] if stack else None
+            raise DocumentError("unknown label at %r" % (addr,))
+    tree = SyntaxTree(items)
+    tree.arity = arity
+    return stack[0], tree
 
 
 def term_from_tree(st: SyntaxTree) -> Term:
     """Rebuild the term from its syntax tree (inverse of syntax_tree).
 
-    The tree is held to decode_tree's rules as it is built bottom up,
-    in one pass and without recursion.  A copy of it, in address order,
-    is kept as the root term's syntax tree with the child counts the
-    build makes, so it is not walked again.
+    The tree is held to the node rules as it is built bottom up, in one
+    pass and without recursion.  A copy of it, in address order, is
+    kept as the root term's syntax tree with the child counts the build
+    makes, so it is not walked again.
     """
-    items = sorted(st.nodes.items())
-    arity: dict[Address, int] = {}
-    t = _assemble(items, Veblen, arity)
-    if t is None:
-        # _check_nodes states the rule the table breaks.
-        _check_nodes(st.nodes)
-        raise AssertionError("_assemble refused a table that _check_nodes accepts")
-    tree = SyntaxTree(items)
-    tree.arity = arity
+    t, tree = _assemble(st.nodes, Veblen)
     # _tree is a cached_property: the instance attribute is its cache.
     object.__setattr__(t, "_tree", tree)
     return t
@@ -366,8 +366,7 @@ def apply_fixed_point(t: Term) -> Term:
     without recursion; the result has no such tower anywhere.  Equal
     indices are left alone.
     """
-    # A term's table is in address order.
-    return _assemble(list(syntax_tree(t).nodes.items()), _collapse, {})
+    return _assemble(syntax_tree(t).nodes, _collapse)[0]
 
 
 def neck(t: Term) -> tuple[list[CnfOrdinal], Term]:
@@ -385,11 +384,10 @@ def borel_rank(t: Term, addr: Address) -> CnfOrdinal:
     Only Veblen symbols on proper initial segments of the address
     contribute; the node's own label does not.
     """
-    nodes = syntax_tree(t).nodes
-    if addr not in nodes:
-        raise InvalidAddressError("no node at address %r" % (addr,))
-    above = [nodes[addr[:n]] for n in range(len(addr))]
-    return rank_sum([label.index for label in above if isinstance(label, VeblenL)])
+    try:
+        return t._ranks[addr]
+    except KeyError:
+        raise InvalidAddressError("no node at address %r" % (addr,)) from None
 
 
 def borel_ranks(t: Term) -> dict[Address, CnfOrdinal]:
@@ -576,10 +574,11 @@ def decode_tree(doc) -> SyntaxTree:
     """Decode and validate a coded document.
 
     Checks the closed kind set, address shapes, prefix-closedness and
-    per-kind arities; any violation raises DocumentError.
+    per-kind arities; any violation raises DocumentError.  The table
+    keeps its document order and the child counts of the check.
     """
     st = _read_nodes(doc)
-    _check_nodes(st.nodes)
+    st.arity = _assemble(st.nodes, Veblen)[1].arity
     return st
 
 
@@ -637,33 +636,3 @@ def _read_nodes(doc) -> SyntaxTree:
             labels[(kind, payload)] = label
         nodes[addr] = label
     return SyntaxTree(nodes)
-
-
-def _check_nodes(nodes: dict[Address, NodeLabel]) -> None:
-    """Name the node rule a table breaks: a root, prefix closure, child
-    indices 0..n-1 under every node, or the arity of each label.
-    _assemble enforces the same rules as it builds, without messages."""
-    if () not in nodes:
-        raise DocumentError("missing root node")
-    arity = dict.fromkeys(nodes, 0)
-    for addr in nodes:
-        if addr:
-            if addr[:-1] not in nodes:
-                raise DocumentError("addresses are not prefix closed at %r" % (addr,))
-            arity[addr[:-1]] += 1
-    # A child i > 0 needs its sibling i-1.
-    gapped = {a[:-1] for a in nodes if a and a[-1] > 0 and a[:-1] + (a[-1] - 1,) not in nodes}
-    for addr, label in nodes.items():
-        n = arity[addr]
-        if addr in gapped:
-            raise DocumentError("child indices of %r have gaps" % (addr,))
-        if isinstance(label, (Const, Var)) and n:
-            raise DocumentError("arity mismatch: leaf %r has children" % (addr,))
-        if isinstance(label, ArrowL) and n != 2:
-            raise DocumentError("arity mismatch: arrow %r has %d children" % (addr, n))
-        if isinstance(label, JoinL) and not n:
-            raise DocumentError("arity mismatch: join %r has no children" % (addr,))
-        if isinstance(label, VeblenL) and n != 1:
-            raise DocumentError("arity mismatch: veblen %r has %d children" % (addr, n))
-        if not isinstance(label, (Const, Var, ArrowL, JoinL, VeblenL)):
-            raise DocumentError("unknown label at %r" % (addr,))

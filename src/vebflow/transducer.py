@@ -203,11 +203,6 @@ def _numbered(init, k: int, step) -> tuple[tuple[tuple[int, Word], ...], ...]:
     return tuple(rows)
 
 
-def _is_identity(f: Transducer) -> bool:
-    """Is f the machine identity_map builds: one state echoing each letter?"""
-    return f._identity
-
-
 def _normalized(f: Transducer) -> Transducer:
     """f in normal form; f itself when it already is."""
     if f._identity:
@@ -229,9 +224,9 @@ def compose(outer: Transducer, inner: Transducer) -> Transducer:
             "cannot compose: inner emits %r, outer reads %r"
             % (inner.output_space, outer.input_space)
         )
-    if _is_identity(inner):
+    if inner._identity:
         return _normalized(outer)
-    if _is_identity(outer):
+    if outer._identity:
         return _normalized(inner)
 
     def step(pair, a):
@@ -355,7 +350,7 @@ def preimage(f: Transducer, a: ClopenSet) -> ClopenSet:
     """
     if a.space is not f.output_space and a.space != f.output_space:
         raise SpaceMismatchError("set in %r, map emits %r" % (a.space, f.output_space))
-    if _is_identity(f):
+    if f._identity:
         return a
     t = a.trie
     if t.__class__ is not tuple:
@@ -573,7 +568,7 @@ def decode_transducer(doc) -> Transducer:
 
 
 def encode_map(f: Transducer, space: Space):
-    if f.input_space == space and _is_identity(f):
+    if f.input_space == space and f._identity:
         return "identity"
     return encode_transducer(f)
 

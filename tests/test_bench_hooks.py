@@ -46,3 +46,23 @@ def test_workload_items_pass(monkeypatch, tmp_path, name):
         item, _ = workload.make(rng, i)
         assert workload.run(item) is None
         assert workload.run(item) is None
+
+
+# Items per seed, past bench/run.py's 60-item set-up pool into the
+# items a timed run makes between items.
+PAST_POOL = {"roundtrip": 80, "wide-sets": 70, "maps": 80, "documents": 200}
+
+
+@pytest.mark.parametrize("name", sorted(PAST_POOL))
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_workload_streams_pass_past_the_pool(monkeypatch, tmp_path, name, seed):
+    # The stream bench/run.py makes: one generator for the workload and
+    # its items, so an error in generating or running any item fails here.
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    rng = random.Random("%s:%d" % (name, seed))
+    workload = workloads.WORKLOADS[name](rng, str(tmp_path))
+    for i in range(PAST_POOL[name]):
+        item, _ = workload.make(rng, i)
+        assert workload.run(item) is None, (name, seed, i)

@@ -1,6 +1,10 @@
 """Batch CLI: exit codes, reports, transforms, rank, dot, fuzz."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -429,6 +433,25 @@ def test_transform_verify_catches_mismatch(capsys, fc_path, monkeypatch):
     code, _, err = run(capsys, ["transform", "monotone", fc_path, "--verify"])
     assert code == 1
     assert "first mismatch:" in err
+
+
+def test_transform_verify_mismatch_is_the_same_under_any_hash_seed(tmp_path):
+    # Points under 0 are ambiguous between a, c and e; the reduced chart
+    # sends them to a.  The labels of an ambiguous outcome are printed
+    # as eval prints them, sorted, not in the order a set holds them.
+    term = parse_term('join(q"a", q"c", q"e")')
+    f = fl.Flowchart(term, SP2, {(): (cs("{0}"), cs("{0, 1}"), cs("{0}"))})
+    path = write_doc(tmp_path, "f.fc", fl.encode_flowchart(f))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    errs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        argv = [sys.executable, "-m", "vebflow.cli", "transform", "reduce", path, "--verify"]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, check=False)
+        assert done.returncode == 1
+        errs.append(done.stderr)
+    assert errs[0] == errs[1]
+    assert "first mismatch: (0): ambiguous: a, c, e vs a\n" in errs[0]
 
 
 # -- rank --------------------------------------------------------------------

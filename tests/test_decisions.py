@@ -91,7 +91,6 @@ from vebflow.term import (
 )
 from vebflow.transducer import (
     Transducer,
-    _is_identity,
     compose,
     const_zero,
     drop_first,
@@ -401,7 +400,7 @@ def ref_combine(x, y, absorb, negate=False):
 def ref_preimage(f, a):
     """The preimage walk that revisits a pair once its children are
     built, making every letter's step and descent again."""
-    if _is_identity(f):
+    if f._identity:
         return a
     memo = {}
     stack = [(f.init, a.trie)] if a.trie.__class__ is tuple else []
@@ -1329,7 +1328,7 @@ def test_identity_flag_matches_the_comparison():
         maps.append(Transducer(space, space, 0, (echo_row, echo_row)))
         maps += [_random_machine(rng) for _ in range(30)]
         for f in maps:
-            assert _is_identity(f) == ref_is_identity(f), f
+            assert f._identity == ref_is_identity(f), f
         # The fresh echo is the identity to compose and preimage ...
         for g in palette:
             if g.input_space == space:

@@ -7,7 +7,7 @@ import pytest
 
 from vebflow.errors import DocumentError, InvalidAddressError, ParseError
 from vebflow.generate import random_ordinal, random_term
-from vebflow.ordinal import CnfOrdinal, OMEGA, ONE, ZERO, add, cmp, omega_pow, parse_ordinal, render_ordinal
+from vebflow.ordinal import CnfOrdinal, OMEGA, ONE, ZERO, add, cmp, omega_pow, parse_ordinal, rank_sum, render_ordinal
 from vebflow.term import (
     Arrow,
     ArrowL,
@@ -227,13 +227,18 @@ def test_rank_weakly_increasing_along_paths():
 
 
 def test_borel_ranks_match_borel_rank():
+    # borel_rank reads the table borel_ranks copies, so both are held to
+    # rank_sum of the Veblen indices above each address.
     rng = random.Random(23)
     for _ in range(300):
         t = random_term(rng, 6)
+        nodes = syntax_tree(t).nodes
         ranks = borel_ranks(t)
         assert sorted(ranks) == syntax_tree(t).addresses()
         for addr, rank in ranks.items():
-            assert rank == borel_rank(t, addr)
+            above = [nodes[addr[:n]] for n in range(len(addr))]
+            want = rank_sum([label.index for label in above if isinstance(label, VeblenL)])
+            assert rank == borel_rank(t, addr) == want
 
 
 def test_borel_ranks_hands_out_a_fresh_dict():
@@ -972,6 +977,21 @@ def test_term_from_tree_holds_trees_to_the_decoder_rules():
     for nodes, message in cases:
         with pytest.raises(DocumentError, match=message):
             term_from_tree(SyntaxTree(nodes))
+
+
+def test_faults_at_two_nodes_name_the_first_the_walks_meet():
+    # Gaps are met walking forward in address order, before any arity
+    # fault, and arity faults walking back, so the last address is named;
+    # an address without its parent is named in document order.
+    cases = [
+        ([([], "arrow"), ([0], "veblen", "1")], "arity mismatch: veblen \\(0,\\) has 0 children"),
+        ([([0], "arrow"), ([], "join"), ([2], "const", "a")], "child indices of \\(\\) have gaps"),
+        ([([1, 0], "const", "b"), ([0, 0], "const", "a"), ([], "join")], "not prefix closed at \\(1, 0\\)"),
+    ]
+    for entries, message in cases:
+        doc = {"nodes": [dict(zip(("addr", "kind", "payload"), e)) for e in entries]}
+        with pytest.raises(DocumentError, match=message):
+            decode_tree(doc)
 
 
 def test_decode_rejects_child_index_gap():

@@ -27,7 +27,6 @@ from vebflow.space import (
 )
 from vebflow.transducer import (
     Transducer,
-    _is_identity,
     apply,
     compose,
     const_zero,
@@ -364,7 +363,7 @@ def test_constructor_and_normal_form_match_reference():
             norm, ref = transducer._normalized(got), ref_normalized(got)
             assert (norm.init, norm.steps) == (ref.init, ref.steps)
             assert (norm is got) == (ref is got)
-            assert transducer._is_identity(got) == ref_is_identity(got)
+            assert got._identity == ref_is_identity(got)
             outcomes.append(norm is got)
         else:
             assert got == want
@@ -578,7 +577,7 @@ def test_identity_check_matches_machine_comparison():
             seen.add(old)
             assert (encode_map(m, sp) == "identity") == old
             if m.input_space == sp:
-                assert _is_identity(m) == old
+                assert m._identity == old
     assert seen == {True, False}
 
 
