@@ -30,6 +30,7 @@ from vebflow.errors import (
     DocumentError,
     InvalidAddressError,
     NoTruePathError,
+    OpenTermError,
     SpaceMismatchError,
     UnsupportedError,
 )
@@ -648,3 +649,67 @@ def test_equal_test_literals_are_shared_within_a_working_space_only():
     assert root is not join[0][0]
     assert root.space == SP2 and join[0][0].space == sp1
     assert got == c
+
+
+# -- refusals no other test reaches ------------------------------------------
+
+VEB = parse_term('veb[0](q"a")')
+
+
+def _doc_with_site(c, key, entry):
+    doc = json.loads(json.dumps(encode_command(c)))
+    doc["assign"][key] = entry
+    return doc
+
+
+@pytest.mark.parametrize("build, error, message", [
+    pytest.param(
+        lambda: Command(parse_term('x"a" ~> q"b"'), SP2, {}),
+        OpenTermError, "commands need closed terms", id="open-term",
+    ),
+    pytest.param(lambda: SIMPLE.at((0,)), InvalidAddressError, "no site at (0,)", id="no-site"),
+    pytest.param(
+        lambda: SIMPLE.space_at((2,)), InvalidAddressError, "no node at address (2,)",
+        id="no-node",
+    ),
+    pytest.param(
+        lambda: Command(TERM, SP2, {(): VeblenSite(IDENT), (1,): SIMPLE.at((1,))}),
+        ValueError, "~> node () needs a test and a map", id="arrow-site",
+    ),
+    pytest.param(
+        lambda: Command(VEB, SP2, {(): ArrowSite(cs("{1}"), IDENT)}),
+        ValueError, "veblen node () needs a map", id="veblen-site",
+    ),
+    pytest.param(
+        lambda: Command(TERM, SP2, {(): ArrowSite("{1}", IDENT), (1,): SIMPLE.at((1,))}),
+        ValueError, "test at () is not a set", id="test-not-a-set",
+    ),
+    pytest.param(
+        lambda: Command(VEB, SP2, {(): VeblenSite("identity")}),
+        ValueError, "map at () is not a transducer", id="map-not-a-transducer",
+    ),
+    pytest.param(
+        lambda: Command(VEB, SP2, {(): VeblenSite(identity_map(Space(3)))}),
+        SpaceMismatchError, "map at () reads Space(3) but the node works in Space(2)",
+        id="map-reads-another-space",
+    ),
+    pytest.param(
+        lambda: true_positions(SIMPLE, pt("(2)", Space(3))),
+        SpaceMismatchError, "point in Space(3), command in Space(2)", id="point-space",
+    ),
+    pytest.param(
+        lambda: decode_command(_doc_with_site(SIMPLE, "", "x")),
+        DocumentError, "a site record is a JSON object, got 'x'", id="site-record",
+    ),
+    pytest.param(
+        lambda: decode_command(
+            _doc_with_site(Command(VEB, SP2, {(): VeblenSite(IDENT)}), "", {"map": {"in": "{1}"}})
+        ),
+        DocumentError, "map at () reads Space(1) but the node works in Space(2)",
+        id="decoded-map-reads-another-space",
+    ),
+])
+def test_refusal_messages(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message

@@ -8,6 +8,7 @@ import pytest
 from vebflow.errors import (
     AmbiguousLabelsError,
     DocumentError,
+    InvalidAddressError,
     NonNormalTermError,
     NoTruePathError,
     NotMonotoneError,
@@ -837,3 +838,36 @@ def test_decode_rejects_level_violations():
     doc["assign"]["0"]["level"] = "3"
     with pytest.raises(DocumentError, match="level"):
         decode_flowchart(doc)
+
+
+# -- refusals no other test reaches ------------------------------------------
+
+def _doc_with_level(level):
+    t = parse_term('q"a" ~> q"b"')
+    doc = json.loads(json.dumps(encode_flowchart(Flowchart(t, SP2, {(): cs("{1}")}))))
+    doc["assign"][""] = {"set": "{1}", "level": level}
+    return doc
+
+
+@pytest.mark.parametrize("build, error, message", [
+    pytest.param(
+        lambda: Flowchart(parse_term('join(q"a")'), SP2, {(): ("{1}",)}),
+        ValueError, "assignment at () is not a set", id="not-a-set",
+    ),
+    pytest.param(
+        lambda: Flowchart(parse_term('q"a" ~> q"b"'), SP2, {(): cs("{1}")}).at((0,)),
+        InvalidAddressError, "no assignment at (0,)", id="no-assignment",
+    ),
+    pytest.param(
+        lambda: Flowchart(parse_term('q"a" ~> q"b"'), SP2, [((), cs("{1}")), ((), cs("{0}"))]),
+        ValueError, "duplicate assignment at ()", id="duplicate",
+    ),
+    pytest.param(
+        lambda: decode_flowchart(_doc_with_level(1)),
+        DocumentError, "a level is an ordinal string", id="level-not-a-string",
+    ),
+])
+def test_refusal_messages(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message

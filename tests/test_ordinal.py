@@ -305,3 +305,20 @@ def test_render_parse_round_trip(x):
 @given(st.lists(ORD, max_size=5), ORD)
 def test_rank_sum_weakly_increasing_in_extension(xs, extra):
     assert cmp(rank_sum(xs + [extra]), rank_sum(xs)) >= 0
+
+
+# -- refusals no other test reaches ------------------------------------------
+
+@pytest.mark.parametrize("build, error, message", [
+    pytest.param(
+        lambda: CnfOrdinal(((1, 1),)), TypeError, "exponent must be a CnfOrdinal, got 1",
+        id="exponent",
+    ),
+    pytest.param(
+        lambda: CnfOrdinal.from_int(-1), ValueError, "ordinals are non-negative", id="negative",
+    ),
+])
+def test_refusal_messages(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message

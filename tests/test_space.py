@@ -511,3 +511,18 @@ def test_all_words_of_length_12_merge_to_the_full_space():
     start = time.perf_counter()
     assert ClopenSet(SP2, words) == ClopenSet.full(SP2)
     assert time.perf_counter() - start < 1.0
+
+
+# -- refusals no other test reaches ------------------------------------------
+
+@pytest.mark.parametrize("build, error, message", [
+    pytest.param(
+        lambda: ClopenSet.full(SP2).union(ClopenSet.full(SP3)),
+        SpaceMismatchError, "sets live in Space(2) and Space(3)", id="spaces",
+    ),
+    pytest.param(lambda: parse_word("1..2"), ParseError, "bad word '1..2'", id="dotted-word"),
+])
+def test_refusal_messages(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message

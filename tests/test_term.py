@@ -1002,3 +1002,33 @@ def test_decode_rejects_child_index_gap():
         }
         with pytest.raises(DocumentError, match="child indices of \\(\\) have gaps"):
             decode_tree(doc)
+
+
+# -- refusals no other test reaches ------------------------------------------
+
+@pytest.mark.parametrize("build, error, message", [
+    pytest.param(
+        lambda: syntax_tree(parse_term('q"a"')).label((5,)),
+        InvalidAddressError, "no node at address (5,)", id="label",
+    ),
+    pytest.param(
+        lambda: parse_term('q"a\\'), ParseError, "unterminated escape at line 1, column 4",
+        id="escape",
+    ),
+    pytest.param(
+        lambda: decode_tree({"nodes": [{"addr": []}]}),
+        DocumentError, "each node needs 'addr' and 'kind'", id="entry",
+    ),
+    pytest.param(
+        lambda: decode_tree({"nodes": [{"addr": "0", "kind": "arrow"}]}),
+        DocumentError, "addresses are lists of naturals, got '0'", id="address-list",
+    ),
+    pytest.param(
+        lambda: decode_tree({"nodes": [{"addr": [-1], "kind": "arrow"}]}),
+        DocumentError, "addresses are lists of naturals, got [-1]", id="address-natural",
+    ),
+])
+def test_refusal_messages(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message

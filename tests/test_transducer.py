@@ -1009,3 +1009,61 @@ def test_map_references():
 def test_bad_in_out_references_are_document_errors(ref):
     with pytest.raises(DocumentError, match="reference"):
         decode_map(ref, SP2)
+
+
+# -- refusals no other test reaches ------------------------------------------
+
+COPY_ROW = ((0, (0,)), (0, (1,)))
+
+
+def _one_state_doc(**changes):
+    doc = encode_transducer(identity_map(SP2))
+    doc.update(changes)
+    return doc
+
+
+def _with_transition(**changes):
+    doc = _one_state_doc()
+    doc["trans"][0].update(changes)
+    return doc
+
+
+@pytest.mark.parametrize("build, error, message", [
+    pytest.param(
+        lambda: Transducer(SP2, SP2, 1, (COPY_ROW,)),
+        ValueError, "initial state out of range", id="init",
+    ),
+    pytest.param(
+        lambda: Transducer(SP2, SP2, 0, (COPY_ROW[:1],)),
+        ValueError, "every state must handle every input letter", id="row-width",
+    ),
+    pytest.param(
+        lambda: Transducer(SP2, SP2, 0, (((1, (0,)), (0, (1,))),)),
+        ValueError, "transition target out of range", id="target",
+    ),
+    pytest.param(
+        lambda: image(identity_map(SP2), ClopenSet.full(Space(3)), 4),
+        SpaceMismatchError, "set in Space(3), map reads Space(2)", id="image-space",
+    ),
+    pytest.param(
+        lambda: decode_transducer(_one_state_doc(states=0)),
+        DocumentError, "a transducer needs at least one state", id="no-states",
+    ),
+    pytest.param(
+        lambda: decode_transducer(_one_state_doc(trans={})),
+        DocumentError, "trans must be a list of transitions", id="doc-trans",
+    ),
+    pytest.param(
+        lambda: decode_transducer(_with_transition(to=1)),
+        DocumentError, "transition {'from': 0, 'in': 0, 'to': 1, 'out': '0'} targets an unknown state",
+        id="doc-target",
+    ),
+    pytest.param(
+        lambda: decode_transducer(_with_transition(out=0)),
+        DocumentError, "output words are written as word literals", id="doc-word",
+    ),
+])
+def test_refusal_messages(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message
