@@ -257,10 +257,8 @@ def cmd_rank(args) -> int:
 
 
 def _node_caption(label) -> str:
-    if isinstance(label, Const):
-        return 'q"%s"' % label.label
-    if isinstance(label, Var):
-        return 'x"%s"' % label.name
+    if isinstance(label, (Const, Var)):
+        return render_term(label)
     if isinstance(label, ArrowL):
         return "~>"
     if isinstance(label, JoinL):
@@ -431,12 +429,7 @@ def _fuzz_translation(rng, grid, space) -> str | None:
 def _walked_outcome(f, x) -> tuple:
     """eval_outcome read off the pointwise walker's leaves instead of the
     compiled reach sets."""
-    labels = {label for _, label in fl.true_paths(f, x)}
-    if not labels:
-        return ("no-true-path",)
-    if len(labels) > 1:
-        return ("ambiguous", frozenset(labels))
-    return ("value", labels.pop())
+    return fl._outcome({label for _, label in fl.true_paths(f, x)})
 
 
 def _fuzz_decisions(rng, grid, space) -> str | None:

@@ -9,10 +9,12 @@ reassignment and goes right; a join node branches to every member whose
 test passes, applying that member's map; a Veblen edge applies its map
 unconditionally.  val gives the composite map accumulated along a path.
 
-Each node works in the output space of the map on the edge into it.
-One top-down walk, _wire, gives every node its working space and the
-maps on its edges out; the constructor runs it with _fit checking each
-site against its node and keeps both, and decode_command runs it to
+Each node works in the output space of the map on the edge into it,
+so the edge maps are all a command keeps of its wiring.  One top-down
+walk, _wire, refuses an open term, then gives every node its site and
+the maps on its edges out, reading each node's working space off the
+map into it; the constructor runs it with _fit checking each site
+against its node and keeps the maps, and decode_command runs it to
 read each site in its node's space.
 
 The value at a node is val applied to the input, so testing it against
@@ -131,18 +133,15 @@ class Command:
     assign: tuple[tuple[Address, Site], ...]
 
     def __post_init__(self):
-        if not is_closed(self.term):
-            raise OpenTermError("commands need closed terms")
         cooked: dict[Address, Site] = fc._cook(self.assign, "site")
-        _, spaces, edges = _wire(
-            self.tree,
+        _, edges = _wire(
+            self.term,
             self.space,
             cooked,
             lambda addr, label, here, arity: _fit(cooked.get(addr), addr, label, here, arity),
         )
         object.__setattr__(self, "assign", tuple(sorted(cooked.items())))
         object.__setattr__(self, "_at", cooked)
-        object.__setattr__(self, "_spaces", spaces)
         object.__setattr__(self, "_edges", edges)
 
     @property
@@ -157,11 +156,11 @@ class Command:
             raise InvalidAddressError("no site at %r" % (addr,)) from None
 
     def space_at(self, addr: Address) -> Space:
-        """The working space of a node (value spaces change along edges)."""
-        try:
-            return self._spaces[addr]
-        except KeyError:
-            raise InvalidAddressError("no node at address %r" % (addr,)) from None
+        """The working space of a node: the output space of the map on
+        the edge into it, the command's space at the root."""
+        if addr not in self.tree:
+            raise InvalidAddressError("no node at address %r" % (addr,))
+        return self._edges[addr[:-1]][addr[-1]].output_space if addr else self.space
 
     def edge_map(self, addr: Address) -> Transducer:
         """The reassignment applied when stepping from addr[:-1] to addr."""
@@ -190,35 +189,36 @@ class Command:
         return "Command(%d sites, %r)" % (len(self.assign), self.space)
 
 
-def _wire(tree: SyntaxTree, space: Space, keys, site_at, error=ValueError):
-    """Give every node its working space, its site and the maps on its
+def _wire(term: Term, space: Space, keys, site_at):
+    """Give every node of a closed term its site and the maps on its
     edges out (_edge_maps), top down.
 
-    The root works in `space`, a child in the output space of the map
-    on the edge into it (a ~> node's fallthrough edge keeps the space).
-    site_at(addr, label, here, arity) gives the site of each node but a
-    constant leaf.  `keys` are the addresses given a site; a constant
-    leaf or an address outside the tree among them raises `error`.
+    An open term is refused before any site is read.  The root works in
+    `space`, a child in the output space of the map on the edge into it
+    (a ~> node's fallthrough edge keeps the space).  site_at(addr,
+    label, here, arity) gives the site of each node but a constant
+    leaf.  `keys` are the addresses given a site; a constant leaf or an
+    address outside the tree among them raises ValueError.
     """
-    spaces: dict[Address, Space] = {(): space}
+    if not is_closed(term):
+        raise OpenTermError("commands need closed terms")
+    tree = syntax_tree(term)
     sites: dict[Address, Site] = {}
     edges: dict[Address, tuple[Transducer, ...]] = {}
     arity = tree.arity
     # A term's table is in address order: every parent before its children.
     for addr, label in tree.nodes.items():
-        here = spaces[addr]
         if isinstance(label, Const):
             if addr in keys:
-                raise error("leaf %r takes no site" % (addr,))
+                raise ValueError("leaf %r takes no site" % (addr,))
             continue
+        here = edges[addr[:-1]][addr[-1]].output_space if addr else space
         site = sites[addr] = site_at(addr, label, here, arity[addr])
-        maps = edges[addr] = _edge_maps(site, here)
-        for n, m in enumerate(maps):
-            spaces[addr + (n,)] = m.output_space
+        edges[addr] = _edge_maps(site, here)
     extra = set(keys) - tree.nodes.keys()
     if extra:
-        raise error("sites at addresses outside the tree: %r" % sorted(extra))
-    return sites, spaces, edges
+        raise ValueError("sites at addresses outside the tree: %r" % sorted(extra))
+    return sites, edges
 
 
 def _edge_maps(site: Site, here: Space) -> tuple[Transducer, ...]:
@@ -490,10 +490,10 @@ def _decode_site_record(entry, space: Space, addr: Address, known: dict, want_te
 def decode_command(doc) -> Command:
     """Decode the JSON side of a command: record keys, the `else` edge,
     map references and set literals, each read in its node's working
-    space, each distinct set literal once per space.  The Command built
-    from the sites then checks them, so a map that does not read its
-    node's space is reported after every decoding error, whatever its
-    address."""
+    space, each distinct set literal once per space.  An open term is
+    refused before any site is read.  The Command built from the sites
+    then checks them, so a map that does not read its node's space is
+    reported after every decoding error, whatever its address."""
     space, term, raw = fc._decode_header(doc, "command")
     entries = {fc.parse_address(key): entry for key, entry in raw.items()}
     # The set entries decoded so far, per working space.
@@ -512,8 +512,7 @@ def decode_command(doc) -> Command:
             return JoinSite(tuple(_decode_site_record(r, here, addr, sets, want_test=True) for r in entry))
         return VeblenSite(_decode_site_record(entry, here, addr, sets, want_test=False)[1])
 
-    sites, _, _ = _wire(syntax_tree(term), space, entries, read, DocumentError)
     try:
-        return Command(term, space, sites)
+        return Command(term, space, _wire(term, space, entries, read)[0])
     except (ValueError, OpenTermError, SpaceMismatchError) as e:
         raise DocumentError(str(e)) from None

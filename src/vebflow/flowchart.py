@@ -19,9 +19,9 @@ least-point witnesses on failure; totality and determinism share the
 running unions of the reach tries, kept with the compile.  Evaluation
 walks the outcome trie, the product of the reach tries, which is
 expanded one cell at a time as points walk it: one walk per point,
-ending at an interned outcome token.  The pointwise walker
-(true_positions, true_paths) reports which nodes a point passes; it
-serves traces and is not used by evaluation.
+ending at the outcome _outcome gives the labels reached.  The pointwise
+walker (true_positions, true_paths) reports which nodes a point passes;
+it serves traces and is not used by evaluation.
 
 Transformations: to_monotone shrinks every assigned set into its
 domain (normal terms only); the shrunk sets are the child domains of
@@ -210,11 +210,6 @@ class Flowchart:
         """
         return _cell(self, tuple(self._reach.values()))
 
-    @cached_property
-    def _tokens(self) -> dict[tuple[bool, ...], tuple]:
-        """The chart's outcome tokens, one per tuple of reach leaves."""
-        return {}
-
     def __repr__(self):
         return "Flowchart(%d assigned nodes, %r)" % (len(self.assign), self.space)
 
@@ -310,23 +305,23 @@ def true_paths(f: Flowchart, x: UpPoint) -> list[tuple[Address, str]]:
     return out
 
 
+def _outcome(labels) -> tuple:
+    """The outcome of a point whose true paths end at these distinct
+    labels: ("value", label) | ("no-true-path",) | ("ambiguous", frozenset)."""
+    if not labels:
+        return ("no-true-path",)
+    if len(labels) > 1:
+        return ("ambiguous", frozenset(labels))
+    return ("value", next(iter(labels)))
+
+
 def _cell(f: Flowchart, nodes: tuple):
-    """The outcome-trie cell over these reach-trie nodes, or the interned
-    outcome token when they are all leaves."""
+    """The outcome-trie cell over these reach-trie nodes, or the outcome
+    when they are all leaves."""
     for n in nodes:
         if n.__class__ is tuple:
             return [None] * f.space.alphabet_size + [nodes]
-    token = f._tokens.get(nodes)
-    if token is None:
-        labels = [q for q, n in zip(f._reach, nodes) if n]
-        if not labels:
-            token = ("no-true-path",)
-        elif len(labels) > 1:
-            token = ("ambiguous", frozenset(labels))
-        else:
-            token = ("value", labels[0])
-        f._tokens[nodes] = token
-    return token
+    return _outcome([q for q, n in zip(f._reach, nodes) if n])
 
 
 def eval_flowchart(f: Flowchart, x: UpPoint) -> str:

@@ -42,7 +42,6 @@ from .space import (
     _node,
     parse_clopen,
     parse_word,
-    render_clopen,
     render_word,
 )
 

@@ -13,7 +13,7 @@ from vebflow import command as cm
 from vebflow import flowchart as fl
 from vebflow import transducer as tr
 from vebflow.space import ClopenSet, Space, parse_clopen, sample_grid
-from vebflow.term import JoinL, parse_term
+from vebflow.term import JoinL, encode_tree, parse_term, render_term, syntax_tree
 
 SP2 = Space(2)
 
@@ -207,6 +207,19 @@ def test_check_command_bad_map_reference(capsys, tmp_path, ref):
     code, out, err = run(capsys, ["check", write_doc(tmp_path, "c.cmd", doc)])
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "reference" in err
+
+
+@pytest.mark.parametrize("entry", [None, {"map": "identity"}, {"map": "transpose"}],
+                         ids=["no-entry", "entry", "bad-map"])
+def test_check_open_term_command(capsys, tmp_path, entry):
+    # The variable sits where the closed term has its q"q0" leaf; the
+    # term is refused before any site is read, whatever sits there.
+    doc = cm.encode_command(SIMPLE)
+    doc["term"] = encode_tree(syntax_tree(parse_term('x"v" ~> join(q"q1", q"q2")')))
+    if entry is not None:
+        doc["assign"]["0"] = entry
+    code, out, err = run(capsys, ["check", write_doc(tmp_path, "c.cmd", doc)])
+    assert (code, out, err) == (2, "", "error: commands need closed terms\n")
 
 
 # -- eval --------------------------------------------------------------------
@@ -509,6 +522,17 @@ def test_dot_plain_term(capsys, tmp_path):
     assert "digraph term {" in out
     assert "rank 1" in out
     assert "S =" not in out  # no annotations without an assignment
+
+
+@pytest.mark.parametrize("text", ['q"a\\"b"', 'q"c\\\\d"', 'x"a\\"b"'])
+def test_dot_captions_a_leaf_as_its_term_text(capsys, tmp_path, text):
+    # The caption is the leaf's term text, quotes and backslashes
+    # escaped, and then escaped again for DOT.
+    path = write_doc(tmp_path, "t.term", text)
+    code, out, err = run(capsys, ["dot", path])
+    assert (code, err) == (0, "")
+    assert render_term(parse_term(text)) == text
+    assert '[label="%s\\nrank ' % cli._dot_escape(text) in out
 
 
 @pytest.mark.parametrize("cmd, lines", [("rank", 4001), ("dot", 8004)])

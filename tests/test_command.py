@@ -124,6 +124,45 @@ def _const_into_sp1():
     return const_zero(SP2, Space(1))
 
 
+def _space_changing_command():
+    """Spaces change along a Veblen edge, a ~> node's right edge and a
+    join member, and a fallthrough edge keeps its node's space."""
+    sp1, sp3 = Space(1), Space(3)
+    t = parse_term('veb[0](q"a" ~> join(q"b", q"c" ~> q"d"))')
+    return Command(t, SP2, {
+        (): VeblenSite(const_zero(SP2, sp3)),
+        (0,): ArrowSite(ClopenSet.full(sp3), const_zero(sp3, sp1)),
+        (0, 1): JoinSite(((ClopenSet.full(sp1), identity_map(sp1)),
+                          (ClopenSet.full(sp1), const_zero(sp1, SP2)))),
+        (0, 1, 1): ArrowSite(cs("{1}"), const_zero(SP2, sp3)),
+    })
+
+
+def test_space_at_is_the_output_space_of_the_map_into_the_node(deep_chain):
+    c = _space_changing_command()
+    sp1, sp3 = Space(1), Space(3)
+    assert {addr: c.space_at(addr) for addr in c.tree.nodes} == {
+        (): SP2, (0,): sp3, (0, 0): sp3, (0, 1): sp1, (0, 1, 0): sp1,
+        (0, 1, 1): SP2, (0, 1, 1, 0): SP2, (0, 1, 1, 1): sp3,
+    }
+    for c in (c, flowchart_to_simple_command(deep_chain(2000))):
+        assert c.space_at(()) is c.space
+        for addr in list(c.tree.nodes)[1:]:
+            assert c.space_at(addr) == c.edge_map(addr).output_space
+        for off in ((5,), (0, 2), (-1,)):
+            with pytest.raises(InvalidAddressError, match="no node at address"):
+                c.space_at(off)
+
+
+def test_open_term_with_a_duplicate_site_reports_the_duplicate():
+    t = parse_term('x"v" ~> q"b"')
+    site = ArrowSite(cs("{1}"), IDENT)
+    with pytest.raises(ValueError, match="duplicate site at \\(\\)"):
+        Command(t, SP2, [((), site), ((), site)])
+    with pytest.raises(OpenTermError, match="commands need closed terms"):
+        Command(t, SP2, [((), site)])
+
+
 # -- val -----------------------------------------------------------------------
 
 def test_val_identity_at_root_and_for_simple_commands():
