@@ -206,6 +206,14 @@ def cmd_transform(args) -> int:
         raise DocumentError("transform %s needs a transducer as second input" % op)
 
     result = transform(args, doc, extra)
+    if isinstance(result, fl.Flowchart):
+        encoded = fl.encode_flowchart(result)
+    else:
+        encoded = cm.encode_command(result)
+
+    _emit(encoded, args.out)
+    if not args.verify:
+        return 0
     before, after = _outcome(doc), _outcome(result)
     if op == "pullback":
         pairs = (
@@ -219,18 +227,11 @@ def cmd_transform(args) -> int:
         )
     else:
         pairs = ((x, before(doc, x), after(result, x)) for x in _grid(args, doc.space))
-    if isinstance(result, fl.Flowchart):
-        encoded = fl.encode_flowchart(result)
-    else:
-        encoded = cm.encode_command(result)
-
-    _emit(encoded, args.out)
-    if args.verify:
-        ok, total, first = _agreement(pairs)
-        print("eval agreement: %d/%d points" % (ok, total), file=sys.stderr)
-        if ok != total:
-            print("first mismatch: %s" % first, file=sys.stderr)
-            return 1
+    ok, total, first = _agreement(pairs)
+    print("eval agreement: %d/%d points" % (ok, total), file=sys.stderr)
+    if ok != total:
+        print("first mismatch: %s" % first, file=sys.stderr)
+        return 1
     return 0
 
 

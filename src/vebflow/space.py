@@ -19,6 +19,12 @@ The canonical antichain (the words leading to True leaves: pairwise
 incomparable under the prefix order, never all k siblings present,
 sorted) is derived on demand; it is the printed and codec form.
 
+`_canonical` is the one statement of a point's canonical form (the
+period primitive, the prefix as short as possible).  UpPoint's
+constructor checks the letters and then applies it; `UpPoint._of` wraps
+a pair that is already canonical without checks, as `sample_grid` and
+`transducer.apply` do.
+
 Every clopen set carries a declared_level, an ordinal >= 1 recording the
 additive class the set is *declared* at; the sets themselves are always
 truly clopen, so the metadata is an upper-bound annotation used by the
@@ -82,6 +88,18 @@ def _primitive(period: Word) -> Word:
     return period
 
 
+def _canonical(prefix: Word, period: Word) -> tuple[Word, Word]:
+    """The canonical pair for the stream prefix . period^w (period
+    nonempty): the period made primitive, then every prefix letter equal
+    to the period's last absorbed, as the stream p.a.(v.a)^w equals
+    p.(a.v)^w."""
+    period = _primitive(period)
+    while prefix and prefix[-1] == period[-1]:
+        period = (period[-1],) + period[:-1]
+        prefix = prefix[:-1]
+    return prefix, period
+
+
 @dataclass(frozen=True)
 class UpPoint:
     """An ultimately periodic stream prefix . period period period ...
@@ -101,14 +119,19 @@ class UpPoint:
             raise ValueError("the period must be nonempty")
         self.space.check_word(prefix)
         self.space.check_word(period)
-        period = _primitive(period)
-        # Absorb prefix letters equal to the period's last letter: the
-        # stream p.a.(v.a)^w equals p.(a.v)^w.
-        while prefix and prefix[-1] == period[-1]:
-            period = (period[-1],) + period[:-1]
-            prefix = prefix[:-1]
+        prefix, period = _canonical(prefix, period)
         object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "period", period)
+
+    @classmethod
+    def _of(cls, space: Space, prefix: Word, period: Word) -> "UpPoint":
+        """Wrap a canonical pair of tuples of letters of the space,
+        unchecked."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "space", space)
+        object.__setattr__(out, "prefix", prefix)
+        object.__setattr__(out, "period", period)
+        return out
 
     def letter(self, i: int) -> int:
         if i < len(self.prefix):
@@ -528,8 +551,7 @@ def sample_grid(space: Space, max_prefix: int, max_period: int) -> list[UpPoint]
 
     A point is canonical when its period is primitive and its prefix is
     empty or ends in a letter other than the period's last, so the grid
-    is those pairs and nothing else: each is built once, through
-    UpPoint's own constructor, which keeps it as it is.
+    is those pairs and nothing else: each is wrapped once, unchecked.
     """
     k = space.alphabet_size
 
@@ -544,4 +566,4 @@ def sample_grid(space: Space, max_prefix: int, max_period: int) -> list[UpPoint]
         return out
 
     periods = [w for w in words(max_period)[1:] if len(_primitive(w)) == len(w)]
-    return [UpPoint(space, p, w) for p in words(max_prefix) for w in periods if not p or p[-1] != w[-1]]
+    return [UpPoint._of(space, p, w) for p in words(max_prefix) for w in periods if not p or p[-1] != w[-1]]

@@ -8,10 +8,12 @@ continuous map, and the class is closed under composition.
 
 The constructor only checks a machine.  Its normal form (states
 numbered breadth first from the initial state, unreachable states
-dropped) is computed by `_numbered`, which `Transducer.build`,
-`compose` and the identity shortcuts all go through, so structural
-equality of their results is the meaningful comparison and codecs are
-byte stable.
+dropped) is computed by `_numbered` and kept on the machine as
+`_normal`.  The results of `Transducer.build` and of `compose`'s product
+machine are their own normal form from the start; any other machine
+renumbers once, on first request.  `compose` returns normal forms only,
+so structural equality of its results and `build`'s is the meaningful
+comparison and codecs are byte stable.
 
 Three set-level operations are provided.  `apply` evaluates the map on
 an ultimately periodic point exactly, by cycle detection.  `preimage`
@@ -38,6 +40,7 @@ from .space import (
     Trie,
     UpPoint,
     Word,
+    _canonical,
     _leftmost,
     _node,
     parse_clopen,
@@ -114,13 +117,22 @@ class Transducer:
             steps = _numbered(init, input_space.alphabet_size, lambda s, a: delta[s, a])
         except KeyError as e:
             raise ValueError("missing transition (%r, %d)" % e.args[0]) from None
-        return cls(input_space, output_space, 0, steps)
+        return _own_normal(cls(input_space, output_space, 0, steps))
 
     @cached_property
     def _identity(self) -> bool:
         """Is this the machine identity_map builds: one state echoing
         each letter?  Decided on first request and kept."""
         return self == identity_map(self.input_space)
+
+    @cached_property
+    def _normal(self) -> "Transducer":
+        """This machine in normal form: itself when it already is, else
+        the renumbered machine.  Computed on first request and kept."""
+        steps = _numbered(self.init, self.input_space.alphabet_size, self.step)
+        if self.init == 0 and steps == self.steps:
+            return self
+        return _own_normal(Transducer(self.input_space, self.output_space, 0, steps))
 
     def step(self, state: int, letter: int) -> tuple[int, Word]:
         return self.steps[state][letter]
@@ -202,21 +214,19 @@ def _numbered(init, k: int, step) -> tuple[tuple[tuple[int, Word], ...], ...]:
     return tuple(rows)
 
 
-def _normalized(f: Transducer) -> Transducer:
-    """f in normal form; f itself when it already is."""
-    if f._identity:
-        return f
-    steps = _numbered(f.init, f.input_space.alphabet_size, f.step)
-    if f.init == 0 and steps == f.steps:
-        return f
-    return Transducer(f.input_space, f.output_space, 0, steps)
+def _own_normal(f: Transducer) -> Transducer:
+    """Mark f, numbered by `_numbered` from state 0, as its own normal
+    form, and return it."""
+    object.__setattr__(f, "_normal", f)
+    return f
 
 
 def compose(outer: Transducer, inner: Transducer) -> Transducer:
     """The map x -> outer(inner(x)), as a product machine.
 
     When either side is the identity the product machine is the other
-    side, renumbered from its initial state, so that is returned.
+    side, renumbered from its initial state, so that side's normal form
+    is returned.
     """
     if inner.output_space is not outer.input_space and inner.output_space != outer.input_space:
         raise SpaceMismatchError(
@@ -224,9 +234,9 @@ def compose(outer: Transducer, inner: Transducer) -> Transducer:
             % (inner.output_space, outer.input_space)
         )
     if inner._identity:
-        return _normalized(outer)
+        return outer._normal
     if outer._identity:
-        return _normalized(inner)
+        return inner._normal
 
     def step(pair, a):
         si, w = inner.steps[pair[0]][a]
@@ -235,7 +245,7 @@ def compose(outer: Transducer, inner: Transducer) -> Transducer:
 
     start = (inner.init, outer.init)
     steps = _numbered(start, inner.input_space.alphabet_size, step)
-    return Transducer(inner.input_space, outer.output_space, 0, steps)
+    return _own_normal(Transducer(inner.input_space, outer.output_space, 0, steps))
 
 
 def in_map(v: ClopenSet) -> Transducer:
@@ -306,27 +316,32 @@ def apply(f: Transducer, x: UpPoint) -> UpPoint:
 
     After the input prefix, the pair (machine state, phase within the
     input period) must repeat within |states| * |period| steps; the
-    output emitted between two visits is the output period.
+    output emitted between two visits is the output period.  The
+    constructor checked every output word, so the point is only made
+    canonical, not checked again.
     """
     if x.space is not f.input_space and x.space != f.input_space:
         raise SpaceMismatchError("point in %r, map reads %r" % (x.space, f.input_space))
+    if f._identity:
+        return x
+    steps = f.steps
     state = f.init
     out: list[int] = []
     for a in x.prefix:
-        state, w = f.step(state, a)
+        state, w = steps[state][a]
         out.extend(w)
     seen: dict[tuple[int, int], int] = {}
     phase = 0
     while (state, phase) not in seen:
         seen[(state, phase)] = len(out)
-        state, w = f.step(state, x.period[phase])
+        state, w = steps[state][x.period[phase]]
         out.extend(w)
         phase = (phase + 1) % len(x.period)
     cut = seen[(state, phase)]
     period = tuple(out[cut:])
     if not period:
         raise AssertionError("silent cycle escaped the productivity check")
-    return UpPoint(f.output_space, tuple(out[:cut]), period)
+    return UpPoint._of(f.output_space, *_canonical(tuple(out[:cut]), period))
 
 
 # ---------------------------------------------------------------------------

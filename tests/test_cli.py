@@ -325,6 +325,32 @@ def test_transform_reduce_verify(capsys, fc_path):
     assert "eval agreement: 64/64 points" in err
 
 
+@pytest.mark.parametrize("op", ["monotone", "pullback", "vaught"])
+def test_transform_builds_its_grid_only_to_verify(capsys, monkeypatch, tmp_path, fc_path,
+                                                  drop_path, op):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return sample_grid(*args)
+
+    monkeypatch.setattr(cli, "sample_grid", counted)
+    # The vaught transform needs a monotone chart that is constant on
+    # the fibers of the map.
+    fiber = fl.to_monotone(fl.pullback(FC, tr.drop_first(SP2)))
+    fiber_path = write_doc(tmp_path, "fiber.fc", fl.encode_flowchart(fiber))
+    argv = {
+        "monotone": ["transform", "monotone", fc_path],
+        "pullback": ["transform", "pullback", fc_path, drop_path],
+        "vaught": ["transform", "vaught", fiber_path, drop_path],
+    }[op]
+    code, _, err = run(capsys, argv + ["--out", str(tmp_path / "o.json")])
+    assert (code, err, calls) == (0, "", [])
+    code, _, err = run(capsys, argv + ["--verify"])
+    assert code == 0 and "eval agreement: 64/64 points" in err
+    assert calls == [(SP2, 4, 2)]
+
+
 def test_transform_pullback_verify(capsys, tmp_path, fc_path):
     extra = write_doc(tmp_path, "m.tr",
                       tr.encode_transducer(tr.letter_double(SP2)))

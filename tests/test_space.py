@@ -13,6 +13,7 @@ from vebflow.ordinal import CnfOrdinal, ONE, add, cmp, parse_ordinal
 from vebflow.space import (
     _TWO,
     ClopenSet,
+    _canonical,
     _canonical_antichain,
     _level,
     _trie,
@@ -312,6 +313,43 @@ def test_sample_grid_size_and_canonicity():
         assert len(x.period) <= 2
         # canonical: prefix cannot be shortened
         assert UpPoint(SP2, x.prefix, x.period) == x
+
+
+def test_sample_grid_matches_the_checking_constructor():
+    # The grid wraps its pairs unchecked; each must be the point the
+    # constructor builds from it, field by field.
+    for k in (1, 2, 3):
+        space = Space(k)
+        for max_prefix in range(5):
+            for max_period in range(1, 4):
+                for x in sample_grid(space, max_prefix, max_period):
+                    y = UpPoint(space, x.prefix, x.period)
+                    assert (x.space, x.prefix, x.period) == (y.space, y.prefix, y.period)
+                    assert type(x.prefix) is tuple and type(x.period) is tuple
+
+
+def test_canonical_matches_the_constructor():
+    rng = random.Random(311)
+    moved = 0
+    for _ in range(2000):
+        k = rng.randint(1, 3)
+        # A period repeated and a prefix ending in its tail: both folds
+        # have work to do.
+        base = tuple(rng.randrange(k) for _ in range(rng.randint(1, 3)))
+        period = base * rng.randint(1, 3)
+        prefix = tuple(rng.randrange(k) for _ in range(rng.randrange(3)))
+        prefix += period[len(period) - rng.randrange(len(period) + 1):]
+        x = UpPoint(Space(k), prefix, period)
+        assert _canonical(prefix, period) == (x.prefix, x.period)
+        moved += (x.prefix, x.period) != (prefix, period)
+    assert moved > 1000
+
+
+def test_unchecked_point_is_the_checked_point():
+    x = UpPoint._of(SP2, (0, 1), (1, 0))
+    assert x == UpPoint(SP2, (0, 1), (1, 0)) == pt("01(10)")
+    assert hash(x) == hash(pt("01(10)"))
+    assert x.letter(5) == 0
 
 
 def test_sample_grid_separates_distinct_points():

@@ -12,8 +12,9 @@ from vebflow.errors import (
     SpaceMismatchError,
     UndecidedImageError,
 )
+from vebflow import command as cm
 from vebflow import transducer
-from vebflow.generate import map_palette, random_clopen
+from vebflow.generate import map_palette, random_clopen, random_term
 from vebflow.ordinal import ONE, omega_pow
 from vebflow.space import (
     ClopenSet,
@@ -25,6 +26,7 @@ from vebflow.space import (
     parse_point,
     sample_grid,
 )
+from vebflow.term import ArrowL, JoinL, VeblenL, syntax_tree
 from vebflow.transducer import (
     Transducer,
     apply,
@@ -151,6 +153,61 @@ def test_apply_agrees_with_direct_simulation():
                 out.extend(w)
                 i += 1
             assert [y.letter(j) for j in range(24)] == out[:24]
+
+
+def ref_apply(f, x):
+    # apply as it was before it passed the identity through and built
+    # its point unchecked: every step through f.step, the result through
+    # UpPoint's checking constructor.
+    if x.space != f.input_space:
+        raise SpaceMismatchError("point in %r, map reads %r" % (x.space, f.input_space))
+    state = f.init
+    out = []
+    for a in x.prefix:
+        state, w = f.step(state, a)
+        out.extend(w)
+    seen = {}
+    phase = 0
+    while (state, phase) not in seen:
+        seen[(state, phase)] = len(out)
+        state, w = f.step(state, x.period[phase])
+        out.extend(w)
+        phase = (phase + 1) % len(x.period)
+    cut = seen[(state, phase)]
+    return UpPoint(f.output_space, tuple(out[:cut]), tuple(out[cut:]))
+
+
+def test_apply_matches_reference():
+    rng = random.Random(67)
+    machines = []
+    for k in (1, 2, 3):
+        sp = Space(k)
+        palette = map_palette(sp)
+        machines += palette + [compose(m, n) for m in palette for n in palette]
+        for _ in range(3):
+            v = random_clopen(rng, sp, 3)
+            if not v.is_full:
+                machines.append(out_map(v))
+            if not v.is_empty:
+                machines.append(in_map(v))
+    machines += [Transducer(*t) for t in NON_NORMAL if _outcome(lambda: ref_check(*t)) is None]
+    while len(machines) < 160:
+        machines.append(_random_machine(rng, k_out=rng.randint(1, 3)))
+    grids = {k: sample_grid(Space(k), 3, 3) for k in (1, 2, 3)}
+    points = 0
+    for f in machines:
+        for x in grids[f.input_space.alphabet_size]:
+            got, want = apply(f, x), ref_apply(f, x)
+            assert (got.space, got.prefix, got.period) == (want.space, want.prefix, want.period)
+            assert type(got.prefix) is tuple and type(got.period) is tuple
+            points += 1
+    assert points > 10000
+
+
+def test_apply_passes_the_identity_through():
+    for k in (1, 2, 3):
+        for x in sample_grid(Space(k), 2, 2):
+            assert apply(identity_map(Space(k)), x) is x
 
 
 # -- compose -------------------------------------------------------------------
@@ -360,7 +417,7 @@ def test_constructor_and_normal_form_match_reference():
         want = _outcome(lambda: ref_check(sp_in, sp_out, init, steps))
         if isinstance(got, Transducer):
             assert want is None
-            norm, ref = transducer._normalized(got), ref_normalized(got)
+            norm, ref = got._normal, ref_normalized(got)
             assert (norm.init, norm.steps) == (ref.init, ref.steps)
             assert (norm is got) == (ref is got)
             assert got._identity == ref_is_identity(got)
@@ -377,6 +434,95 @@ def test_constructor_and_normal_form_match_reference():
         False,
     ]
     assert set(outcomes) >= {True, False}
+
+
+def _normal_kept(f):
+    # Set on the machine already, not computed by this read.
+    return f.__dict__.get("_normal") is f
+
+
+def test_built_and_composed_machines_are_their_own_normal_form():
+    rng = random.Random(1304)
+    machines = []
+    for k in (1, 2, 3):
+        sp = Space(k)
+        machines += map_palette(sp) + [const_zero(sp, SP1)]
+        for _ in range(4):
+            v = random_clopen(rng, sp, 3)
+            if not v.is_full:
+                machines.append(out_map(v))
+            if not v.is_empty:
+                machines.append(in_map(v))
+    while len(machines) < 60:
+        machines.append(_random_machine(rng))
+    machines += [decode_transducer(encode_transducer(m)) for m in machines]
+    products = [
+        compose(outer, inner)
+        for outer in machines
+        for inner in machines
+        if inner.output_space == outer.input_space and not (inner._identity or outer._identity)
+    ]
+    assert len(products) > 500
+    for f in machines + products:
+        assert _normal_kept(f)
+        want = ref_normalized(f)
+        assert (f.init, f.steps) == (want.init, want.steps)
+
+
+def test_a_machine_built_directly_renumbers_on_request():
+    kept = []
+    for t in NON_NORMAL:
+        f = _outcome(lambda: Transducer(*t))
+        if isinstance(f, str):
+            continue
+        assert "_normal" not in f.__dict__
+        norm, want = f._normal, ref_normalized(f)
+        assert (norm.init, norm.steps) == (want.init, want.steps)
+        assert (norm is f) == (want is f)
+        assert f._normal is norm and _normal_kept(norm)
+        kept.append(norm is f)
+    assert kept == [False, False, True, False]
+
+
+def _mapped_command(rng, palette):
+    # A random command whose every site takes a map from the palette.
+    term = random_term(rng, 3)
+    tree = syntax_tree(term)
+    assign = {}
+    for addr in tree.addresses():
+        label = tree.label(addr)
+        if isinstance(label, ArrowL):
+            assign[addr] = cm.ArrowSite(random_clopen(rng, SP2, 3), rng.choice(palette))
+        elif isinstance(label, JoinL):
+            assign[addr] = cm.JoinSite(tuple(
+                (random_clopen(rng, SP2, 3), rng.choice(palette)) for _ in tree.children(addr)
+            ))
+        elif isinstance(label, VeblenL):
+            assign[addr] = cm.VeblenSite(rng.choice(palette))
+    return cm.Command(term, SP2, assign)
+
+
+def test_lowering_renumbers_only_product_machines(monkeypatch):
+    # Palette machines are reused across commands and products are
+    # composed again further down the tree: none is renumbered twice.
+    rng = random.Random(1305)
+    palette = map_palette(SP2) + [out_map(cs("{01}")), out_map(cs("{1, 00}"))]
+    commands = [_mapped_command(rng, palette) for _ in range(60)]
+    numbered, composed, products = [], [], []
+    real_numbered, real_compose = transducer._numbered, cm.compose
+
+    def counted_compose(outer, inner):
+        composed.append(1)
+        if not (outer._identity or inner._identity):
+            products.append(1)
+        return real_compose(outer, inner)
+
+    monkeypatch.setattr(transducer, "_numbered", lambda *a: numbered.append(a) or real_numbered(*a))
+    monkeypatch.setattr(cm, "compose", counted_compose)
+    for c in commands:
+        cm.command_to_flowchart(c)
+    assert len(composed) > len(products) > 20
+    assert len(numbered) == len(products)
 
 
 def test_compose_matches_reference():
