@@ -13,9 +13,15 @@ Each node works in the output space of the map on the edge into it,
 so the edge maps are all a command keeps of its wiring.  One top-down
 walk, _wire, refuses an open term, then gives every node its site and
 the maps on its edges out, reading each node's working space off the
-map into it; the constructor runs it with _fit checking each site
-against its node and keeps the maps, and decode_command runs it to
-read each site in its node's space.
+map into it.  Command(...) is the checking constructor and the way in
+for outside input: it runs the walk with _fit checking each site
+against its node and keeps the maps.  decode_command runs the walk
+once, to read each site in its node's space, fits every site after
+it, and wraps the sites and maps with Command._of.
+flowchart_to_simple_command and make_strongly_total wrap theirs the
+same way, without _fit, since they build their sites from a valid
+chart.  _of is only for sites built from a valid chart or command, or
+already fitted.
 
 The value at a node is val applied to the input, so testing it against
 U is testing the input against preimage(val, U).  Evaluation is defined
@@ -51,7 +57,6 @@ from .term import (
     JoinL,
     SyntaxTree,
     Term,
-    VeblenL,
     encode_tree,
     has_veblen,
     is_closed,
@@ -144,6 +149,19 @@ class Command:
         object.__setattr__(self, "_at", cooked)
         object.__setattr__(self, "_edges", edges)
 
+    @classmethod
+    def _of(cls, term: Term, space: Space, sites: dict[Address, Site], edges) -> "Command":
+        """Wrap the sites and edge maps one _wire walk gave, unchecked:
+        for sites built from a valid chart or command, or already
+        fitted to their nodes."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "term", term)
+        object.__setattr__(out, "space", space)
+        object.__setattr__(out, "assign", tuple(sorted(sites.items())))
+        object.__setattr__(out, "_at", sites)
+        object.__setattr__(out, "_edges", edges)
+        return out
+
     @property
     def tree(self) -> SyntaxTree:
         """The term's own syntax tree, shared with every chart on it."""
@@ -160,7 +178,7 @@ class Command:
         the edge into it, the command's space at the root."""
         if addr not in self.tree:
             raise InvalidAddressError("no node at address %r" % (addr,))
-        return self._edges[addr[:-1]][addr[-1]].output_space if addr else self.space
+        return _here(self._edges, addr, self.space)
 
     def edge_map(self, addr: Address) -> Transducer:
         """The reassignment applied when stepping from addr[:-1] to addr."""
@@ -183,7 +201,8 @@ class Command:
                 sets[addr] = tuple(preimage(acc, test).with_level(ONE) for test, _ in site.members)
             for n, m in enumerate(self._edges[addr]):
                 vals[addr + (n,)] = compose(m, acc)
-        return vals, fc.Flowchart(self.term, self.space, sets)
+        # Every pulled-back test lives in the input space.
+        return vals, fc.Flowchart._of(self.term, self.space, sets)
 
     def __repr__(self):
         return "Command(%d sites, %r)" % (len(self.assign), self.space)
@@ -212,13 +231,19 @@ def _wire(term: Term, space: Space, keys, site_at):
             if addr in keys:
                 raise ValueError("leaf %r takes no site" % (addr,))
             continue
-        here = edges[addr[:-1]][addr[-1]].output_space if addr else space
+        here = _here(edges, addr, space)
         site = sites[addr] = site_at(addr, label, here, arity[addr])
         edges[addr] = _edge_maps(site, here)
     extra = set(keys) - tree.nodes.keys()
     if extra:
         raise ValueError("sites at addresses outside the tree: %r" % sorted(extra))
     return sites, edges
+
+
+def _here(edges, addr: Address, space: Space) -> Space:
+    """The working space of a node: the output space of the map on the
+    edge into it, `space` at the root."""
+    return edges[addr[:-1]][addr[-1]].output_space if addr else space
 
 
 def _edge_maps(site: Site, here: Space) -> tuple[Transducer, ...]:
@@ -360,23 +385,22 @@ def flowchart_to_simple_command(f: fc.Flowchart) -> Command:
     the identity) is accepted.
     """
     ident = identity_map(f.space)
-    assign: dict[Address, Site] = {}
-    # A term's table is in address order, so the first refusal is the
-    # least address's.
-    for addr, label in f.tree.nodes.items():
-        if isinstance(label, VeblenL):
-            if not label.index.is_zero:
-                raise UnsupportedError(
-                    "veblen node %r has positive index; only continuous reassignments exist here"
-                    % (addr,)
-                )
-            assign[addr] = VeblenSite(ident)
-    for addr, sets in f.assign:
-        if isinstance(sets, tuple):
-            assign[addr] = JoinSite(tuple((s, ident) for s in sets))
-        else:
-            assign[addr] = ArrowSite(sets, ident)
-    return Command(f.term, f.space, assign)
+
+    # _wire walks in address order, so the first refusal is the least
+    # address's.  Every node works in f.space, where f's sets live.
+    def site(addr, label, here, arity):
+        if isinstance(label, ArrowL):
+            return ArrowSite(f._at[addr], ident)
+        if isinstance(label, JoinL):
+            return JoinSite(tuple((s, ident) for s in f._at[addr]))
+        if not label.index.is_zero:
+            raise UnsupportedError(
+                "veblen node %r has positive index; only continuous reassignments exist here"
+                % (addr,)
+            )
+        return VeblenSite(ident)
+
+    return Command._of(f.term, f.space, *_wire(f.term, f.space, (), site))
 
 
 def make_strongly_total(c: Command) -> Command:
@@ -427,7 +451,8 @@ def make_strongly_total(c: Command) -> Command:
         # Member 0 absorbs the complement of the domain.
         kids[0] = _combine(kids[0], d, True, True)
         assign[addr] = JoinSite(tuple((ClopenSet._of(space, t, ONE), ident) for t in kids))
-    return Command(c.term, c.space, assign)
+    # c's term is closed and Veblen-free: every node but a leaf has a site.
+    return Command._of(c.term, space, *_wire(c.term, space, (), lambda addr, *_: assign[addr]))
 
 
 # ---------------------------------------------------------------------------
@@ -491,9 +516,11 @@ def decode_command(doc) -> Command:
     """Decode the JSON side of a command: record keys, the `else` edge,
     map references and set literals, each read in its node's working
     space, each distinct set literal once per space.  An open term is
-    refused before any site is read.  The Command built from the sites
-    then checks them, so a map that does not read its node's space is
-    reported after every decoding error, whatever its address."""
+    refused before any site is read.  The sites and edge maps of that
+    one reading walk make the Command once each site is fitted to its
+    node, in address order after the walk, so a map that does not read
+    its node's space is reported after every decoding error, whatever
+    its address."""
     space, term, raw = fc._decode_header(doc, "command")
     entries = {fc.parse_address(key): entry for key, entry in raw.items()}
     # The set entries decoded so far, per working space.
@@ -513,6 +540,10 @@ def decode_command(doc) -> Command:
         return VeblenSite(_decode_site_record(entry, here, addr, sets, want_test=False)[1])
 
     try:
-        return Command(term, space, _wire(term, space, entries, read)[0])
+        sites, edges = _wire(term, space, entries, read)
+        tree = syntax_tree(term)
+        for addr, site in sites.items():
+            _fit(site, addr, tree.nodes[addr], _here(edges, addr, space), tree.arity[addr])
     except (ValueError, OpenTermError, SpaceMismatchError) as e:
         raise DocumentError(str(e)) from None
+    return Command._of(term, space, sites, edges)

@@ -30,6 +30,12 @@ place.  to_reduced makes join families pairwise disjoint by successive
 differences, pullback substitutes a continuous map into every set, and
 vaught_transform pushes a flowchart forward along an open surjection
 of name spaces.
+
+Flowchart(...) is the checking constructor and the only way in for
+outside input: replace_sets and decode_flowchart go through it.  The
+transforms and a command's lowering wrap their results with
+Flowchart._of instead, unchecked; _of is only for sets built from a
+valid chart over the same term, each in the result's space.
 """
 
 from __future__ import annotations
@@ -142,6 +148,18 @@ class Flowchart:
         object.__setattr__(self, "assign", tuple(sorted(cooked.items())))
         object.__setattr__(self, "_at", cooked)
 
+    @classmethod
+    def _of(cls, term: Term, space: Space, assign: dict[Address, NodeSets]) -> "Flowchart":
+        """Wrap an assignment unchecked: for parts built from a valid
+        chart on the same term, one set per ~> node and a family per
+        join node, every set in `space`, keyed by address tuples."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "term", term)
+        object.__setattr__(out, "space", space)
+        object.__setattr__(out, "assign", tuple(sorted(assign.items())))
+        object.__setattr__(out, "_at", assign)
+        return out
+
     def _check_set(self, s, addr):
         if not isinstance(s, ClopenSet):
             raise ValueError("assignment at %r is not a set" % (addr,))
@@ -162,8 +180,9 @@ class Flowchart:
             raise InvalidAddressError("no assignment at %r" % (addr,)) from None
 
     def replace_sets(self, rewrite) -> "Flowchart":
-        """A copy with every assigned set passed through `rewrite(addr, s)`."""
-        return _map_sets(self, rewrite, self.space)
+        """A copy with every assigned set passed through `rewrite(addr, s)`,
+        checked like any outside assignment."""
+        return Flowchart(self.term, self.space, _map_sets(self, rewrite))
 
     @cached_property
     def _domains(self) -> dict[Address, Trie]:
@@ -228,15 +247,15 @@ def _cook(raw, what: str) -> dict:
     return cooked
 
 
-def _map_sets(f: Flowchart, rewrite, space: Space) -> Flowchart:
-    """The chart over `space` whose every assigned set is `rewrite(addr, s)`."""
+def _map_sets(f: Flowchart, rewrite) -> dict[Address, NodeSets]:
+    """The assignment whose every set is `rewrite(addr, s)`."""
     new: dict[Address, NodeSets] = {}
     for addr, sets in f.assign:
         if isinstance(sets, tuple):
             new[addr] = tuple(rewrite(addr, s) for s in sets)
         else:
             new[addr] = rewrite(addr, sets)
-    return Flowchart(f.term, space, new)
+    return new
 
 
 # ---------------------------------------------------------------------------
@@ -346,9 +365,12 @@ def eval_outcome(f: Flowchart, x: UpPoint) -> tuple:
     if x.space is not f.space and x.space != f.space:
         raise SpaceMismatchError("point in %r, flowchart in %r" % (x.space, f.space))
     cell = f._outcomes
-    i = 0
+    # The prefix's letters, then the period's, over and over.
+    letters, i = x.prefix, 0
     while cell.__class__ is list:
-        a = x.letter(i)
+        if i == len(letters):
+            letters, i = x.period, 0
+        a = letters[i]
         nxt = cell[a]
         if nxt is None:
             nodes = tuple(n[a] if n.__class__ is tuple else n for n in cell[-1])
@@ -456,7 +478,7 @@ def to_monotone(f: Flowchart) -> Flowchart:
             new[addr] = tuple(domains[addr + (i,)] for i in range(len(sets)))
         else:
             new[addr] = domains[addr + (1,)]
-    g = Flowchart(f.term, f.space, new)
+    g = Flowchart._of(f.term, f.space, new)
     object.__setattr__(g, "_domains", f._domains)
     return g
 
@@ -482,7 +504,7 @@ def to_reduced(f: Flowchart) -> Flowchart:
             if n < len(sets):
                 seen = _combine(seen, s.trie, True)
         new[addr] = tuple(family)
-    return Flowchart(f.term, f.space, new)
+    return Flowchart._of(f.term, f.space, new)
 
 
 def pullback(f: Flowchart, theta: Transducer) -> Flowchart:
@@ -494,7 +516,8 @@ def pullback(f: Flowchart, theta: Transducer) -> Flowchart:
         raise SpaceMismatchError(
             "map lands in %r, flowchart lives in %r" % (theta.output_space, f.space)
         )
-    return _map_sets(f, lambda addr, s: preimage(theta, s), theta.input_space)
+    new = _map_sets(f, lambda addr, s: preimage(theta, s))
+    return Flowchart._of(f.term, theta.input_space, new)
 
 
 def vaught_transform(f: Flowchart, delta: Transducer, depth_bound: int) -> Flowchart:
@@ -530,7 +553,7 @@ def vaught_transform(f: Flowchart, delta: Transducer, depth_bound: int) -> Flowc
             t = images[id(s.trie)] = image(delta, s, depth_bound).trie
         return ClopenSet._of(out, t, s.declared_level)
 
-    return _map_sets(f, push, out)
+    return Flowchart._of(f.term, out, _map_sets(f, push))
 
 
 def check_levels(f: Flowchart) -> bool:

@@ -612,6 +612,20 @@ def test_decode_rejects_non_identity_else_edge():
         decode_command(doc)
 
 
+def test_decode_wires_the_tree_once(monkeypatch):
+    # The sites and edge maps of the reading walk make the command; no
+    # second walk rebuilds them.
+    rng = random.Random(31)
+    commands = [random_command(rng, random_term(rng, 3), SP2, 3) for _ in range(20)]
+    wire = cm._wire
+    calls = []
+    monkeypatch.setattr(cm, "_wire", lambda *args: calls.append(args) or wire(*args))
+    for c in commands:
+        calls.clear()
+        assert decode_command(json.loads(json.dumps(encode_command(c)))) == c
+        assert len(calls) == 1
+
+
 def test_decode_rejects_malformed():
     good = encode_command(SIMPLE)
 

@@ -278,7 +278,8 @@ def ref_vaught_transform(f, delta, depth_bound):
     onto = image(delta, ClopenSet.full(f.space), depth_bound)
     if not onto.is_full:
         raise UnsupportedError("the name map is not surjective; its range is %s" % onto)
-    return fl._map_sets(f, lambda addr, s: image(delta, s, depth_bound), delta.output_space)
+    new = fl._map_sets(f, lambda addr, s: image(delta, s, depth_bound))
+    return Flowchart(f.term, delta.output_space, new)
 
 
 def ref_sample_grid(space, max_prefix, max_period):

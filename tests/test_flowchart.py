@@ -866,6 +866,17 @@ def _doc_with_level(level):
         lambda: decode_flowchart(_doc_with_level(1)),
         DocumentError, "a level is an ordinal string", id="level-not-a-string",
     ),
+    pytest.param(
+        lambda: Flowchart(parse_term('q"a" ~> q"b"'), SP2, {(): cs("{1}")})
+        .replace_sets(lambda addr, s: ClopenSet.full(Space(3))),
+        SpaceMismatchError, "set at () lives in Space(3), flowchart in Space(2)",
+        id="rewrite-into-another-space",
+    ),
+    pytest.param(
+        lambda: Flowchart(parse_term('join(q"a", q"b")'), SP2, {(): (cs("{1}"), cs("{0}"))})
+        .replace_sets(lambda addr, s: "{1}"),
+        ValueError, "assignment at () is not a set", id="rewrite-to-a-non-set",
+    ),
 ])
 def test_refusal_messages(build, error, message):
     with pytest.raises(error) as info:
