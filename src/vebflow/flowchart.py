@@ -57,7 +57,7 @@ from .errors import (
     UnsupportedError,
 )
 from .ordinal import ONE, cmp, parse_ordinal, render_ordinal
-from .space import ClopenSet, Space, Trie, UpPoint, _combine, _leftmost, _level, _lockstep, member, parse_clopen, render_clopen
+from .space import ClopenSet, Space, Trie, UpPoint, _check_alphabet, _combine, _leftmost, _level, _lockstep, member, parse_clopen, render_clopen
 from .term import (
     Address,
     ArrowL,
@@ -74,7 +74,7 @@ from .term import (
     syntax_tree,
     term_from_tree,
 )
-from .transducer import Transducer, image, preimage
+from .transducer import Transducer, _range, image, preimage
 
 __all__ = [
     "Flowchart",
@@ -527,7 +527,8 @@ def vaught_transform(f: Flowchart, delta: Transducer, depth_bound: int) -> Flowc
     fiber intersection is relatively open, and a nonempty open subset of
     a Polish fiber is non-meager, so the category transform and the
     direct image agree.  Monotonicity of the input is required;
-    surjectivity is spot-checked as image(delta, full) = full.  Each
+    surjectivity is checked as image(delta, full) = full, on the range
+    `transducer._range` keeps per normal form and bound.  Each
     distinct trie is pushed forward once per call, in assignment order,
     and each result keeps its own set's declared level: the empty trie
     goes to the empty set and the full trie to the range just found
@@ -540,7 +541,7 @@ def vaught_transform(f: Flowchart, delta: Transducer, depth_bound: int) -> Flowc
         )
     if not is_monotone(f):
         raise NotMonotoneError("the Vaught transform needs a monotone flowchart")
-    onto = image(delta, ClopenSet.full(f.space), depth_bound)
+    onto = _range(delta._normal, depth_bound)
     if not onto.is_full:
         raise UnsupportedError("the name map is not surjective; its range is %s" % onto)
     out = delta.output_space
@@ -664,12 +665,14 @@ def encode_flowchart(f: Flowchart) -> dict:
 
 
 def _decode_header(doc, kind: str) -> tuple[Space, Term, dict]:
-    """What every document kind checks first: its kind, an integer space,
-    the term, and an assign object."""
+    """What every document kind checks first: its kind, an integer space
+    (an alphabet past space.MAX_ALPHABET is unsupported), the term, and
+    an assign object."""
     if not isinstance(doc, dict) or doc.get("kind") != kind:
         raise DocumentError("a %s document has kind '%s'" % (kind, kind))
     if type(doc.get("space")) is not int:
         raise DocumentError("%s document needs an integer space" % kind)
+    _check_alphabet(doc["space"])
     try:
         space = Space(doc["space"])
     except ValueError as e:

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EmptySetError, ParseError, SpaceMismatchError
+from .errors import EmptySetError, ParseError, SpaceMismatchError, UnsupportedError
 from .ordinal import ONE, CnfOrdinal, add, cmp
 
 __all__ = [
@@ -77,6 +77,20 @@ class Space:
 
     def __repr__(self):
         return "Space(%d)" % self.alphabet_size
+
+
+# The largest alphabet a document may name.  A trie node is a dense
+# k-tuple and an identity machine has k transitions, so the work of a
+# document grows with its alphabet: at this size `vebflow check` on a
+# one-set chart or on a constant-leaf command stays under a second, and
+# ten times larger the command takes several.
+MAX_ALPHABET = 10**5
+
+
+def _check_alphabet(k: int):
+    """Refuse a document's alphabet size past MAX_ALPHABET as unsupported."""
+    if k > MAX_ALPHABET:
+        raise UnsupportedError("alphabet size %d exceeds %d" % (k, MAX_ALPHABET))
 
 
 def _primitive(period: Word) -> Word:

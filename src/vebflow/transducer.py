@@ -15,6 +15,20 @@ renumbers once, on first request.  `compose` returns normal forms only,
 so structural equality of its results and `build`'s is the meaningful
 comparison and codecs are byte stable.
 
+Two bounded tables answer repeated work, `functools.lru_cache`s like
+`identity_map`'s.  `_product` holds `compose`'s product machines, keyed
+on the normal forms of the two sides, so machines equal up to
+renumbering share one entry; it keeps at most 256 pairs.  `_range`
+holds the range (the image of the whole input space) that
+`vaught_transform` checks for surjectivity, keyed on a normal form and
+a depth bound; it keeps at most 64.  An entry keeps its key machines
+and its result alive until it is evicted, and nothing else: a machine
+refers only to its spaces, its steps and itself.  A key is a flat
+table of steps, so it hashes in time linear in its size.  No table is
+keyed on a trie: tries are nested tuples whose hash recurses once per
+level, so a deep trie would overflow the C stack.  A refusal is not
+stored, so it is raised again, with the same message, on every call.
+
 Three set-level operations are provided.  `apply` evaluates the map on
 an ultimately periodic point exactly, by cycle detection.  `preimage`
 computes the exact preimage of a clopen set, always, as a product of
@@ -41,6 +55,7 @@ from .space import (
     UpPoint,
     Word,
     _canonical,
+    _check_alphabet,
     _leftmost,
     _node,
     parse_clopen,
@@ -226,7 +241,8 @@ def compose(outer: Transducer, inner: Transducer) -> Transducer:
 
     When either side is the identity the product machine is the other
     side, renumbered from its initial state, so that side's normal form
-    is returned.
+    is returned.  Any other product is built once per distinct pair of
+    normal forms, in the `_product` table.
     """
     if inner.output_space is not outer.input_space and inner.output_space != outer.input_space:
         raise SpaceMismatchError(
@@ -237,6 +253,12 @@ def compose(outer: Transducer, inner: Transducer) -> Transducer:
         return outer._normal
     if outer._identity:
         return inner._normal
+    return _product(outer._normal, inner._normal)
+
+
+@lru_cache(maxsize=256)
+def _product(outer: Transducer, inner: Transducer) -> Transducer:
+    """compose's product machine of two normal forms, in normal form."""
 
     def step(pair, a):
         si, w = inner.steps[pair[0]][a]
@@ -503,13 +525,20 @@ def image(f: Transducer, a: ClopenSet, depth_bound: int) -> ClopenSet:
     return ClopenSet._of(f.output_space, trie[root], a.declared_level)
 
 
+@lru_cache(maxsize=64)
+def _range(f: Transducer, depth_bound: int) -> ClopenSet:
+    """image(f, full input space, depth_bound), for f in normal form."""
+    return image(f, ClopenSet.full(f.input_space), depth_bound)
+
+
 # ---------------------------------------------------------------------------
 # Documents.  A transducer document is
 #   {"states": n, "init": 0, "in_space": k, "out_space": k',
 #    "trans": [{"from": s, "in": a, "to": s', "out": word-literal}, ...]}
 # with one transition per (state, letter), sorted, and "e" for the empty
 # output word.  decode returns the normal form, so encode . decode is
-# byte stable on the document of any machine in normal form.
+# byte stable on the document of any machine in normal form.  An
+# alphabet past space.MAX_ALPHABET is refused as unsupported.
 
 
 def encode_transducer(f: Transducer) -> dict:
@@ -542,6 +571,8 @@ def decode_transducer(doc) -> Transducer:
     for name, v in (("states", n), ("init", init), ("in_space", k_in), ("out_space", k_out)):
         if type(v) is not int:
             raise DocumentError("%s must be an integer" % name)
+    _check_alphabet(k_in)
+    _check_alphabet(k_out)
     if n < 1:
         raise DocumentError("a transducer needs at least one state")
     if not (0 <= init < n):

@@ -12,7 +12,7 @@ from vebflow import cli
 from vebflow import command as cm
 from vebflow import flowchart as fl
 from vebflow import transducer as tr
-from vebflow.space import ClopenSet, Space, parse_clopen, sample_grid
+from vebflow.space import MAX_ALPHABET, ClopenSet, Space, parse_clopen, sample_grid
 from vebflow.term import JoinL, encode_tree, parse_term, render_term, syntax_tree
 
 SP2 = Space(2)
@@ -143,6 +143,54 @@ def test_check_transducer_blank_output_word(capsys, tmp_path, blank):
     code, out, err = run(capsys, ["check", write_doc(tmp_path, "x.tr", json.dumps(doc))])
     assert (code, out) == (2, "")
     assert err.startswith("error: transition for state 1 letter 1: ")
+
+
+# -- alphabet size ---------------------------------------------------------------
+
+def _alphabet_doc(ext, k):
+    """A document naming alphabet size k: a one-set chart, a constant-leaf
+    command, a command whose inline map emits into Space(k), or a machine
+    reading Space(k) or emitting into it."""
+    one_set = {"nodes": [{"addr": [], "kind": "arrow"}, {"addr": [0], "kind": "const", "payload": "a"},
+                         {"addr": [1], "kind": "const", "payload": "b"}]}
+    if ext == "fc":
+        return {"kind": "flowchart", "space": k, "term": one_set, "assign": {"": "{0}"}}
+    if ext == "cmd":
+        leaf = {"nodes": [{"addr": [], "kind": "const", "payload": "a"}]}
+        return {"kind": "command", "space": k, "term": leaf, "assign": {}}
+    machine = {"states": 1, "init": 0, "in_space": 1, "out_space": 1,
+               "trans": [{"from": 0, "in": 0, "to": 0, "out": "0"}]}
+    if ext == "map.cmd":
+        machine["in_space"] = 2
+        machine["trans"].append({"from": 0, "in": 1, "to": 0, "out": "0"})
+        machine["out_space"] = k
+        return {"kind": "command", "space": 2, "term": one_set,
+                "assign": {"": {"test": "{0}", "map": machine}}}
+    machine["in_space" if ext == "in.tr" else "out_space"] = k
+    return machine
+
+
+@pytest.mark.parametrize("ext", ["fc", "cmd", "map.cmd", "in.tr", "out.tr"])
+@pytest.mark.parametrize("k", [2**70, MAX_ALPHABET + 1])
+def test_alphabet_past_the_cap_is_unsupported(capsys, tmp_path, ext, k):
+    path = write_doc(tmp_path, "wide." + ext, _alphabet_doc(ext, k))
+    assert run(capsys, ["check", path]) == (3, "", "unsupported: alphabet size %d exceeds 100000\n" % k)
+
+
+@pytest.mark.parametrize("ext, want, message", [
+    # The one-set term is not normal, so those documents fail that check.
+    ("fc", 1, ""),
+    ("cmd", 0, ""),
+    ("map.cmd", 1, ""),
+    ("in.tr", 2, "error: missing transition for state 0 letter 1\n"),
+    ("out.tr", 0, ""),
+])
+def test_alphabet_at_the_cap_is_checked(capsys, tmp_path, ext, want, message):
+    assert MAX_ALPHABET == 10**5
+    path = write_doc(tmp_path, "wide." + ext, _alphabet_doc(ext, MAX_ALPHABET))
+    code, out, err = run(capsys, ["check", path])
+    assert (code, err) == (want, message)
+    assert ("normal: fail" in out) == (want == 1)
 
 
 def _one_as_true(doc, *path):

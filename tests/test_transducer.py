@@ -14,6 +14,7 @@ from vebflow.errors import (
 )
 from vebflow import command as cm
 from vebflow import transducer
+from vebflow.flowchart import Flowchart, vaught_transform
 from vebflow.generate import map_palette, random_clopen, random_term
 from vebflow.ordinal import ONE, omega_pow
 from vebflow.space import (
@@ -26,7 +27,7 @@ from vebflow.space import (
     parse_point,
     sample_grid,
 )
-from vebflow.term import ArrowL, JoinL, VeblenL, syntax_tree
+from vebflow.term import ArrowL, JoinL, VeblenL, parse_term, syntax_tree
 from vebflow.transducer import (
     Transducer,
     apply,
@@ -504,7 +505,8 @@ def _mapped_command(rng, palette):
 
 def test_lowering_renumbers_only_product_machines(monkeypatch):
     # Palette machines are reused across commands and products are
-    # composed again further down the tree: none is renumbered twice.
+    # composed again further down the tree: only product machines are
+    # renumbered, and each distinct pair of normal forms once.
     rng = random.Random(1305)
     palette = map_palette(SP2) + [out_map(cs("{01}")), out_map(cs("{1, 00}"))]
     commands = [_mapped_command(rng, palette) for _ in range(60)]
@@ -514,15 +516,82 @@ def test_lowering_renumbers_only_product_machines(monkeypatch):
     def counted_compose(outer, inner):
         composed.append(1)
         if not (outer._identity or inner._identity):
-            products.append(1)
+            products.append((outer._normal, inner._normal))
         return real_compose(outer, inner)
 
+    transducer._product.cache_clear()
     monkeypatch.setattr(transducer, "_numbered", lambda *a: numbered.append(a) or real_numbered(*a))
     monkeypatch.setattr(cm, "compose", counted_compose)
     for c in commands:
         cm.command_to_flowchart(c)
     assert len(composed) > len(products) > 20
-    assert len(numbered) == len(products)
+    assert len(numbered) == len(set(products)) < len(products)
+
+
+def test_cached_product_equals_uncached():
+    # Random machines, and NON_NORMAL's valid tables built directly.
+    rng = random.Random(1306)
+    machines = [Transducer(*t) for t in NON_NORMAL if _outcome(lambda: ref_check(*t)) is None]
+    machines += [_random_machine(rng, k_out=rng.randint(1, 3)) for _ in range(40)]
+    pairs = 0
+    for outer in machines:
+        for inner in machines:
+            if inner.output_space != outer.input_space or outer._identity or inner._identity:
+                continue
+            got = compose(outer, inner)
+            want = transducer._product.__wrapped__(outer._normal, inner._normal)
+            assert got == want and got.steps == want.steps
+            assert got._normal is got
+            pairs += 1
+    assert pairs > 300
+
+
+def test_equal_machines_share_one_product():
+    # Two separate builds are equal, not identical: the table answers
+    # the second pair with the first pair's product machine.
+    first = compose(drop_first(SP2), drop_first(SP2))
+    again = compose(drop_first(SP2), drop_first(SP2))
+    assert drop_first(SP2) is not drop_first(SP2)
+    assert again is first
+    # A directly built machine shares the entry of its normal form.
+    steps = (((1, (1,)), (1, (1,))), ((0, (0,)), (0, (0,))))
+    renumbered = Transducer(SP2, SP2, 1, steps)
+    assert renumbered._normal is not renumbered
+    assert compose(renumbered, first) is compose(renumbered._normal, first)
+
+
+def test_product_table_is_bounded():
+    rng = random.Random(1307)
+    transducer._product.cache_clear()
+    pairs = set()
+    while len(pairs) <= 300:
+        outer, inner = _random_machine(rng, k_out=1), _random_machine(rng, k_out=1)
+        if outer.input_space != SP1 or outer._identity or inner._identity:
+            continue
+        compose(outer, inner)
+        pairs.add((outer._normal, inner._normal))
+    info = transducer._product.cache_info()
+    assert info.misses >= len(pairs) > 256
+    assert info.currsize <= 256
+
+
+def test_range_refusal_is_raised_on_every_call():
+    # const_zero's range is one point: the surjectivity check refuses,
+    # and the refusal is not stored, so every call raises it again.
+    zero = const_zero(SP2, SP2)
+    f = Flowchart(parse_term('q"a" ~> q"b"'), SP2, {(): cs("{1}")})
+    messages = []
+    for _ in range(3):
+        with pytest.raises(UndecidedImageError) as info:
+            vaught_transform(f, zero, 6)
+        messages.append(str(info.value))
+    assert messages == ["image undecided at depth 6 (possibly not clopen)"] * 3
+    with pytest.raises(UndecidedImageError) as info:
+        transducer._range(zero._normal, 6)
+    assert str(info.value) == messages[0]
+    # A range found once is kept: the second check reads the first.
+    ident = identity_map(SP2)
+    assert transducer._range(ident, 6) is transducer._range(ident, 6)
 
 
 def test_compose_matches_reference():
