@@ -70,7 +70,23 @@ def load_document(path: str):
     raise DocumentError("%s: unknown document extension (.term/.fc/.cmd/.tr)" % path)
 
 
+_GRID_CAP = 2 * 10**6
+
+
 def _grid(args, space: Space):
+    """The sample grid, refused as unsupported before it is built when
+    its rough size, k^prefix * (k + ... + k^period) points, passes
+    _GRID_CAP.  For k > 1 an exponent past 21 only grows a number
+    already past the cap (2^21 > 2 * 10^6), so exponents are clipped
+    there; for k = 1 the size is the period."""
+    k = space.alphabet_size
+    prefix, period = min(args.grid_prefix, 21), min(args.grid_period, 21)
+    size = args.grid_period if k == 1 else k**prefix * sum(k**n for n in range(1, period + 1))
+    if size > _GRID_CAP:
+        raise UnsupportedError(
+            "a sample grid over %d letters with prefixes up to %d and periods up to %d exceeds %d points"
+            % (k, args.grid_prefix, args.grid_period, _GRID_CAP)
+        )
     return sample_grid(space, args.grid_prefix, args.grid_period)
 
 
@@ -210,23 +226,19 @@ def cmd_transform(args) -> int:
         encoded = fl.encode_flowchart(result)
     else:
         encoded = cm.encode_command(result)
+    # Built before any output, so a grid too large is refused with none.
+    grid = _grid(args, extra.input_space if op == "pullback" else doc.space) if args.verify else ()
 
     _emit(encoded, args.out)
     if not args.verify:
         return 0
     before, after = _outcome(doc), _outcome(result)
     if op == "pullback":
-        pairs = (
-            (x, before(doc, tr.apply(extra, x)), after(result, x))
-            for x in _grid(args, extra.input_space)
-        )
+        pairs = ((x, before(doc, tr.apply(extra, x)), after(result, x)) for x in grid)
     elif op == "vaught":
-        pairs = (
-            (x, before(doc, x), after(result, tr.apply(extra, x)))
-            for x in _grid(args, doc.space)
-        )
+        pairs = ((x, before(doc, x), after(result, tr.apply(extra, x))) for x in grid)
     else:
-        pairs = ((x, before(doc, x), after(result, x)) for x in _grid(args, doc.space))
+        pairs = ((x, before(doc, x), after(result, x)) for x in grid)
     ok, total, first = _agreement(pairs)
     print("eval agreement: %d/%d points" % (ok, total), file=sys.stderr)
     if ok != total:

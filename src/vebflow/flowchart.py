@@ -57,7 +57,7 @@ from .errors import (
     UnsupportedError,
 )
 from .ordinal import ONE, cmp, parse_ordinal, render_ordinal
-from .space import ClopenSet, Space, Trie, UpPoint, _check_alphabet, _combine, _leftmost, _level, _lockstep, member, parse_clopen, render_clopen
+from .space import ClopenSet, Space, Trie, UpPoint, _check_alphabet, _combine, _leftmost, _level, _lockstep, member, parse_clopen, render_clopen, render_point
 from .term import (
     Address,
     ArrowL,
@@ -74,7 +74,7 @@ from .term import (
     syntax_tree,
     term_from_tree,
 )
-from .transducer import Transducer, _range, image, preimage
+from .transducer import Transducer, _outside_range, image, preimage
 
 __all__ = [
     "Flowchart",
@@ -526,14 +526,13 @@ def vaught_transform(f: Flowchart, delta: Transducer, depth_bound: int) -> Flowc
     Every assigned set A becomes the image delta[A]: for clopen A the
     fiber intersection is relatively open, and a nonempty open subset of
     a Polish fiber is non-meager, so the category transform and the
-    direct image agree.  Monotonicity of the input is required;
-    surjectivity is checked as image(delta, full) = full, on the range
-    `transducer._range` keeps per normal form and bound.  Each
-    distinct trie is pushed forward once per call, in assignment order,
-    and each result keeps its own set's declared level: the empty trie
-    goes to the empty set and the full trie to the range just found
-    full.  Raises UndecidedImageError at the first set whose image is
-    unresolved at the depth bound.
+    direct image agree.  Monotonicity of the input is required, and a
+    map that is not onto is refused with a point outside its range
+    (`transducer._outside_range`, kept per normal form).  Each distinct
+    trie is pushed forward once per call, in assignment order, and each
+    result keeps its own set's declared level: the empty and full tries
+    go to the empty and full sets.  Raises UndecidedImageError at the
+    first set whose image is unresolved at the depth bound.
     """
     if delta.input_space != f.space:
         raise SpaceMismatchError(
@@ -541,12 +540,12 @@ def vaught_transform(f: Flowchart, delta: Transducer, depth_bound: int) -> Flowc
         )
     if not is_monotone(f):
         raise NotMonotoneError("the Vaught transform needs a monotone flowchart")
-    onto = _range(delta._normal, depth_bound)
-    if not onto.is_full:
-        raise UnsupportedError("the name map is not surjective; its range is %s" % onto)
+    missed = _outside_range(delta._normal)
+    if missed is not None:
+        raise UnsupportedError("the name map is not surjective: %s is outside its range" % render_point(missed))
     out = delta.output_space
     # Keyed by id: the tries are f's, alive for the whole call.
-    images: dict[int, Trie] = {id(False): False, id(True): onto.trie}
+    images: dict[int, Trie] = {id(False): False, id(True): True}
 
     def push(addr, s):
         t = images.get(id(s.trie))

@@ -18,28 +18,28 @@ comparison and codecs are byte stable.
 Two bounded tables answer repeated work, `functools.lru_cache`s like
 `identity_map`'s.  `_product` holds `compose`'s product machines, keyed
 on the normal forms of the two sides, so machines equal up to
-renumbering share one entry; it keeps at most 256 pairs.  `_range`
-holds the range (the image of the whole input space) that
-`vaught_transform` checks for surjectivity, keyed on a normal form and
-a depth bound; it keeps at most 64.  An entry keeps its key machines
+renumbering share one entry; it keeps at most 256 pairs.
+`_outside_range` holds, per normal form, what `vaught_transform`'s
+surjectivity check needs: a point outside the map's range, or None
+when the map is onto; it keeps at most 64.  An entry keeps its key machines
 and its result alive until it is evicted, and nothing else: a machine
 refers only to its spaces, its steps and itself.  A key is a flat
 table of steps, so it hashes in time linear in its size.  No table is
 keyed on a trie: tries are nested tuples whose hash recurses once per
-level, so a deep trie would overflow the C stack.  A refusal is not
-stored, so it is raised again, with the same message, on every call.
+level, so a deep trie would overflow the C stack.  A budget refusal is
+not stored, so it is raised again, with the same message, on every call.
 
 Three set-level operations are provided.  `apply` evaluates the map on
 an ultimately periodic point exactly, by cycle detection.  `preimage`
 computes the exact preimage of a clopen set, always, as a product of
 machine states and trie nodes.  `image` computes the exact forward image
-of a clopen set in one walk over the finite graph of configuration sets
-(sets of machine state and pending output word, one edge per output
-letter): a set is empty, covering (no path reaches the empty set) or
-mixed, and the mixed sets are the inner nodes of the image's trie.  When
-a path of mixed sets reaches the depth bound the image is not certified
-clopen within it, and `image` refuses (UndecidedImageError) rather than
-guess, so a returned answer is always correct.
+of a clopen set in one depth-first walk over the finite graph of
+configuration sets (sets of machine state and pending output word, one
+edge per output letter); the mixed sets, from which a path reaches the
+empty set, are the inner nodes of the image's trie.  When the trie is
+taller than the depth bound (infinitely so when the image is not clopen)
+`image` refuses (UndecidedImageError) rather than guess, so a returned
+answer is always correct.  The same walk finds a point outside a range.
 """
 
 from __future__ import annotations
@@ -444,11 +444,12 @@ def preimage(f: Transducer, a: ClopenSet) -> ClopenSet:
 #   * mixed: some path reaches the empty set (an inner trie node).
 #
 # The set reached along an output word v is mixed exactly when v is an
-# inner node of the image's reduced trie.  So `image` answers exactly
-# when no path of mixed sets from the root is depth_bound letters long:
-# then the image is clopen with no antichain word longer than the bound
-# (a non-clopen image has mixed paths of every length), the mixed sets
-# form a DAG, and the trie is built bottom up over it.
+# inner node of the image's reduced trie.  One post-order walk builds
+# each set's trie and height, counting a set still open on its stack as
+# covering.  Such a set lies on a cycle: if it comes out mixed, mixed
+# paths of every length leave the root and the height is infinite;
+# otherwise every count was right.  Either way a leaf False is the empty
+# set, so a path to one names a cylinder the image misses.
 
 
 def _settle(f: Transducer, configs) -> frozenset:
@@ -468,67 +469,67 @@ def _settle(f: Transducer, configs) -> frozenset:
     return frozenset(out)
 
 
+def _walk(f: Transducer, root: frozenset) -> tuple[Trie, float]:
+    """The trie of the image below the configuration set root and its
+    height, infinite when the image is not clopen.  Raises
+    UndecidedImageError once more than _COVER_BUDGET sets, the empty
+    set included, are reached."""
+    k = f.output_space.alphabet_size
+    opened = (True, 0)  # a set still open counts as covering
+    built = {root: opened}  # each set's (trie, height)
+    looped = set()  # the open sets so counted
+    # A frame: a set and its children so far.
+    stack: list = []
+    configs, row = root, []
+    while True:
+        while configs and len(row) < k:
+            c = len(row)
+            nxt = _settle(f, [(s, u[1:]) for s, u in configs if u[0] == c])
+            row.append(nxt)
+            got = built.get(nxt)
+            if got is None:
+                built[nxt] = opened
+                if len(built) > _COVER_BUDGET:
+                    raise UndecidedImageError("image coverage exceeded the configuration budget")
+                stack.append((configs, row))
+                configs, row = nxt, []
+            elif got is opened:
+                looped.add(nxt)
+        # An open child is an ancestor, so it is still open here.
+        t = _node([built[x][0] for x in row]) if configs else False
+        h = 0
+        if t.__class__ is tuple:
+            h = float("inf") if configs in looped else 1 + max(built[x][1] for x in row)
+        if not stack:
+            return t, h
+        built[configs] = (t, h)
+        configs, row = stack.pop()
+
+
 def image(f: Transducer, a: ClopenSet, depth_bound: int) -> ClopenSet:
     """The exact forward image f[a], certified clopen, or a refusal.
 
-    Raises UndecidedImageError when some output cylinder is still
-    unresolved at the depth bound (in particular whenever the image is
-    not clopen), or when the walk exceeds _COVER_BUDGET configuration
-    sets.  A returned set is exactly f[a]: every leaf of its trie is a
-    configuration set proven empty or covering.
+    Raises UndecidedImageError when the image's trie is taller than the
+    depth bound (in particular whenever the image is not clopen), or
+    when the walk exceeds _COVER_BUDGET configuration sets.  A returned
+    set is exactly f[a]: every leaf of its trie is a configuration set
+    proven empty or covering.
     """
     if a.space is not f.input_space and a.space != f.input_space:
         raise SpaceMismatchError("set in %r, map reads %r" % (a.space, f.input_space))
-    k_out = f.output_space.alphabet_size
-    root = _settle(f, [f.run_word(f.init, w) for w in a.antichain])
-    kids: dict[frozenset, list[frozenset]] = {}
-    parents: dict[frozenset, list[frozenset]] = {}
-    stack = [root]
-    while stack:
-        configs = stack.pop()
-        if configs in kids:
-            continue
-        kids[configs] = row = [
-            _settle(f, [(s, u[1:]) for s, u in configs if u[0] == c]) for c in range(k_out)
-        ]
-        if len(kids) > _COVER_BUDGET:
-            raise UndecidedImageError("image coverage exceeded the configuration budget")
-        for kid in row:
-            parents.setdefault(kid, []).append(configs)
-            stack.append(kid)
-    # The sets with a path to the empty set, by one reverse walk from it.
-    reach = {frozenset()}
-    stack = [frozenset()]
-    while stack:
-        for p in parents.get(stack.pop(), ()):
-            if p not in reach:
-                reach.add(p)
-                stack.append(p)
-    mixed = reach - {frozenset()}
-    # layers[d]: the mixed sets at the end of a mixed path of d letters.
-    # A layer seen before recurs forever, so it reaches the bound.
-    layers: list[set] = []
-    layer = mixed & {root}
-    while layer and len(layers) < depth_bound and layer not in layers:
-        layers.append(layer)
-        layer = mixed & {kid for configs in layer for kid in kids[configs]}
-    if layer:
-        raise UndecidedImageError(
-            "image undecided at depth %d (possibly not clopen)" % depth_bound
-        )
-    # Every mixed child of layer d lies in layer d + 1, so building the
-    # layers deepest first sees each mixed child built.
-    trie = {configs: configs not in reach for configs in kids}
-    for layer in reversed(layers):
-        for configs in layer:
-            trie[configs] = _node([trie[kid] for kid in kids[configs]])
-    return ClopenSet._of(f.output_space, trie[root], a.declared_level)
+    t, height = _walk(f, _settle(f, [f.run_word(f.init, w) for w in a.antichain]))
+    if height > depth_bound:
+        raise UndecidedImageError("image undecided at depth %d (possibly not clopen)" % depth_bound)
+    return ClopenSet._of(f.output_space, t, a.declared_level)
 
 
 @lru_cache(maxsize=64)
-def _range(f: Transducer, depth_bound: int) -> ClopenSet:
-    """image(f, full input space, depth_bound), for f in normal form."""
-    return image(f, ClopenSet.full(f.input_space), depth_bound)
+def _outside_range(f: Transducer) -> UpPoint | None:
+    """A point outside f's range (the image of the whole input space),
+    read off the walk's leftmost empty leaf, or None when f is onto; f
+    in normal form."""
+    t, _ = _walk(f, _settle(f, [(f.init, ())]))
+    return None if t is True else _leftmost(f.output_space, t, False)
 
 
 # ---------------------------------------------------------------------------

@@ -448,6 +448,57 @@ def test_transform_vaught_non_surjective(capsys, tmp_path, fc_path):
     assert "surjective" in err
 
 
+def test_transform_vaught_names_a_point_outside_the_range(capsys, tmp_path, fc_path):
+    # const_zero's range is one point, which is not clopen: the map is
+    # refused as not onto, with a point its range misses.
+    extra = write_doc(tmp_path, "z.tr", tr.encode_transducer(tr.const_zero(SP2, SP2)))
+    assert run(capsys, ["transform", "vaught", fc_path, extra]) == (
+        3, "", "unsupported: the name map is not surjective: 1(0) is outside its range\n")
+
+
+def _chart_over(k):
+    space = Space(k)
+    sets = {(): parse_clopen(space, "{1}"), (1,): (parse_clopen(space, "{10}"), parse_clopen(space, "{11}"))}
+    return fl.encode_flowchart(fl.Flowchart(TERM, space, sets))
+
+
+GRID_REFUSAL = "unsupported: a sample grid over 16 letters with prefixes up to 4 and periods up to 2 exceeds 2000000 points\n"
+
+
+def test_oversized_grid_is_refused_before_any_output(capsys, tmp_path):
+    path = write_doc(tmp_path, "wide.fc", _chart_over(16))
+    target = tmp_path / "out.fc"
+    assert run(capsys, ["transform", "monotone", path, "--verify"]) == (3, "", GRID_REFUSAL)
+    assert run(capsys, ["transform", "monotone", path, "--verify", "--out", str(target)]) == (3, "", GRID_REFUSAL)
+    assert not target.exists()
+    # Without --verify no grid is built, so the transform runs.
+    code, out, _ = run(capsys, ["transform", "monotone", path])
+    assert code == 0 and out
+    # fuzz shares the grid, so it refuses too.
+    assert run(capsys, ["--space", "16", "fuzz", "--iters", "1"]) == (3, "", GRID_REFUSAL)
+
+
+def test_grid_cap_admits_eleven_letters_at_the_default_lengths(capsys, monkeypatch):
+    # 11^4 * (11 + 11^2) = 1 932 612 points at most, under the cap;
+    # 12^4 * (12 + 12^2) = 3 234 816, past it.  A grid past 2^21 in one
+    # factor is refused whatever the other.
+    monkeypatch.setattr(cli, "sample_grid", lambda *args: [])
+    args = cli._parser().parse_args(["fuzz"])
+    assert cli._grid(args, Space(11)) == []
+    with pytest.raises(cli.UnsupportedError, match="over 12 letters"):
+        cli._grid(args, Space(12))
+    for prefix, period, k in ((10**9, 1, 2), (1, 10**9, 2), (1, 2 * 10**6 + 1, 1)):
+        args = cli._parser().parse_args(["--grid-prefix", str(prefix), "--grid-period", str(period), "fuzz"])
+        with pytest.raises(cli.UnsupportedError, match="exceeds 2000000 points"):
+            cli._grid(args, Space(k))
+
+
+def test_verify_on_two_letters_prints_the_same_agreement_line(capsys, tmp_path):
+    path = write_doc(tmp_path, "f.fc", _chart_over(2))
+    code, _, err = run(capsys, ["transform", "monotone", path, "--verify"])
+    assert (code, err) == (0, "eval agreement: 64/64 points\n")
+
+
 @pytest.mark.parametrize("op", ["pullback", "vaught"])
 def test_transform_map_in_the_wrong_space(capsys, tmp_path, fc_path, op):
     # A one-state echo machine over Space(3) does not fit a Space(2) chart:

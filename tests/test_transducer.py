@@ -11,6 +11,7 @@ from vebflow.errors import (
     EmptySetError,
     SpaceMismatchError,
     UndecidedImageError,
+    UnsupportedError,
 )
 from vebflow import command as cm
 from vebflow import transducer
@@ -21,6 +22,7 @@ from vebflow.space import (
     ClopenSet,
     Space,
     UpPoint,
+    _node,
     least_point,
     member,
     parse_clopen,
@@ -575,23 +577,29 @@ def test_product_table_is_bounded():
     assert info.currsize <= 256
 
 
-def test_range_refusal_is_raised_on_every_call():
-    # const_zero's range is one point: the surjectivity check refuses,
-    # and the refusal is not stored, so every call raises it again.
+def test_range_refusal_is_raised_on_every_call(monkeypatch):
+    # const_zero's range is one point: the surjectivity check refuses
+    # with a point outside it, on every call.
     zero = const_zero(SP2, SP2)
     f = Flowchart(parse_term('q"a" ~> q"b"'), SP2, {(): cs("{1}")})
     messages = []
     for _ in range(3):
-        with pytest.raises(UndecidedImageError) as info:
+        with pytest.raises(UnsupportedError) as info:
             vaught_transform(f, zero, 6)
         messages.append(str(info.value))
-    assert messages == ["image undecided at depth 6 (possibly not clopen)"] * 3
-    with pytest.raises(UndecidedImageError) as info:
-        transducer._range(zero._normal, 6)
-    assert str(info.value) == messages[0]
-    # A range found once is kept: the second check reads the first.
-    ident = identity_map(SP2)
-    assert transducer._range(ident, 6) is transducer._range(ident, 6)
+    assert messages == ["the name map is not surjective: 1(0) is outside its range"] * 3
+    # A check made once is kept: the second reads the first.
+    assert transducer._outside_range(zero._normal) == pt("1(0)")
+    assert transducer._outside_range(zero._normal) is transducer._outside_range(zero._normal)
+    assert transducer._outside_range(identity_map(SP2)) is None
+    # A budget refusal is not stored, so every call raises it again.
+    transducer._outside_range.cache_clear()
+    with monkeypatch.context() as m:
+        m.setattr(transducer, "_COVER_BUDGET", 1)
+        for _ in range(2):
+            with pytest.raises(UndecidedImageError, match="exceeded the configuration budget"):
+                transducer._outside_range(zero._normal)
+    assert transducer._outside_range(zero._normal) == pt("1(0)")
 
 
 def test_compose_matches_reference():
@@ -1139,6 +1147,136 @@ def test_image_configuration_budget(monkeypatch):
     with pytest.raises(UndecidedImageError, match="exceeded the configuration budget"):
         image(drop_first(SP2), cs("{01}"), 6)
     assert ref_image(drop_first(SP2), cs("{01}"), 6) == cs("{1}")
+
+
+# The layered `image` that the one-walk `image` replaced: a forward walk
+# indexing each configuration set's children and parents, a reverse walk
+# from the empty set for the mixed sets, a loop over the layers of mixed
+# sets at each depth, and a bottom-up build over those layers.  Kept as
+# the differential reference for the walk.
+
+def ref_layered_image(f, a, depth_bound):
+    if a.space is not f.input_space and a.space != f.input_space:
+        raise SpaceMismatchError("set in %r, map reads %r" % (a.space, f.input_space))
+    settle = transducer._settle
+    k_out = f.output_space.alphabet_size
+    root = settle(f, [f.run_word(f.init, w) for w in a.antichain])
+    kids = {}
+    parents = {}
+    stack = [root]
+    while stack:
+        configs = stack.pop()
+        if configs in kids:
+            continue
+        kids[configs] = row = [
+            settle(f, [(s, u[1:]) for s, u in configs if u[0] == c]) for c in range(k_out)
+        ]
+        if len(kids) > transducer._COVER_BUDGET:
+            raise UndecidedImageError("image coverage exceeded the configuration budget")
+        for kid in row:
+            parents.setdefault(kid, []).append(configs)
+            stack.append(kid)
+    reach = {frozenset()}
+    stack = [frozenset()]
+    while stack:
+        for p in parents.get(stack.pop(), ()):
+            if p not in reach:
+                reach.add(p)
+                stack.append(p)
+    mixed = reach - {frozenset()}
+    layers = []
+    layer = mixed & {root}
+    while layer and len(layers) < depth_bound and layer not in layers:
+        layers.append(layer)
+        layer = mixed & {kid for configs in layer for kid in kids[configs]}
+    if layer:
+        raise UndecidedImageError(
+            "image undecided at depth %d (possibly not clopen)" % depth_bound
+        )
+    trie = {configs: configs not in reach for configs in kids}
+    for layer in reversed(layers):
+        for configs in layer:
+            trie[configs] = _node([trie[kid] for kid in kids[configs]])
+    return ClopenSet._of(f.output_space, trie[root], a.declared_level)
+
+
+def _image_sample():
+    """1500 machines, each with a clopen set of depth at most 4."""
+    rng = random.Random(11)
+    pairs = []
+    for _ in range(1500):
+        f = _random_machine(rng)
+        pairs.append((f, random_clopen(rng, f.input_space, 4)))
+    return pairs
+
+
+def test_image_walk_matches_layered_image(monkeypatch):
+    pairs = _image_sample()
+    refused = 0
+    for f, a in pairs:
+        for depth_bound in (0, 1, 2, 3, 6, 8, 40):
+            got = _image_outcome(image, f, a, depth_bound)
+            assert got == _image_outcome(ref_layered_image, f, a, depth_bound), (f, a, depth_bound)
+        refused += got[0] is UndecidedImageError
+    # At bound 40 the 966 refusals are exactly the images that are not
+    # clopen; the other 534 are returned.
+    assert refused == 966
+    for budget in range(1, 11):
+        monkeypatch.setattr(transducer, "_COVER_BUDGET", budget)
+        for f, a in pairs:
+            for depth_bound in (0, 6, 40):
+                got = _image_outcome(image, f, a, depth_bound)
+                assert got == _image_outcome(ref_layered_image, f, a, depth_bound), (f, a, depth_bound, budget)
+
+
+def test_image_walk_pinned_cases(monkeypatch):
+    # A mixed cycle reached through a set still open on the walk's
+    # stack: letter doubling's root is counted covering below itself,
+    # comes out mixed, and so the height is infinite.
+    double = letter_double(SP2)
+    _, height = transducer._walk(double, transducer._settle(double, [(0, ())]))
+    assert height == float("inf")
+    for depth_bound in (0, 6, 40):
+        got = _image_outcome(image, double, ClopenSet.full(SP2), depth_bound)
+        assert got == _image_outcome(ref_layered_image, double, ClopenSet.full(SP2), depth_bound)
+        assert got == (UndecidedImageError, "image undecided at depth %d (possibly not clopen)" % depth_bound)
+    # A clopen image seven letters deep: refused at bound 6, returned at 7.
+    ident, deep = identity_map(SP2), cs("{0000000}")
+    for depth_bound in (6, 7):
+        assert _image_outcome(image, ident, deep, depth_bound) == _image_outcome(ref_layered_image, ident, deep, depth_bound)
+    with pytest.raises(UndecidedImageError, match="undecided at depth 6"):
+        image(ident, deep, 6)
+    assert image(ident, deep, 7) == deep
+    # The empty set: its image is empty at any bound, and the walk
+    # reaches one configuration set, the empty one.
+    monkeypatch.setattr(transducer, "_COVER_BUDGET", 1)
+    for f in (ident, double, parity_merge()):
+        got = image(f, ClopenSet.empty(SP2), 0)
+        assert got.is_empty and got == ref_layered_image(f, ClopenSet.empty(SP2), 0)
+
+
+def test_outside_range_names_a_point_the_range_misses():
+    # A non-onto map's witness lies outside the range: some prefix of it
+    # names a cylinder the range misses.  The witness follows the walk's
+    # leftmost path to an empty leaf, which is not always short: on these
+    # machines it needs up to 27 letters.  An onto map's range covers
+    # the whole output space.
+    rng = random.Random(1511)
+    machines = [identity_map(SP2), drop_first(SP2), letter_double(SP2), parity_merge(),
+                const_zero(SP2, SP2), const_zero(SP2, SP1), in_map(cs("{10}")),
+                in_map(cs("{0, 11}")), out_map(cs("{01}"))]
+    machines += [_random_machine(rng) for _ in range(300)]
+    onto = set()
+    for f in machines:
+        missed = transducer._outside_range(f._normal)
+        starts = [(f.init, ())]
+        if missed is None:
+            assert ref_covers(f, starts, ()), f
+        else:
+            word = tuple(missed.letter(i) for i in range(64))
+            assert any(not ref_intersects(f, starts, word[:n]) for n in range(65)), (f, missed)
+        onto.add(missed is None)
+    assert onto == {True, False}
 
 
 # -- codec ---------------------------------------------------------------------------
