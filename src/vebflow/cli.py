@@ -103,6 +103,19 @@ def _addr_text(addr) -> str:
     return fl.render_address(addr) or "e"
 
 
+def _chart(doc) -> fl.Flowchart:
+    """A flowchart itself, or the chart a command means: its translation,
+    on which the command's deciders and evaluators run."""
+    return doc if isinstance(doc, fl.Flowchart) else cm.command_to_flowchart(doc)
+
+
+def _term(kind: str, doc, cmd: str):
+    """The term a term, flowchart or command document holds."""
+    if kind not in ("term", "flowchart", "command"):
+        raise DocumentError("%s needs a term, flowchart, or command document" % cmd)
+    return doc if kind == "term" else doc.term
+
+
 # ---------------------------------------------------------------------------
 # check
 
@@ -129,11 +142,12 @@ def cmd_check(args) -> int:
         # construction already proved totality and productivity
         return _report([("productive", True, "(%d states)" % len(doc.steps))])
     if kind == "flowchart":
-        deciders, own = fl, (("levels", fl.check_levels), ("monotone", fl.is_monotone))
+        own = (("levels", fl.check_levels), ("monotone", fl.is_monotone))
     else:
-        deciders, own = cm, (("simple", cm.is_simple), ("strongly_total", cm.is_strongly_total))
-    total, tw = deciders.is_total(doc)
-    det, dw = deciders.is_deterministic(doc)
+        own = (("simple", cm.is_simple), ("strongly_total", cm.is_strongly_total))
+    chart = _chart(doc)
+    total, tw = fl.is_total(chart)
+    det, dw = fl.is_deterministic(chart)
     return _report(
         [
             ("well_formed", is_well_formed(doc.term), ""),
@@ -147,11 +161,6 @@ def cmd_check(args) -> int:
 
 # ---------------------------------------------------------------------------
 # eval
-
-
-def _outcome(doc):
-    """The pointwise evaluator for a flowchart or a command."""
-    return fl.eval_outcome if isinstance(doc, fl.Flowchart) else cm.eval_outcome
 
 
 def _render_outcome(outcome) -> str:
@@ -168,7 +177,7 @@ def cmd_eval(args) -> int:
     if kind not in ("flowchart", "command"):
         raise DocumentError("eval needs a flowchart or command document")
     x = parse_point(doc.space, args.point)
-    outcome = _outcome(doc)(doc, x)
+    outcome = fl.eval_outcome(_chart(doc), x)
     print(_render_outcome(outcome))
     return 0 if outcome[0] == "value" else 1
 
@@ -232,14 +241,17 @@ def cmd_transform(args) -> int:
     _emit(encoded, args.out)
     if not args.verify:
         return 0
-    before, after = _outcome(doc), _outcome(result)
-    if op == "pullback":
-        pairs = ((x, before(doc, tr.apply(extra, x)), after(result, x)) for x in grid)
-    elif op == "vaught":
-        pairs = ((x, before(doc, x), after(result, tr.apply(extra, x))) for x in grid)
-    else:
-        pairs = ((x, before(doc, x), after(result, x)) for x in grid)
-    ok, total, first = _agreement(pairs)
+    # A grid point x is read by the source at tr.apply(extra, x) under
+    # pullback, and by the result at tr.apply(extra, x) under vaught.
+    source, target = _chart(doc), _chart(result)
+    ok, total, first = _agreement(
+        (
+            x,
+            fl.eval_outcome(source, tr.apply(extra, x) if op == "pullback" else x),
+            fl.eval_outcome(target, tr.apply(extra, x) if op == "vaught" else x),
+        )
+        for x in grid
+    )
     print("eval agreement: %d/%d points" % (ok, total), file=sys.stderr)
     if ok != total:
         print("first mismatch: %s" % first, file=sys.stderr)
@@ -253,13 +265,7 @@ def cmd_transform(args) -> int:
 
 def cmd_rank(args) -> int:
     kind, doc = load_document(args.path)
-    if kind == "term":
-        term = doc
-    elif kind in ("flowchart", "command"):
-        term = doc.term
-    else:
-        raise DocumentError("rank needs a term, flowchart, or command document")
-    ranks = borel_ranks(term)
+    ranks = borel_ranks(_term(kind, doc, "rank"))
     for addr in sorted(ranks):
         print("%s\t%s" % (_addr_text(addr), render_ordinal(ranks[addr])))
     return 0
@@ -289,12 +295,7 @@ def _set_caption(s) -> str:
 
 def cmd_dot(args) -> int:
     kind, doc = load_document(args.path)
-    if kind == "term":
-        term, annotate = doc, None
-    elif kind in ("flowchart", "command"):
-        term, annotate = doc.term, doc
-    else:
-        raise DocumentError("dot needs a term, flowchart, or command document")
+    term = _term(kind, doc, "dot")
     tree = syntax_tree(term)
     ranks = borel_ranks(term)
     # Nodes are n0, n1, ... in address order, the order of the term's
@@ -305,21 +306,19 @@ def cmd_dot(args) -> int:
     for addr, node in ids.items():
         label = tree.label(addr)
         parts = [_node_caption(label), "rank %s" % render_ordinal(ranks[addr])]
-        if annotate is not None and not isinstance(label, (Const, Var)):
-            if kind == "flowchart" and isinstance(label, (ArrowL, JoinL)):
-                sets = annotate.at(addr)
-                if isinstance(sets, tuple):
-                    parts += ["S%d = %s" % (n, _set_caption(s)) for n, s in enumerate(sets)]
-                else:
-                    parts.append("S = %s" % _set_caption(sets))
-            elif kind == "command":
-                site = annotate.at(addr)
-                if isinstance(site, cm.ArrowSite):
-                    parts.append("U = %s" % _set_caption(site.test))
-                elif isinstance(site, cm.JoinSite):
-                    parts += [
-                        "U%d = %s" % (n, _set_caption(t)) for n, (t, _) in enumerate(site.members)
-                    ]
+        # The term of a chart or command is closed: its leaves are constants.
+        if kind == "flowchart" and isinstance(label, (ArrowL, JoinL)):
+            sets = doc.at(addr)
+            if isinstance(sets, tuple):
+                parts += ["S%d = %s" % (n, _set_caption(s)) for n, s in enumerate(sets)]
+            else:
+                parts.append("S = %s" % _set_caption(sets))
+        elif kind == "command" and not isinstance(label, Const):
+            site = doc.at(addr)
+            if isinstance(site, cm.ArrowSite):
+                parts.append("U = %s" % _set_caption(site.test))
+            elif isinstance(site, cm.JoinSite):
+                parts += ["U%d = %s" % (n, _set_caption(t)) for n, (t, _) in enumerate(site.members)]
         lines.append(
             '  %s [label="%s", tooltip="%s"];'
             % (node, "\\n".join(_dot_escape(p) for p in parts), _addr_text(addr))
@@ -369,25 +368,37 @@ def _fuzz_domains(rng, grid, space) -> str | None:
     return None
 
 
+def _disagree(grid, *pairs) -> str | None:
+    """The first place where a pair of charts (f, g, at, off) evaluates
+    apart: on the grid, point by point and pair by pair at each point,
+    reported as `at` % the point; else off the grid, reported as `off`."""
+    for x in grid:
+        for f, g, at, _ in pairs:
+            if fl.eval_outcome(f, x) != fl.eval_outcome(g, x):
+                return at % render_point(x)
+    for f, g, _, off in pairs:
+        if not fl.equivalent(f, g):
+            return off
+    return None
+
+
 def _fuzz_monotone(rng, grid, space) -> str | None:
     term = gen.random_normal_term(rng, 3)
     f = gen.random_flowchart(rng, term, space, 3)
     g = fl.to_monotone(f)
-    # g shares f's compile; its sets are checked against a fresh one.
+    # g shares f's compile; its sets and values are checked on a fresh one.
     fresh = fl.Flowchart(g.term, g.space, g.assign)
     domains = fl.domain_assignment(fresh)
     for addr, sets in g.assign:
         family = sets if isinstance(sets, tuple) else (sets,)
         if not all(s.is_subset(domains[addr]) for s in family):
             return "monotone output not within domains at %s" % (addr,)
-    for x in grid:
-        if fl.eval_outcome(f, x) != fl.eval_outcome(g, x):
-            return "monotone eval mismatch at %s" % render_point(x)
-    if not fl.equivalent(f, fresh):
-        return "monotone output differs off the grid"
-    if fl.to_monotone(g) != g:
+    bad = _disagree(
+        grid, (f, fresh, "monotone eval mismatch at %s", "monotone output differs off the grid")
+    )
+    if bad is None and fl.to_monotone(g) != g:
         return "monotone transform is not idempotent"
-    return None
+    return bad
 
 
 def _fuzz_reduced(rng, grid, space) -> str | None:
@@ -410,12 +421,9 @@ def _fuzz_reduced(rng, grid, space) -> str | None:
             return "reduced union changed at %s" % (addr,)
     ftd = gen.random_total_det_flowchart(rng, gen.random_normal_term(rng, 3), space, 3)
     gtd = fl.to_reduced(ftd)
-    for x in grid:
-        if fl.eval_outcome(ftd, x) != fl.eval_outcome(gtd, x):
-            return "reduced eval mismatch at %s" % render_point(x)
-    if not fl.equivalent(ftd, gtd):
-        return "reduced output differs off the grid"
-    return None
+    return _disagree(
+        grid, (ftd, gtd, "reduced eval mismatch at %s", "reduced output differs off the grid")
+    )
 
 
 def _fuzz_translation(rng, grid, space) -> str | None:
@@ -426,17 +434,11 @@ def _fuzz_translation(rng, grid, space) -> str | None:
     st = cm.make_strongly_total(c)
     if not cm.is_strongly_total(st):
         return "make_strongly_total output is not strongly total"
-    for x in grid:
-        want = fl.eval_outcome(f, x)
-        if fl.eval_outcome(back, x) != want:
-            return "translation round trip mismatch at %s" % render_point(x)
-        if cm.eval_outcome(st, x) != want:
-            return "strongly-total eval mismatch at %s" % render_point(x)
-    if not fl.equivalent(f, back):
-        return "translation round trip differs off the grid"
-    if not fl.equivalent(f, cm.command_to_flowchart(st)):
-        return "strongly-total output differs off the grid"
-    return None
+    return _disagree(
+        grid,
+        (f, back, "translation round trip mismatch at %s", "translation round trip differs off the grid"),
+        (f, cm.command_to_flowchart(st), "strongly-total eval mismatch at %s", "strongly-total output differs off the grid"),
+    )
 
 
 def _walked_outcome(f, x) -> tuple:

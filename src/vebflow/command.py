@@ -55,7 +55,6 @@ from .term import (
     ArrowL,
     Const,
     JoinL,
-    SyntaxTree,
     Term,
     encode_tree,
     has_veblen,
@@ -126,27 +125,24 @@ Site = ArrowSite | JoinSite | VeblenSite
 
 
 @dataclass(frozen=True)
-class Command:
+class Command(fc._Assigned):
     """A closed term plus sites; leaves carry nothing.
 
     The constructor checks the space wiring: the root works in `space`,
     and every site must fit its node's working space (see _wire).
     """
 
-    term: Term
-    space: Space
-    assign: tuple[tuple[Address, Site], ...]
+    _noun = "site"
 
     def __post_init__(self):
-        cooked: dict[Address, Site] = fc._cook(self.assign, "site")
+        cooked: dict[Address, Site] = fc._cook(self.assign, self._noun)
         _, edges = _wire(
             self.term,
             self.space,
             cooked,
             lambda addr, label, here, arity: _fit(cooked.get(addr), addr, label, here, arity),
         )
-        object.__setattr__(self, "assign", tuple(sorted(cooked.items())))
-        object.__setattr__(self, "_at", cooked)
+        self._keep(cooked)
         object.__setattr__(self, "_edges", edges)
 
     @classmethod
@@ -154,24 +150,9 @@ class Command:
         """Wrap the sites and edge maps one _wire walk gave, unchecked:
         for sites built from a valid chart or command, or already
         fitted to their nodes."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "term", term)
-        object.__setattr__(out, "space", space)
-        object.__setattr__(out, "assign", tuple(sorted(sites.items())))
-        object.__setattr__(out, "_at", sites)
+        out = super()._of(term, space, sites)
         object.__setattr__(out, "_edges", edges)
         return out
-
-    @property
-    def tree(self) -> SyntaxTree:
-        """The term's own syntax tree, shared with every chart on it."""
-        return syntax_tree(self.term)
-
-    def at(self, addr: Address) -> Site:
-        try:
-            return self._at[addr]
-        except KeyError:
-            raise InvalidAddressError("no site at %r" % (addr,)) from None
 
     def space_at(self, addr: Address) -> Space:
         """The working space of a node: the output space of the map on

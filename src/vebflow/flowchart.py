@@ -103,7 +103,46 @@ NodeSets = ClopenSet | tuple[ClopenSet, ...]
 
 
 @dataclass(frozen=True)
-class Flowchart:
+class _Assigned:
+    """The store a chart and a command share: a closed term, a space,
+    and one value per assigned node, kept sorted by address in `assign`
+    and keyed by address in `_at`.  `_noun` names a value in messages."""
+
+    term: Term
+    space: Space
+    assign: tuple
+
+    _noun = "assignment"
+
+    def _keep(self, at: dict) -> None:
+        object.__setattr__(self, "assign", tuple(sorted(at.items())))
+        object.__setattr__(self, "_at", at)
+
+    @classmethod
+    def _of(cls, term: Term, space: Space, at: dict):
+        """Wrap an assignment unchecked: for values built from a valid
+        chart or command on the same term, each fitted to its node and
+        in its node's space, keyed by address tuples."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "term", term)
+        object.__setattr__(out, "space", space)
+        out._keep(at)
+        return out
+
+    @property
+    def tree(self) -> SyntaxTree:
+        """The term's own syntax tree, shared with every chart on it."""
+        return syntax_tree(self.term)
+
+    def at(self, addr: Address):
+        try:
+            return self._at[addr]
+        except KeyError:
+            raise InvalidAddressError("no %s at %r" % (self._noun, addr)) from None
+
+
+@dataclass(frozen=True)
+class Flowchart(_Assigned):
     """A closed term plus a set assignment over its syntax tree.
 
     `assign` maps addresses of ~> nodes to one set and addresses of
@@ -113,14 +152,10 @@ class Flowchart:
     spaces are.
     """
 
-    term: Term
-    space: Space
-    assign: tuple[tuple[Address, NodeSets], ...]
-
     def __post_init__(self):
         if not is_closed(self.term):
             raise OpenTermError("flowcharts need closed terms")
-        cooked: dict[Address, NodeSets] = _cook(self.assign, "assignment")
+        cooked: dict[Address, NodeSets] = _cook(self.assign, self._noun)
         tree = self.tree
         nodes = tree.nodes
         arities = tree.arity
@@ -145,20 +180,7 @@ class Flowchart:
         extra = cooked.keys() - nodes.keys()
         if extra:
             raise ValueError("assignment at addresses outside the tree: %r" % sorted(extra))
-        object.__setattr__(self, "assign", tuple(sorted(cooked.items())))
-        object.__setattr__(self, "_at", cooked)
-
-    @classmethod
-    def _of(cls, term: Term, space: Space, assign: dict[Address, NodeSets]) -> "Flowchart":
-        """Wrap an assignment unchecked: for parts built from a valid
-        chart on the same term, one set per ~> node and a family per
-        join node, every set in `space`, keyed by address tuples."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "term", term)
-        object.__setattr__(out, "space", space)
-        object.__setattr__(out, "assign", tuple(sorted(assign.items())))
-        object.__setattr__(out, "_at", assign)
-        return out
+        self._keep(cooked)
 
     def _check_set(self, s, addr):
         if not isinstance(s, ClopenSet):
@@ -167,17 +189,6 @@ class Flowchart:
             raise SpaceMismatchError(
                 "set at %r lives in %r, flowchart in %r" % (addr, s.space, self.space)
             )
-
-    @property
-    def tree(self) -> SyntaxTree:
-        """The term's own syntax tree, shared with every chart on it."""
-        return syntax_tree(self.term)
-
-    def at(self, addr: Address) -> NodeSets:
-        try:
-            return self._at[addr]
-        except KeyError:
-            raise InvalidAddressError("no assignment at %r" % (addr,)) from None
 
     def replace_sets(self, rewrite) -> "Flowchart":
         """A copy with every assigned set passed through `rewrite(addr, s)`,

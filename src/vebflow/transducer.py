@@ -9,9 +9,9 @@ continuous map, and the class is closed under composition.
 The constructor only checks a machine.  Its normal form (states
 numbered breadth first from the initial state, unreachable states
 dropped) is computed by `_numbered` and kept on the machine as
-`_normal`.  The results of `Transducer.build` and of `compose`'s product
-machine are their own normal form from the start; any other machine
-renumbers once, on first request.  `compose` returns normal forms only,
+`_normal`.  The results of `Transducer.build`, of `identity_map` and of
+`compose`'s product machine are their own normal form from the start;
+any other machine renumbers once, on first request.  `compose` returns normal forms only,
 so structural equality of its results and `build`'s is the meaningful
 comparison and codecs are byte stable.
 
@@ -174,9 +174,10 @@ class Transducer:
 @lru_cache(maxsize=8)
 def identity_map(space: Space) -> Transducer:
     """The one-state machine echoing each letter; one per space, as
-    transducers are immutable."""
-    delta = {(0, a): (0, (a,)) for a in range(space.alphabet_size)}
-    return Transducer.build(space, space, 0, delta)
+    transducers are immutable.  Its one row is already numbered as
+    `_numbered` would number it."""
+    row = tuple((0, (a,)) for a in range(space.alphabet_size))
+    return _own_normal(Transducer(space, space, 0, (row,)))
 
 
 def drop_first(space: Space) -> Transducer:

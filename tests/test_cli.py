@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,8 +12,11 @@ import pytest
 from vebflow import cli
 from vebflow import command as cm
 from vebflow import flowchart as fl
+from vebflow import generate as gen
 from vebflow import transducer as tr
-from vebflow.space import MAX_ALPHABET, ClopenSet, Space, parse_clopen, sample_grid
+from vebflow.errors import UndecidedImageError, UnsupportedError
+from vebflow.ordinal import ONE
+from vebflow.space import MAX_ALPHABET, ClopenSet, Space, parse_clopen, render_point, sample_grid
 from vebflow.term import JoinL, encode_tree, parse_term, render_term, syntax_tree
 
 SP2 = Space(2)
@@ -592,6 +596,118 @@ def test_transform_verify_mismatch_is_the_same_under_any_hash_seed(tmp_path):
     assert "first mismatch: (0): ambiguous: a, c, e vs a\n" in errs[0]
 
 
+# -- one chart path ----------------------------------------------------------
+# The CLI answers a command through its chart; what it reports must be
+# what the library's own deciders and evaluators say of the document.
+
+
+def _seeded_docs(k):
+    """Seeded flowcharts and commands over Space(k): random ones, and
+    simple commands translated from total deterministic charts, which
+    the padding construction accepts."""
+    space = Space(k)
+    for seed in range(8):
+        rng = random.Random(seed)
+        yield "fc", gen.random_flowchart(rng, gen.random_term(rng, 3), space, 3)
+        yield "cmd", gen.random_command(rng, gen.random_term(rng, 3), space, 3)
+        term = gen.random_normal_term(rng, 3, veblen=False)
+        yield "cmd", cm.flowchart_to_simple_command(gen.random_total_det_flowchart(rng, term, space, 3))
+
+
+def _encoded(doc):
+    return fl.encode_flowchart(doc) if isinstance(doc, fl.Flowchart) else cm.encode_command(doc)
+
+
+def _verify_err(triples):
+    """The stderr `transform --verify` owes (point, source, result) outcomes."""
+    triples = list(triples)
+    bad = [t for t in triples if t[1] != t[2]]
+    err = "eval agreement: %d/%d points\n" % (len(triples) - len(bad), len(triples))
+    if bad:
+        x, a, b = bad[0]
+        err += "first mismatch: %s: %s vs %s\n" % (
+            render_point(x), cli._render_outcome(a), cli._render_outcome(b))
+    return err
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_check_and_eval_report_what_the_library_says(capsys, tmp_path, k):
+    points = sample_grid(Space(k), 2, 1)
+    verdicts = set()
+    for n, (ext, doc) in enumerate(_seeded_docs(k)):
+        lib = fl if ext == "fc" else cm
+        path = write_doc(tmp_path, "d%d.%s" % (n, ext), _encoded(doc))
+        total, tw = lib.is_total(doc)
+        det, dw = lib.is_deterministic(doc)
+        verdicts |= {(ext, total), (ext, det)}
+        _, out, _ = run(capsys, ["check", path])
+        assert out.splitlines()[-2:] == [
+            "total: pass" if total else "total: fail witness %s" % render_point(tw),
+            "deterministic: pass" if det else "deterministic: fail witness %s" % render_point(dw),
+        ]
+        for x in points:
+            want = lib.eval_outcome(doc, x)
+            got = run(capsys, ["eval", path, render_point(x)])
+            assert got == (0 if want[0] == "value" else 1, cli._render_outcome(want) + "\n", "")
+    # Both verdicts come up for both kinds.
+    assert verdicts == {(ext, ok) for ext in ("fc", "cmd") for ok in (True, False)}
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_command_transforms_verify_what_the_library_says(capsys, tmp_path, k):
+    grid = sample_grid(Space(k), 4, 2)
+    out = str(tmp_path / "out.json")
+    codes = []
+    for n, (ext, c) in enumerate(_seeded_docs(k)):
+        if ext != "cmd":
+            continue
+        path = write_doc(tmp_path, "c%d.cmd" % n, _encoded(c))
+        for op, build in (("to-flowchart", cm.command_to_flowchart), ("strongly-total", cm.make_strongly_total)):
+            got = run(capsys, ["transform", op, path, "--verify", "--out", out])
+            try:
+                result = build(c)
+            except UnsupportedError as e:
+                codes.append(3)
+                assert got == (3, "", "unsupported: %s\n" % e)
+                continue
+            outcome = fl.eval_outcome if op == "to-flowchart" else cm.eval_outcome
+            err = _verify_err((x, cm.eval_outcome(c, x), outcome(result, x)) for x in grid)
+            codes.append(0 if err.count("\n") == 1 else 1)
+            assert got == (codes[-1], "", err)
+            assert json.loads(Path(out).read_text(encoding="utf-8")) == _encoded(result)
+    assert {0, 3} <= set(codes)
+
+
+@pytest.mark.parametrize("name", ["identity", "drop-first", "parity-merge"])
+def test_pullback_and_vaught_keep_their_agreement_lines(capsys, tmp_path, name):
+    m = {"identity": tr.identity_map(SP2), "drop-first": tr.drop_first(SP2), "parity-merge": tr.parity_merge()}[name]
+    map_path = write_doc(tmp_path, "m.tr", tr.encode_transducer(m))
+    grid = sample_grid(SP2, 4, 2)
+    codes = []
+    for seed in range(6):
+        rng = random.Random(seed)
+        f = gen.random_total_det_flowchart(rng, gen.random_normal_term(rng, 3), SP2, 3)
+        f = fl.to_monotone(f).replace_sets(lambda addr, s: s.with_level(ONE))
+        path = write_doc(tmp_path, "f%d.fc" % seed, fl.encode_flowchart(f))
+        # pullback reads the source at the map's image of each grid point;
+        # vaught reads the result there.
+        g = fl.pullback(f, m)
+        want = _verify_err((x, fl.eval_outcome(f, tr.apply(m, x)), fl.eval_outcome(g, x)) for x in grid)
+        assert run(capsys, ["transform", "pullback", path, map_path, "--verify"])[1:] == (
+            json.dumps(fl.encode_flowchart(g), sort_keys=True, indent=2) + "\n", want)
+        code, _, err = run(capsys, ["transform", "vaught", path, map_path, "--verify"])
+        try:
+            g = fl.vaught_transform(f, m, 6)
+        except UndecidedImageError as e:
+            codes.append(3)
+            assert (code, err) == (3, "unsupported: %s\n" % e)
+            continue
+        want = _verify_err((x, fl.eval_outcome(f, x), fl.eval_outcome(g, tr.apply(m, x))) for x in grid)
+        codes.append(0 if want.count("\n") == 1 else 1)
+        assert (code, err) == (codes[-1], want)
+    assert 0 in codes
+
+
 # -- rank --------------------------------------------------------------------
 
 def test_rank_single_constant(capsys, tmp_path):
@@ -708,6 +824,52 @@ def test_fuzz_checks_reduced_output_off_the_grid(capsys, monkeypatch):
     assert code == 1
     failing = [line for line in out.splitlines() if not line.endswith(": 25 cases, ok")]
     assert len(failing) == 1 and failing[0].startswith("reduced: FAIL seed=")
+
+
+# A point of [0000011] starts 0000 then 011, which no prefix of at most 4
+# letters followed by a period of at most 2 spells: no grid point is in it.
+_DEEP = parse_clopen(SP2, "{0000011}")
+
+
+def _arrows_without(f, cut):
+    """f with `cut` taken out of every `~>` test.  In a normal
+    Veblen-free term a `~>` node's left child is a leaf, so the points
+    moved there meet no join."""
+    return f.replace_sets(lambda addr, s: s if isinstance(f.tree.label(addr), JoinL) else s.difference(cut))
+
+
+def test_fuzz_checks_monotone_output_off_the_grid(capsys, monkeypatch):
+    # The output stays within its domains and is still a fixed point of
+    # the (patched) transform, so only `equivalent` can fail.
+    real = fl.to_monotone
+    monkeypatch.setattr(fl, "to_monotone", lambda f: real(f).replace_sets(lambda addr, s: s.difference(_DEEP)))
+    code, out, _ = run(capsys, ["--seed", "1", "fuzz", "--iters", "25"])
+    assert code == 1
+    failing = [line for line in out.splitlines() if not line.endswith(": 25 cases, ok")]
+    assert len(failing) == 1 and failing[0].startswith("monotone: FAIL seed=")
+    assert failing[0].endswith(" monotone output differs off the grid")
+
+
+@pytest.mark.parametrize("patched, cut, message", [
+    ("flowchart_to_simple_command", _DEEP, " translation round trip differs off the grid"),
+    ("make_strongly_total", _DEEP, " strongly-total output differs off the grid"),
+    # Cut on the grid, the second pair is caught at a grid point.
+    ("make_strongly_total", cs("{1}"), " strongly-total eval mismatch at "),
+], ids=["round-trip-off-grid", "strongly-total-off-grid", "strongly-total-on-grid"])
+def test_fuzz_checks_translation_output(capsys, monkeypatch, patched, cut, message):
+    real = getattr(cm, patched)
+
+    def broken(doc):
+        if patched == "flowchart_to_simple_command":
+            return real(_arrows_without(doc, cut))
+        return cm.flowchart_to_simple_command(_arrows_without(cm.command_to_flowchart(real(doc)), cut))
+
+    monkeypatch.setattr(cm, patched, broken)
+    code, out, _ = run(capsys, ["--seed", "1", "fuzz", "--iters", "25"])
+    assert code == 1
+    failing = [line for line in out.splitlines() if not line.endswith(": 25 cases, ok")]
+    assert len(failing) == 1 and failing[0].startswith("translation: FAIL seed=")
+    assert message in failing[0]
 
 
 def test_fuzz_checks_eval_against_the_walker(capsys, monkeypatch):

@@ -113,6 +113,20 @@ def test_identity_map_is_built_once_per_space():
         assert m == Transducer.build(Space(k), Space(k), 0, echo)
 
 
+def test_identity_map_is_its_own_normal_form_without_renumbering(monkeypatch):
+    # Its one row is written out already numbered, so neither building
+    # it nor asking for its normal form runs `_numbered`.
+    calls = []
+    numbered = transducer._numbered
+    monkeypatch.setattr(transducer, "_numbered", lambda *a: calls.append(a) or numbered(*a))
+    fresh = [identity_map.__wrapped__(Space(k)) for k in range(1, 7)]
+    assert all(m._normal is m and m._identity for m in fresh)
+    assert calls == []
+    for k, m in enumerate(fresh, 1):
+        echo = {(0, a): (0, (a,)) for a in range(k)}
+        assert m == Transducer.build(Space(k), Space(k), 0, echo) == identity_map(Space(k))
+
+
 def test_apply_in_map_example():
     f = in_map(cs("{0, 11}"))
     assert f.input_space == SP2
