@@ -15,6 +15,7 @@ import functools
 import json
 import random
 import sys
+from json.encoder import encode_basestring_ascii as _json_string
 
 from . import command as cm
 from . import flowchart as fl
@@ -90,8 +91,38 @@ def _grid(args, space: Space):
     return sample_grid(space, args.grid_prefix, args.grid_period)
 
 
+def _json_text(value, pad: str = "\n") -> str:
+    """The text of json.dumps(value, sort_keys=True, indent=2), written
+    directly: with indent set, the stdlib falls back to its pure-Python
+    encoder.  Dicts (with string keys, as the encoders write them),
+    lists, strings and ints are written here, strings through the C
+    quoting function; any other value goes through json.dumps.  `pad` is
+    the newline and indent that come before the value's closing bracket."""
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        out = []
+        for key in sorted(value):
+            v = value[key]
+            cls = type(v)
+            v = _json_string(v) if cls is str else int.__repr__(v) if cls is int else _json_text(v, inner)
+            out.append(_json_string(key) + ": " + v)
+        return "{" + inner + ("," + inner).join(out) + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        out = []
+        for v in value:
+            cls = type(v)
+            v = _json_string(v) if cls is str else int.__repr__(v) if cls is int else _json_text(v, inner)
+            out.append(v)
+        return "[" + inner + ("," + inner).join(out) + pad + "]"
+    return json.dumps(value)
+
+
 def _emit(doc: dict, out_path: str | None):
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    text = _json_text(doc) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -263,11 +294,24 @@ def cmd_transform(args) -> int:
 # rank
 
 
+def _rank_texts(term) -> dict:
+    """Each node's rank as text, in address order, the order of the
+    table the term keeps.  Nodes below the same Veblen nodes share one
+    rank object there, so each distinct object is rendered once."""
+    texts: dict[int, str] = {}
+    out = {}
+    for addr, rank in borel_ranks(term).items():
+        text = texts.get(id(rank))
+        if text is None:
+            text = texts[id(rank)] = render_ordinal(rank)
+        out[addr] = text
+    return out
+
+
 def cmd_rank(args) -> int:
     kind, doc = load_document(args.path)
-    ranks = borel_ranks(_term(kind, doc, "rank"))
-    for addr in sorted(ranks):
-        print("%s\t%s" % (_addr_text(addr), render_ordinal(ranks[addr])))
+    ranks = _rank_texts(_term(kind, doc, "rank"))
+    print("\n".join("%s\t%s" % (_addr_text(addr), text) for addr, text in ranks.items()))
     return 0
 
 
@@ -297,7 +341,7 @@ def cmd_dot(args) -> int:
     kind, doc = load_document(args.path)
     term = _term(kind, doc, "dot")
     tree = syntax_tree(term)
-    ranks = borel_ranks(term)
+    ranks = _rank_texts(term)
     # Nodes are n0, n1, ... in address order, the order of the term's
     # table, so the output grows with the node count; each address is
     # written once, as its node's tooltip.
@@ -305,7 +349,7 @@ def cmd_dot(args) -> int:
     lines = ["digraph term {", "  node [shape=box];"]
     for addr, node in ids.items():
         label = tree.label(addr)
-        parts = [_node_caption(label), "rank %s" % render_ordinal(ranks[addr])]
+        parts = [_node_caption(label), "rank " + ranks[addr]]
         # The term of a chart or command is closed: its leaves are constants.
         if kind == "flowchart" and isinstance(label, (ArrowL, JoinL)):
             sets = doc.at(addr)

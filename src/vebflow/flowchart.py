@@ -67,7 +67,7 @@ from .term import (
     Term,
     VeblenL,
     _read_nodes,
-    borel_ranks,
+    borel_rank,
     encode_tree,
     is_closed,
     is_normal,
@@ -568,14 +568,14 @@ def vaught_transform(f: Flowchart, delta: Transducer, depth_bound: int) -> Flowc
 
 
 def check_levels(f: Flowchart) -> bool:
-    """Is every declared level within its node's rank?"""
-    ranks = borel_ranks(f.term)
+    """Is every declared level within its node's rank?  Every rank is at
+    least 1, so only a set declared above 1 reads its node's rank, and a
+    chart with none builds no rank table."""
     for addr, sets in f.assign:
-        rank = ranks[addr]
         family = sets if isinstance(sets, tuple) else (sets,)
-        # Every rank is at least 1, so a set at level 1 is always within it.
-        if any(s.declared_level is not ONE and cmp(s.declared_level, rank) > 0 for s in family):
-            return False
+        for s in family:
+            if s.declared_level is not ONE and cmp(s.declared_level, borel_rank(f.term, addr)) > 0:
+                return False
     return True
 
 

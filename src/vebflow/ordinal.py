@@ -18,6 +18,7 @@ through `CnfOrdinal._of`, which checks nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import ParseError
 
@@ -279,7 +280,12 @@ class _Scanner:
                 total = add(total, self._power(exp))
 
 
+@lru_cache(maxsize=1024)
 def parse_ordinal(text: str) -> CnfOrdinal:
+    """The ordinal a text writes.  Ordinals are immutable, so the result
+    for each text is kept in a bounded table: documents repeat a few
+    Veblen indices and levels many times.  A text that fails to parse
+    raises again each time it is read; errors are not kept."""
     sc = _Scanner(text)
     result = sc.ordinal()
     if sc.peek():

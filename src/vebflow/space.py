@@ -568,6 +568,10 @@ def sample_grid(space: Space, max_prefix: int, max_period: int) -> list[UpPoint]
     is those pairs and nothing else: each is wrapped once, unchecked.
     """
     k = space.alphabet_size
+    if k == 1:
+        # Over one letter every point is (0): no prefix ends in a letter
+        # other than its period's, and 0 is the one primitive period.
+        max_prefix, max_period = 0, min(max_period, 1)
 
     def words(n: int) -> list[Word]:
         """The words of length 0..n, in lexicographic order."""

@@ -22,7 +22,8 @@ builds the term from its table, sorted once, in one walk forward and
 one back, and raises a DocumentError naming the rule a table breaks;
 term_from_tree, decode_tree and the document decoders go through it.
 A document's node table is read with one label per distinct kind and
-payload, so each Veblen index is parsed once per document.  A term
+payload, and parse_ordinal keeps what it has read, so a Veblen index
+repeated within or across documents is parsed once.  A term
 keeps its Borel ranks and the kinds of its labels, as it keeps its
 syntax tree, and the tree keeps each node's arity, counted by the
 walk that builds it.
@@ -391,8 +392,9 @@ def borel_rank(t: Term, addr: Address) -> CnfOrdinal:
 
 
 def borel_ranks(t: Term) -> dict[Address, CnfOrdinal]:
-    """borel_rank at every address of t: a fresh copy of the table the
-    term keeps, computed in one top-down pass on first request."""
+    """borel_rank at every address of t, in address order: a fresh copy
+    of the table the term keeps, computed in one top-down pass on first
+    request."""
     return dict(t._ranks)
 
 

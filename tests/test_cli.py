@@ -17,7 +17,7 @@ from vebflow import transducer as tr
 from vebflow.errors import UndecidedImageError, UnsupportedError
 from vebflow.ordinal import ONE
 from vebflow.space import MAX_ALPHABET, ClopenSet, Space, parse_clopen, render_point, sample_grid
-from vebflow.term import JoinL, encode_tree, parse_term, render_term, syntax_tree
+from vebflow.term import Const, JoinL, borel_rank, encode_tree, parse_term, render_term, syntax_tree
 
 SP2 = Space(2)
 
@@ -497,6 +497,18 @@ def test_grid_cap_admits_eleven_letters_at_the_default_lengths(capsys, monkeypat
             cli._grid(args, Space(k))
 
 
+@pytest.mark.parametrize("option", [["--grid-prefix", "1000000000"], ["--grid-period", "2000000"]])
+def test_one_letter_grid_is_its_one_point(capsys, tmp_path, option):
+    # Over one letter the grid is the point (0) at any lengths: no word
+    # longer than the one period 0 is built.
+    space = Space(1)
+    f = fl.Flowchart(TERM, space, {(): parse_clopen(space, "{0}"), (1,): (parse_clopen(space, "{0}"), ClopenSet(space, ()))})
+    path = write_doc(tmp_path, "one.fc", fl.encode_flowchart(f))
+    code, _, err = run(capsys, option + ["transform", "monotone", path, "--verify"])
+    assert (code, err) == (0, "eval agreement: 1/1 points\n")
+    assert [str(x) for x in sample_grid(space, 10**9, 2 * 10**6)] == ["(0)"]
+
+
 def test_verify_on_two_letters_prints_the_same_agreement_line(capsys, tmp_path):
     path = write_doc(tmp_path, "f.fc", _chart_over(2))
     code, _, err = run(capsys, ["transform", "monotone", path, "--verify"])
@@ -729,10 +741,15 @@ def test_rank_veblen_omega_index(capsys, tmp_path):
     assert (code, out) == (0, "e\t1\n0\tw^(w)\n")
 
 
-def test_rank_flowchart(capsys, fc_path):
+def test_rank_flowchart(capsys, tmp_path, fc_path):
     code, out, _ = run(capsys, ["rank", fc_path])
     assert code == 0
     assert out == "e\t1\n0\t1\n1\t1\n1.0\t1\n1.1\t1\n"
+    # rank walks the term's own table, which is in address order
+    # whatever the order of the document's node list.
+    doc = fl.encode_flowchart(FC)
+    doc["term"]["nodes"].reverse()
+    assert run(capsys, ["rank", write_doc(tmp_path, "reversed.fc", doc)]) == (0, out, "")
 
 
 # -- dot ---------------------------------------------------------------------
@@ -783,6 +800,153 @@ def test_deep_term_document(capsys, tmp_path, cmd, lines):
     path = write_doc(tmp_path, "deep.term", 'q"b" ~> ' * 2000 + 'q"a"')
     code, out, err = run(capsys, [cmd, path])
     assert (code, len(out.splitlines()), err) == (0, lines, "")
+
+
+# -- written documents -------------------------------------------------------
+#
+# cli._emit writes the bytes of json.dumps(doc, sort_keys=True, indent=2)
+# with its own writer; these tests hold the two side by side.
+
+ODD_LABELS = ("é", 'a"b', "c\\d", "日本", "plain")
+ODD_TERM = parse_term('q"é" ~> join(q"a\\"b", q"c\\\\d")')
+RAISED_TERM = parse_term('veb[1](q"é" ~> join(q"a\\"b", q"c\\\\d"))')
+
+
+def _stdlib_text(doc):
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _at_rank(f):
+    """f with every set declared at its node's rank."""
+    return f.replace_sets(lambda addr, s: s.with_level(borel_rank(f.term, addr)))
+
+
+def _raised_chart(space):
+    """A chart on RAISED_TERM whose sets sit at level w, the rank under veb[1]."""
+    sets = {(0,): parse_clopen(space, "{1}"),
+            (0, 1): (parse_clopen(space, "{10}"), parse_clopen(space, "{11}"))}
+    return _at_rank(fl.Flowchart(RAISED_TERM, space, sets))
+
+
+def _out_map_command(space):
+    """A command on ODD_TERM whose maps are written inline: out_map machines."""
+    def c(text):
+        return parse_clopen(space, text)
+    return cm.Command(ODD_TERM, space, {
+        (): cm.ArrowSite(c("{1}"), tr.out_map(c("{11}"))),
+        (1,): cm.JoinSite(((c("{10}"), tr.identity_map(space)), (c("{11}"), tr.out_map(c("{0}"))))),
+    })
+
+
+def _written_documents(seed):
+    """Seeded chart, command and machine documents over 2, 3 and 12
+    letters (12 writes dotted words), on labels holding non-ASCII
+    characters, quotes and backslashes."""
+    rng = random.Random(seed)
+    for k in (2, 3, 12):
+        space = Space(k)
+        term = gen.random_term(rng, 3, labels=ODD_LABELS)
+        yield fl.encode_flowchart(_at_rank(gen.random_flowchart(rng, term, space, 3)))
+        yield cm.encode_command(gen.random_command(rng, term, space, 3))
+        yield tr.encode_transducer(rng.choice(gen.map_palette(space)))
+        yield fl.encode_flowchart(_raised_chart(space))
+        yield cm.encode_command(_out_map_command(space))
+        yield tr.encode_transducer(tr.out_map(parse_clopen(space, "{1}")))
+        yield fl.encode_flowchart(fl.Flowchart(Const("é"), space, {}))
+    sp12 = Space(12)
+    sets = {(): parse_clopen(sp12, "{11.3}"), (1,): (parse_clopen(sp12, "{0}"), parse_clopen(sp12, "{0.10, 1}"))}
+    yield fl.encode_flowchart(fl.Flowchart(ODD_TERM, sp12, sets))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_emit_writes_the_bytes_of_the_stdlib(capsys, tmp_path, seed):
+    target = tmp_path / "out.json"
+    texts = []
+    for doc in _written_documents(seed):
+        want = _stdlib_text(doc)
+        cli._emit(doc, None)
+        assert capsys.readouterr().out == want
+        cli._emit(doc, str(target))
+        assert target.read_bytes() == want.encode("ascii")
+        texts.append(want)
+    # The documents hold what the writer must get right.
+    joined = "".join(texts)
+    for part in ('"level": "w"', '"assign": {}', '"trans": [', "\\u00e9", '\\"', "\\\\", "11.3"):
+        assert part in joined, part
+
+
+def test_emit_writes_other_scalars_through_the_stdlib():
+    doc = {"b": [True, None, 1.5, []], "a": {"": False, "z": {}}, "c": (1, "\n")}
+    assert cli._json_text(doc) + "\n" == _stdlib_text(doc)
+
+
+def test_every_transform_writes_the_bytes_of_the_stdlib(capsys, tmp_path):
+    chart = fl.Flowchart(ODD_TERM, SP2, {(): cs("{1}"), (1,): (cs("{10}"), cs("{11}"))})
+    fiber = fl.to_monotone(fl.pullback(chart, tr.drop_first(SP2)))
+    docs = {
+        "chart": write_doc(tmp_path, "chart.fc", fl.encode_flowchart(chart)),
+        "raised": write_doc(tmp_path, "raised.fc", fl.encode_flowchart(_raised_chart(SP2))),
+        "fiber": write_doc(tmp_path, "fiber.fc", fl.encode_flowchart(fiber)),
+        "command": write_doc(tmp_path, "c.cmd", cm.encode_command(_out_map_command(SP2))),
+        "simple": write_doc(tmp_path, "s.cmd", cm.encode_command(cm.flowchart_to_simple_command(chart))),
+        "drop": write_doc(tmp_path, "d.tr", tr.encode_transducer(tr.drop_first(SP2))),
+    }
+    drop = tr.drop_first(SP2)
+    cases = [
+        ("monotone", "raised", None, fl.to_monotone(_raised_chart(SP2))),
+        ("reduce", "raised", None, fl.to_reduced(_raised_chart(SP2))),
+        ("pullback", "chart", "drop", fl.pullback(chart, drop)),
+        ("vaught", "fiber", "drop", fl.vaught_transform(fiber, drop, 6)),
+        ("strongly-total", "simple", None, cm.make_strongly_total(cm.flowchart_to_simple_command(chart))),
+        ("to-flowchart", "command", None, cm.command_to_flowchart(_out_map_command(SP2))),
+        ("to-command", "chart", None, cm.flowchart_to_simple_command(chart)),
+    ]
+    assert {op for op, *_ in cases} == set(cli._TRANSFORMS)
+    for op, source, extra, result in cases:
+        target = tmp_path / ("%s.json" % op)
+        argv = ["transform", op, docs[source]] + ([docs[extra]] if extra else []) + ["--out", str(target)]
+        assert run(capsys, argv) == (0, "", ""), op
+        encode = fl.encode_flowchart if isinstance(result, fl.Flowchart) else cm.encode_command
+        assert target.read_text(encoding="utf-8") == _stdlib_text(encode(result)), op
+
+
+# -- levels ------------------------------------------------------------------
+#
+# Every rank is at least 1, so the level check reads a node's rank only
+# for a set declared above 1.
+
+def test_charts_at_level_one_decode_without_a_rank_table():
+    doc = fl.encode_flowchart(fl.Flowchart(RAISED_TERM, SP2, {(0,): cs("{1}"), (0, 1): (cs("{10}"), cs("{11}"))}))
+    f = fl.decode_flowchart(json.loads(json.dumps(doc)))
+    assert "_ranks" not in f.term.__dict__
+    g = fl.decode_flowchart(fl.encode_flowchart(_raised_chart(SP2)))
+    assert "_ranks" in g.term.__dict__
+
+
+def test_a_set_at_its_node_rank_passes_check(capsys, tmp_path):
+    path = write_doc(tmp_path, "raised.fc", fl.encode_flowchart(_raised_chart(SP2)))
+    code, out, err = run(capsys, ["check", path])
+    assert (code, err) == (0, "")
+    assert "levels: pass\n" in out
+
+
+@pytest.mark.parametrize("cmd", ["check", "rank", "dot"])
+def test_a_set_above_its_node_rank_is_refused(capsys, tmp_path, cmd):
+    doc = fl.encode_flowchart(_raised_chart(SP2))
+    doc["assign"]["0.1"][1]["level"] = "w + 1"
+    path = write_doc(tmp_path, "over.fc", doc)
+    assert run(capsys, [cmd, path]) == (2, "", "error: declared level exceeds the node rank\n")
+
+
+def test_a_malformed_veblen_payload_is_refused_every_time(capsys, tmp_path):
+    # parse_ordinal keeps what it reads, but not its errors: the second
+    # reading parses the payload again and refuses it the same way.
+    doc = fl.encode_flowchart(_raised_chart(SP2))
+    doc["term"]["nodes"][0]["payload"] = "w^(1"
+    path = write_doc(tmp_path, "bad.fc", doc)
+    first = run(capsys, ["check", path])
+    assert first[0] == 2 and first[2].startswith("error: bad veblen index: ")
+    assert run(capsys, ["check", path]) == first
 
 
 # -- fuzz --------------------------------------------------------------------
