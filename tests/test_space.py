@@ -452,6 +452,123 @@ def test_trie_algebra_matches_word_oracle(case):
         assert least_point(a) == UpPoint(space, min(us), (0,))
 
 
+# -- the small-scope oracle: every shallow pair, and sets about the packing depth
+
+# The packing depth per alphabet: the largest D with k^D <= 4096 (none
+# over one letter, where every set is empty or full).
+PACKED = {1: 0, 2: 12, 3: 7}
+
+
+def _check_set(a, us, points):
+    """a's antichain, complement, membership and least point against the
+    word oracles, us being its canonical antichain by them."""
+    space = a.space
+    k = space.alphabet_size
+    assert a.antichain == us
+    assert a.complement().antichain == _oracle_complement(k, us)
+    for x in points:
+        assert member(x, a) == _oracle_member(x, us)
+    if us:
+        assert least_point(a) == UpPoint(space, min(us), (0,))
+    else:
+        assert a.is_empty
+
+
+def _check_pair(a, b, union, meet, minus, subset, same):
+    """The union, intersection and difference of a and b against the
+    oracle's antichains, and inclusion and equality against its verdicts."""
+    assert a.union(b).antichain == union
+    assert a.intersect(b).antichain == meet
+    assert a.difference(b).antichain == minus
+    assert a.is_subset(b) == subset
+    assert (a == b) == same == (b == a)
+
+
+def _oracle_pair(k, us, vs):
+    """What _check_pair expects of two sets with canonical antichains us
+    and vs, by the word oracles alone."""
+    minus = _oracle_intersect(k, us, _oracle_complement(k, vs))
+    return (_oracle_canonical(k, us + vs), _oracle_intersect(k, us, vs), minus, not minus, us == vs)
+
+
+def test_every_pair_of_sets_of_height_three_matches_the_oracle():
+    # The 256 sets of height <= 3 over two letters, each given by the
+    # length-3 cylinders it holds; the expected results of a pair are the
+    # canonical antichains of the unions, intersections and differences
+    # of those cylinder sets.
+    cells = list(itertools.product((0, 1), repeat=3))
+    tables = [frozenset(c for n, c in enumerate(cells) if m >> n & 1) for m in range(256)]
+    canon = {t: _oracle_canonical(2, t) for t in tables}
+    sets = [ClopenSet(SP2, t) for t in tables]
+    for a, t in zip(sets, tables):
+        _check_set(a, canon[t], GRID2)
+    checked = 0
+    for i, (a, t) in enumerate(zip(sets, tables)):
+        for j, (b, u) in enumerate(zip(sets, tables)):
+            want = (canon[t | u], canon[t & u], canon[t - u], t <= u, t == u)
+            if (i * 256 + j) % 97 == 0:
+                # The cylinder algebra is the word oracles' own answer.
+                assert want == _oracle_pair(2, canon[t], canon[u])
+            _check_pair(a, b, *want)
+            checked += 1
+    assert checked == 256 * 256
+
+
+def _past(k, words, depth):
+    """The same set, given by words one of which is longer than `depth`:
+    the first word's cylinder split along its extension by zeros."""
+    w, out = words[0], list(words[1:])
+    for n in range(len(w), depth + 1):
+        out.extend(w + (0,) * (n - len(w)) + (b,) for b in range(1, k))
+    out.append(w + (0,) * (depth + 1 - len(w)))
+    return out
+
+
+def _about(rng, k, height):
+    """Up to eight random words of length height-3 .. height, one of them
+    of length height, and a second word list that shares some of them,
+    some extended by a letter."""
+    def word(n):
+        return tuple(rng.randrange(k) for _ in range(n))
+
+    us = [word(height)] + [word(rng.randint(max(height - 3, 0), height)) for _ in range(rng.randint(0, 7))]
+    vs = [w + word(rng.randint(0, 1)) for w in us if rng.random() < 0.4]
+    vs += [word(rng.randint(max(height - 3, 0), height)) for _ in range(rng.randint(0, 4))]
+    return us, vs
+
+
+def test_sets_about_the_packing_depth_match_the_oracle():
+    # Seeded sets of height D-1, D and D+1 over two and three letters,
+    # and over one letter; each pair is checked as built and again with
+    # each side rebuilt from words past the packing depth, so that a
+    # packed set meets the same set held as a trie.
+    rng = random.Random(61)
+    checked = mixed = 0
+    for k, count in ((1, 20), (2, 60), (3, 40)):
+        space = Space(k)
+        depth = PACKED[k]
+        points = [UpPoint(space, [rng.randrange(k) for _ in range(rng.randint(0, depth + 2))],
+                          [rng.randrange(k) for _ in range(rng.randint(1, 2))]) for _ in range(40)]
+        for height in sorted({max(depth - 1, 1), max(depth, 1), depth + 1}):
+            for _ in range(count):
+                us, vs = _about(rng, k, height)
+                a, b = ClopenSet(space, us), ClopenSet(space, vs) if vs else ClopenSet.empty(space)
+                us, vs = _oracle_canonical(k, us), _oracle_canonical(k, vs)
+                want = _oracle_pair(k, us, vs)
+                _check_set(a, us, points)
+                _check_pair(a, b, *want)
+                checked += 1
+                if not us or not vs:
+                    continue
+                deep_a, deep_b = ClopenSet(space, _past(k, us, depth)), ClopenSet(space, _past(k, vs, depth))
+                assert deep_a == a and hash(deep_a) == hash(a)
+                _check_set(deep_a, us, points)
+                for x, y in ((a, deep_b), (deep_a, b), (deep_a, deep_b)):
+                    _check_pair(x, y, *want)
+                    mixed += 1
+    assert checked == 20 + 3 * (60 + 40) and mixed > 400
+
+
 # -- deep and wide sets ----------------------------------------------------------
 
 def test_deep_set_literal_does_not_recurse():
