@@ -79,10 +79,10 @@ def _grid(args, space: Space):
     its rough size, k^prefix * (k + ... + k^period) points, passes
     _GRID_CAP.  For k > 1 an exponent past 21 only grows a number
     already past the cap (2^21 > 2 * 10^6), so exponents are clipped
-    there; for k = 1 the size is the period."""
+    there; for k = 1 the grid is the one point (0)."""
     k = space.alphabet_size
     prefix, period = min(args.grid_prefix, 21), min(args.grid_period, 21)
-    size = args.grid_period if k == 1 else k**prefix * sum(k**n for n in range(1, period + 1))
+    size = 1 if k == 1 else k**prefix * sum(k**n for n in range(1, period + 1))
     if size > _GRID_CAP:
         raise UnsupportedError(
             "a sample grid over %d letters with prefixes up to %d and periods up to %d exceeds %d points"

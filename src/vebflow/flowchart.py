@@ -57,7 +57,7 @@ from .errors import (
     UnsupportedError,
 )
 from .ordinal import ONE, cmp, parse_ordinal, render_ordinal
-from .space import ClopenSet, Space, Trie, UpPoint, _check_alphabet, _combine, _leftmost, _level, _lockstep, member, parse_clopen, render_clopen, render_point
+from .space import ClopenSet, Space, Trie, UpPoint, _check_alphabet, _child, _combine, _leftmost, _level, _lockstep, member, parse_clopen, render_clopen, render_point, render_word
 from .term import (
     Address,
     ArrowL,
@@ -74,7 +74,7 @@ from .term import (
     syntax_tree,
     term_from_tree,
 )
-from .transducer import Transducer, _outside_range, image, preimage
+from .transducer import Transducer, _outside_range, image, is_open, preimage
 
 __all__ = [
     "Flowchart",
@@ -234,9 +234,11 @@ class Flowchart(_Assigned):
 
         A cell is a list: one slot per letter, None until first used,
         and last the tuple of the labels' reach-trie nodes at the cell's
-        word, in _reach order.  A slot holds the next cell, or the
-        outcome token once every node there is a leaf.  Each cell stands
-        for one word: none is ever merged with another.
+        word, in _reach order; below a packed table, the node is the
+        table's part at the word (`space._child`), so no table is
+        expanded.  A slot holds the next cell, or the outcome token once
+        every node there is a leaf.  Each cell stands for one word: none
+        is ever merged with another.
         """
         return _cell(self, tuple(self._reach.values()))
 
@@ -349,7 +351,7 @@ def _cell(f: Flowchart, nodes: tuple):
     """The outcome-trie cell over these reach-trie nodes, or the outcome
     when they are all leaves."""
     for n in nodes:
-        if n.__class__ is tuple:
+        if n.__class__ is not bool:
             return [None] * f.space.alphabet_size + [nodes]
     return _outcome([q for q, n in zip(f._reach, nodes) if n])
 
@@ -384,7 +386,9 @@ def eval_outcome(f: Flowchart, x: UpPoint) -> tuple:
         a = letters[i]
         nxt = cell[a]
         if nxt is None:
-            nodes = tuple(n[a] if n.__class__ is tuple else n for n in cell[-1])
+            nodes = tuple(
+                n[a] if n.__class__ is tuple else n if n.__class__ is bool else _child(n, a) for n in cell[-1]
+            )
             nxt = cell[a] = _cell(f, nodes)
         cell = nxt
         i += 1
@@ -537,9 +541,11 @@ def vaught_transform(f: Flowchart, delta: Transducer, depth_bound: int) -> Flowc
     Every assigned set A becomes the image delta[A]: for clopen A the
     fiber intersection is relatively open, and a nonempty open subset of
     a Polish fiber is non-meager, so the category transform and the
-    direct image agree.  Monotonicity of the input is required, and a
-    map that is not onto is refused with a point outside its range
-    (`transducer._outside_range`, kept per normal form).  Each distinct
+    direct image agree.  Monotonicity of the input is required, a map
+    that is not onto is refused with a point outside its range
+    (`transducer._outside_range`), and then a map that is not open with
+    an input cylinder whose image is not open (`transducer.is_open`),
+    both kept per normal form.  Each distinct
     trie is pushed forward once per call, in assignment order, and each
     result keeps its own set's declared level: the empty and full tries
     go to the empty and full sets.  Raises UndecidedImageError at the
@@ -554,6 +560,9 @@ def vaught_transform(f: Flowchart, delta: Transducer, depth_bound: int) -> Flowc
     missed = _outside_range(delta._normal)
     if missed is not None:
         raise UnsupportedError("the name map is not surjective: %s is outside its range" % render_point(missed))
+    opened, word = is_open(delta._normal)
+    if not opened:
+        raise UnsupportedError("the name map is not open: the image of [%s] is not open" % render_word(word))
     out = delta.output_space
     # Keyed by id: the tries are f's, alive for the whole call.
     images: dict[int, Trie] = {id(False): False, id(True): True}

@@ -36,6 +36,7 @@ of the left level and the right level plus one (_level states the rule).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import EmptySetError, ParseError, SpaceMismatchError, UnsupportedError
 from .ordinal import ONE, CnfOrdinal, add, cmp
@@ -160,15 +161,157 @@ class UpPoint:
 
 
 # ---------------------------------------------------------------------------
-# Reduced decision tries.  A trie is True (the whole cylinder), False (none
-# of it) or a k-tuple holding one child trie per next letter; no node has
-# k children that are all True or all False.  Every walk below is a loop
-# over an explicit stack, so a trie may be deeper than the recursion limit.
-# Memo tables key nodes by id() and live for one call, while the tries
-# they index are alive.  A trie built from words shares its equal
-# subtries, so it is a small DAG; walks over it stay memoised.
+# Reduced decision tries, and packed tables for shallow ones.  A node of
+# a set is one of two kinds.  A trie is True (the whole cylinder), False
+# (none of it) or a k-tuple holding one child trie per next letter; no
+# node has k children that are all True or all False.  A packed table
+# (_Bits) is a set of height at most D(k) held as its truth table, one
+# bit per cylinder of length D; it is never empty or full, as those sets
+# are the leaves, and it appears only as the root of a set, never as a
+# trie's child.
+#
+# Two tables, or a table and a leaf, combine and compare with one int
+# operation.  Every walk that reads children reads a table through
+# `_tree`, which builds the table's reduced trie once and keeps it on the
+# table for as long as the table lives.  Every walk over tries below is
+# a loop over an explicit stack, so a trie may be deeper than the
+# recursion limit (a table's expansion is at most D + 1 deep).  Memo
+# tables key nodes by id() and live for one call, while the tries they
+# index are alive: so a walk indexes only kept tries, never children
+# made on the fly, whose ids could be reused.  A trie built from words
+# shares its equal subtries, so it is a small DAG; walks over it stay
+# memoised.
 
 Trie = bool | tuple
+
+# The widest packed table, in bits.  An operation on two tables costs
+# time linear in their width, whatever the sets hold, and a table's
+# expansion and packing cost grow with it too; at 4096 bits (D = 12 over
+# two letters) one operation takes well under a microsecond, tens of
+# times less than the trie walk on the sets the workloads build.
+_TABLE_BITS = 4096
+
+
+class _Shape:
+    """The tables of depth `depth` over k letters: per length n <= depth
+    the width spans[n] = k^(depth - n) of a cylinder's block of bits and
+    the mask blocks[n] of that many bits, the full table blocks[0], and
+    `below`, the shape one letter shallower."""
+
+    __slots__ = ("k", "depth", "spans", "blocks", "full", "below")
+
+    def __init__(self, k: int, depth: int):
+        self.k, self.depth = k, depth
+        self.spans = [k ** (depth - n) for n in range(depth + 1)]
+        self.blocks = [(1 << span) - 1 for span in self.spans]
+        self.full = self.blocks[0]
+        self.below = _Shape(k, depth - 1) if depth else None
+
+
+@lru_cache(maxsize=64)
+def _shape(k: int) -> _Shape:
+    """The shape of k letters' sets: the packing depth D is the largest
+    with k^D <= _TABLE_BITS, 0 for one letter (where every set is a
+    leaf) and past _TABLE_BITS letters."""
+    depth = 0
+    while k > 1 and k ** (depth + 1) <= _TABLE_BITS:
+        depth += 1
+    return _Shape(k, depth)
+
+
+class _Bits:
+    """A set of height at most D as its truth table: bit i stands for the
+    i-th cylinder of length D in lexicographic order.  `tree` is the
+    reduced trie, once `_tree` has built it."""
+
+    __slots__ = ("bits", "shape", "tree")
+
+    def __init__(self, bits: int, shape: _Shape):
+        self.bits, self.shape, self.tree = bits, shape, None
+
+    def __eq__(self, other):
+        return other.__class__ is _Bits and self.bits == other.bits and self.shape is other.shape
+
+    def __hash__(self):
+        return hash(self.bits)
+
+
+def _packed(bits: int, shape: _Shape) -> Trie:
+    """The node of a table: a leaf when it is empty or full."""
+    if not bits:
+        return False
+    if bits == shape.full:
+        return True
+    return _Bits(bits, shape)
+
+
+def _tree(t) -> Trie:
+    """The reduced trie of a node: a table's, built on first use and kept
+    on it; any other node is its own."""
+    if t.__class__ is not _Bits:
+        return t
+    tree = t.tree
+    if tree is None:
+        shape = t.shape
+        k, spans, blocks = shape.k, shape.spans, shape.blocks
+        # Equal parts at one level become one node.
+        shared: dict[tuple[int, int], tuple] = {}
+
+        def split(bits: int, n: int) -> tuple:
+            # The node of the part `bits` of one cylinder of length n,
+            # neither empty nor full.
+            node = shared.get((n, bits))
+            if node is None:
+                span, block = spans[n + 1], blocks[n + 1]
+                kids = []
+                for a in range(k):
+                    part = bits >> a * span & block
+                    kids.append(part == block if not part or part == block else split(part, n + 1))
+                node = shared[n, bits] = tuple(kids)
+            return node
+
+        tree = t.tree = split(t.bits, 0)
+    return tree
+
+
+def _child(t: _Bits, a: int) -> Trie:
+    """The node of a table below letter a: its part there, as a table one
+    letter shallower, or a leaf.  It is made anew on every call, so a walk
+    that memoises on ids must read `_tree(t)` instead."""
+    shape = t.shape
+    return _packed(t.bits >> a * shape.spans[1] & shape.blocks[1], shape.below)
+
+
+def _table_words(t: _Bits) -> tuple[Word, ...]:
+    """The words of a table's trie, read off its bits without building
+    the trie: a word is a maximal aligned block of set bits, a cylinder
+    inside the set whose parent is not.  Each run of set bits splits,
+    from its start, into the largest aligned block that starts there and
+    fits; a larger block around it would hold the bits just before it,
+    which are clear or belong to an earlier block."""
+    shape = t.shape
+    k, depth, spans = shape.k, shape.depth, shape.spans
+    bits, base = t.bits, 0
+    out: list[Word] = []
+    while bits:
+        # The next run of set bits is [start, end).
+        low = (bits & -bits).bit_length() - 1
+        bits >>= low
+        start = base + low
+        ones = (~bits & (bits + 1)).bit_length() - 1
+        bits >>= ones
+        end = base = start + ones
+        while start < end:
+            n = depth
+            while n and start % spans[n - 1] == 0 and start + spans[n - 1] <= end:
+                n -= 1
+            i = start // spans[n]
+            word = [0] * n
+            for j in range(n - 1, -1, -1):
+                i, word[j] = divmod(i, k)
+            out.append(tuple(word))
+            start += spans[n]
+    return tuple(out)
 
 
 def _node(kids: list) -> Trie:
@@ -180,7 +323,21 @@ def _node(kids: list) -> Trie:
 
 
 def _trie(k: int, words) -> Trie:
-    """The reduced trie of the union of the cylinders [w], in linear time."""
+    """The reduced node of the union of the cylinders [w], in linear
+    time: a packed table when every word is at most D letters long.
+    `words` is a collection: it is read twice."""
+    shape = _shape(k)
+    depth = shape.depth
+    if depth and all(len(w) <= depth for w in words):
+        spans, blocks = shape.spans, shape.blocks
+        bits = 0
+        for w in words:
+            i = 0
+            for a in w:
+                i = i * k + a
+            n = len(w)
+            bits |= blocks[n] << i * spans[n]
+        return _packed(bits, shape)
     top = [False] * k
     for w in words:
         if not w:
@@ -212,6 +369,8 @@ def _trie(k: int, words) -> Trie:
 
 def _words(t: Trie) -> tuple[Word, ...]:
     """The words leading to True leaves, in lexicographic order."""
+    if t.__class__ is _Bits:
+        return _table_words(t)
     out: list[Word] = []
     path: list[int] = []
     # (n, a, node): node is reached by path[:n], then letter a if any.
@@ -265,6 +424,16 @@ def _combine(x: Trie, y: Trie, absorb: bool, negate: bool = False) -> Trie:
         return absorb if negate else x
     if x is unit and not negate:
         return y
+    # y is not a leaf here.  A table against a table or a leaf is one int
+    # operation, the unit leaf counting as its own table (False is 0);
+    # against a trie it is walked as its trie.
+    if x.__class__ is _Bits or y.__class__ is _Bits:
+        if x.__class__ is not tuple and y.__class__ is not tuple:
+            shape = y.shape
+            p = x.bits if x.__class__ is _Bits else shape.full if x else 0
+            q = shape.full ^ y.bits if negate else y.bits
+            return _packed(p | q if absorb else p & q, shape)
+        x, y = _tree(x), _tree(y)
     # Under x's unit leaf, a negated y is walked against a row of units.
     units = (unit,) * len(y)
     # x's leaf that passes y through: none under negation.
@@ -304,7 +473,14 @@ def _combine(x: Trie, y: Trie, absorb: bool, negate: bool = False) -> Trie:
 def _lockstep(x: Trie, y: Trie, subset: bool) -> bool:
     """Is trie x the same trie as y, or, when `subset`, is its set
     within y's?  One walk in lockstep, memoised on node pairs; reduced
-    tries are canonical, so sameness is set equality."""
+    tries are canonical, so sameness is set equality.  Two tables
+    compare as ints; a table against a trie is walked as its trie."""
+    if x.__class__ is _Bits or y.__class__ is _Bits:
+        if x.__class__ is y.__class__:
+            p, q = x.bits, y.bits
+            return p & ~q == 0 if subset else p == q
+        if x.__class__ is tuple or y.__class__ is tuple:
+            x, y = _tree(x), _tree(y)
     seen: set[tuple[int, int]] = set()
     stack = [(x, y)]
     while stack:
@@ -455,10 +631,19 @@ class ClopenSet:
 
 
 def member(x: UpPoint, a: ClopenSet) -> bool:
-    """Decide x in a: follow the stream's letters down the trie to a leaf."""
+    """Decide x in a: follow the stream's letters down the trie to a
+    leaf, or read a table's bit at the stream's first D letters."""
     if x.space is not a.space and x.space != a.space:
         raise SpaceMismatchError("point in %r, set in %r" % (x.space, a.space))
     node = a.trie
+    if node.__class__ is _Bits:
+        shape = node.shape
+        k, depth = shape.k, shape.depth
+        letters = x.prefix + x.period * (depth // len(x.period) + 1)
+        i = 0
+        for c in letters[:depth]:
+            i = i * k + c
+        return node.bits >> i & 1 == 1
     i = 0
     while node.__class__ is tuple:
         node = node[x.letter(i)]
@@ -476,7 +661,18 @@ def least_point(a: ClopenSet) -> UpPoint:
 
 def _leftmost(space: Space, t: Trie, leaf: bool) -> UpPoint:
     """The least point whose path in t ends at a `leaf` leaf: the
-    leftmost such path, then zeros.  t must not be the other leaf."""
+    leftmost such path, then zeros.  t must not be the other leaf.  In
+    a table it is the cylinder of the lowest bit that is set (or clear,
+    for False)."""
+    if t.__class__ is _Bits:
+        shape = t.shape
+        bits = t.bits if leaf else ~t.bits
+        i = (bits & -bits).bit_length() - 1
+        path = []
+        for _ in range(shape.depth):
+            i, c = divmod(i, shape.k)
+            path.append(c)
+        return UpPoint(space, path[::-1], (0,))
     other = not leaf
     path: list[int] = []
     while t is not leaf:

@@ -15,13 +15,15 @@ any other machine renumbers once, on first request.  `compose` returns normal fo
 so structural equality of its results and `build`'s is the meaningful
 comparison and codecs are byte stable.
 
-Two bounded tables answer repeated work, `functools.lru_cache`s like
+Three bounded tables answer repeated work, `functools.lru_cache`s like
 `identity_map`'s.  `_product` holds `compose`'s product machines, keyed
 on the normal forms of the two sides, so machines equal up to
 renumbering share one entry; it keeps at most 256 pairs.
-`_outside_range` holds, per normal form, what `vaught_transform`'s
-surjectivity check needs: a point outside the map's range, or None
-when the map is onto; it keeps at most 64.  An entry keeps its key machines
+`_outside_range` and `is_open` hold, per normal form, what
+`vaught_transform`'s hypothesis checks need: a point outside the map's
+range, or None when the map is onto; and whether the map is open, with
+an input word whose cylinder's image is not open when it is not; each
+keeps at most 64.  An entry keeps its key machines
 and its result alive until it is evicted, and nothing else: a machine
 refers only to its spaces, its steps and itself.  A key is a flat
 table of steps, so it hashes in time linear in its size.  No table is
@@ -58,6 +60,7 @@ from .space import (
     _check_alphabet,
     _leftmost,
     _node,
+    _tree,
     parse_clopen,
     parse_word,
     render_word,
@@ -70,6 +73,7 @@ __all__ = [
     "apply",
     "preimage",
     "image",
+    "is_open",
     "in_map",
     "out_map",
     "drop_first",
@@ -307,7 +311,7 @@ def out_map(v: ClopenSet) -> Transducer:
     k = space.alphabet_size
     delta = {("copy", a): ("copy", (a,)) for a in range(k)}
     # (p, the inner node of V's trie at p): p is the held-back path.
-    stack = [((), v.trie)]
+    stack = [((), _tree(v.trie))]
     while stack:
         p, node = stack.pop()
         for a, child in enumerate(node):
@@ -389,7 +393,7 @@ def preimage(f: Transducer, a: ClopenSet) -> ClopenSet:
         raise SpaceMismatchError("set in %r, map emits %r" % (a.space, f.output_space))
     if f._identity:
         return a
-    t = a.trie
+    t = _tree(a.trie)
     if t.__class__ is not tuple:
         return ClopenSet._of(f.input_space, t, a.declared_level)
     steps = f.steps
@@ -531,6 +535,32 @@ def _outside_range(f: Transducer) -> UpPoint | None:
     in normal form."""
     t, _ = _walk(f, _settle(f, [(f.init, ())]))
     return None if t is True else _leftmost(f.output_space, t, False)
+
+
+@lru_cache(maxsize=64)
+def is_open(f: Transducer) -> tuple[bool, Word | None]:
+    """Is f an open map?  f in normal form.
+
+    The image of a cylinder [w] is o . Range(s), where s is the state f
+    reaches on w and o is what it emits on the way, and every open set
+    is a union of cylinders.  So f is open exactly when Range(s) is open
+    for every reachable state s; being compact, Range(s) is open exactly
+    when it is clopen, that is, when the walk from s gives its trie a
+    finite height.  The states are tried in breadth-first order with
+    letters in order, so (False, w) names the shortlex-least input word
+    w whose cylinder's image is not open; otherwise (True, None).
+    Raises UndecidedImageError when a walk exceeds _COVER_BUDGET.
+    """
+    words = {f.init: ()}
+    order = [f.init]
+    for s in order:
+        if _walk(f, _settle(f, [(s, ())]))[1] == float("inf"):
+            return False, words[s]
+        for a, (nxt, _) in enumerate(f.steps[s]):
+            if nxt not in words:
+                words[nxt] = words[s] + (a,)
+                order.append(nxt)
+    return True, None
 
 
 # ---------------------------------------------------------------------------

@@ -452,6 +452,18 @@ def test_transform_vaught_non_surjective(capsys, tmp_path, fc_path):
     assert "surjective" in err
 
 
+def test_transform_vaught_refuses_a_map_that_is_not_open(capsys, tmp_path, fc_path):
+    # 0x -> 0^w, 1x -> x is onto, but the image of [0] is one point.
+    delta = tr.Transducer.build(SP2, SP2, 0, {
+        (0, 0): (1, (0,)), (0, 1): (2, ()),
+        (1, 0): (1, (0,)), (1, 1): (1, (0,)),
+        (2, 0): (2, (0,)), (2, 1): (2, (1,)),
+    })
+    extra = write_doc(tmp_path, "pump.tr", tr.encode_transducer(delta))
+    assert run(capsys, ["transform", "vaught", fc_path, extra]) == (
+        3, "", "unsupported: the name map is not open: the image of [0] is not open\n")
+
+
 def test_transform_vaught_names_a_point_outside_the_range(capsys, tmp_path, fc_path):
     # const_zero's range is one point, which is not clopen: the map is
     # refused as not onto, with a point its range misses.
@@ -491,13 +503,18 @@ def test_grid_cap_admits_eleven_letters_at_the_default_lengths(capsys, monkeypat
     assert cli._grid(args, Space(11)) == []
     with pytest.raises(cli.UnsupportedError, match="over 12 letters"):
         cli._grid(args, Space(12))
-    for prefix, period, k in ((10**9, 1, 2), (1, 10**9, 2), (1, 2 * 10**6 + 1, 1)):
+    for prefix, period, k in ((10**9, 1, 2), (1, 10**9, 2)):
         args = cli._parser().parse_args(["--grid-prefix", str(prefix), "--grid-period", str(period), "fuzz"])
         with pytest.raises(cli.UnsupportedError, match="exceeds 2000000 points"):
             cli._grid(args, Space(k))
+    # Over one letter the grid is one point, whatever its lengths.
+    monkeypatch.undo()
+    args = cli._parser().parse_args(["--grid-prefix", "1", "--grid-period", str(2 * 10**6 + 1), "fuzz"])
+    assert [str(x) for x in cli._grid(args, Space(1))] == ["(0)"]
 
 
-@pytest.mark.parametrize("option", [["--grid-prefix", "1000000000"], ["--grid-period", "2000000"]])
+@pytest.mark.parametrize("option", [["--grid-prefix", "1000000000"], ["--grid-period", "2000000"],
+                                    ["--grid-period", "2000001"]])
 def test_one_letter_grid_is_its_one_point(capsys, tmp_path, option):
     # Over one letter the grid is the point (0) at any lengths: no word
     # longer than the one period 0 is built.

@@ -13,9 +13,12 @@ from vebflow.ordinal import CnfOrdinal, ONE, add, cmp, parse_ordinal
 from vebflow.space import (
     _TWO,
     ClopenSet,
+    _Bits,
     _canonical,
     _canonical_antichain,
+    _combine,
     _level,
+    _shape,
     _trie,
     _words,
     Space,
@@ -512,6 +515,27 @@ def test_every_pair_of_sets_of_height_three_matches_the_oracle():
             _check_pair(a, b, *want)
             checked += 1
     assert checked == 256 * 256
+
+
+def test_packing_depth_and_the_unit_leaf_of_a_table():
+    # The depth is the largest D with k^D <= 4096, and the search for it
+    # ends over one letter and past 4096 letters, where nothing packs.
+    depths = {k: _shape(k).depth for k in (1, 2, 3, 4, 4096, 4097, 10**5)}
+    assert depths == {1: 0, 2: 12, 3: 7, 4: 6, 4096: 1, 4097: 0, 10**5: 0}
+    assert all(_shape(k).depth == depth for k, depth in PACKED.items())
+    assert ClopenSet(Space(1), [(0,) * 20]).trie is True
+    assert ClopenSet(Space(5000), [(4999,)]).trie.__class__ is tuple
+    a = cs((0, 1), (1, 1, 0))
+    t = a.trie
+    # A table is not an int: the kernel's leaf tests must not pass it.
+    assert t.__class__ is _Bits and not isinstance(t, (int, bool))
+    assert hash(a) == hash((SP2, a.antichain))
+    # The union's unit leaf False is the empty table, so the union of it
+    # with a table's complement (make_strongly_total pads a join member
+    # with the complement of its domain this way) is the complement,
+    # not the full space; the intersection's unit True is the full one.
+    assert _combine(False, t, True, True) == a.complement().trie == _combine(True, t, False, True)
+    assert _combine(False, t, True) is t and _combine(True, t, False) is t
 
 
 def _past(k, words, depth):

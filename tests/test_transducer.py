@@ -1293,6 +1293,78 @@ def test_outside_range_names_a_point_the_range_misses():
     assert onto == {True, False}
 
 
+def zero_pump():
+    """0x -> 0^w and 1x -> x: onto, but not open, as the image of [0] is
+    the one point 0^w."""
+    return Transducer.build(SP2, SP2, 0, {
+        (0, 0): (1, (0,)), (0, 1): (2, ()),
+        (1, 0): (1, (0,)), (1, 1): (1, (0,)),
+        (2, 0): (2, (0,)), (2, 1): (2, (1,)),
+    })
+
+
+def ref_not_open(f):
+    """The shortlex-least input word whose cylinder's image is not clopen
+    (refused by the layered image at bound 40), or None."""
+    words = {f.init: ()}
+    order = [f.init]
+    for s in order:
+        w = words[s]
+        got = _image_outcome(ref_layered_image, f, ClopenSet(f.input_space, [w]), 40)
+        if got[0] is UndecidedImageError:
+            return w
+        for a in range(f.input_space.alphabet_size):
+            nxt = f.step(s, a)[0]
+            if nxt not in words:
+                words[nxt] = w + (a,)
+                order.append(nxt)
+    return None
+
+
+def test_is_open_names_the_least_cylinder_whose_image_is_not_open(monkeypatch):
+    maps = [
+        (identity_map(SP2), (True, None)),
+        (drop_first(SP2), (True, None)),
+        (parity_merge(), (True, None)),
+        (letter_double(SP2), (False, ())),
+        (const_zero(SP2, SP2), (False, ())),
+        (zero_pump(), (False, (0,))),
+    ]
+    for f, want in maps:
+        assert transducer.is_open(f._normal) == want
+    # On random machines the verdict and the word are the reference's.
+    rng = random.Random(1601)
+    verdicts = set()
+    for _ in range(150):
+        f = _random_machine(rng)
+        opened, word = transducer.is_open(f._normal)
+        assert word == ref_not_open(f), f
+        verdicts.add(opened)
+    assert verdicts == {True, False}
+    # A verdict is kept per normal form; a budget refusal is not stored.
+    pump = zero_pump()
+    assert transducer.is_open(pump._normal) is transducer.is_open(pump._normal)
+    transducer.is_open.cache_clear()
+    with monkeypatch.context() as m:
+        m.setattr(transducer, "_COVER_BUDGET", 1)
+        for _ in range(2):
+            with pytest.raises(UndecidedImageError, match="exceeded the configuration budget"):
+                transducer.is_open(pump._normal)
+    assert transducer.is_open(pump._normal) == (False, (0,))
+
+
+def test_vaught_refuses_a_map_that_is_not_open():
+    # zero_pump is onto, so only the openness check refuses it.  Before
+    # that check the transform returned a chart giving b at
+    # zero_pump(0(0)) = (0), where the source gives a.
+    f = Flowchart(parse_term('q"a" ~> q"b"'), SP2, {(): cs("{1}")})
+    pump = zero_pump()
+    assert transducer._outside_range(pump._normal) is None
+    with pytest.raises(UnsupportedError) as info:
+        vaught_transform(f, pump, 6)
+    assert str(info.value) == "the name map is not open: the image of [0] is not open"
+
+
 # -- codec ---------------------------------------------------------------------------
 
 def test_transducer_document_shape():
