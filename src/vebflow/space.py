@@ -3,18 +3,38 @@
 Space(k) is the space of infinite streams over the alphabet {0..k-1}.
 Points are represented exactly when ultimately periodic: a finite prefix
 followed by a repeating period.  Clopen sets are finite unions of basic
-cylinders, stored as reduced k-ary decision tries: Bryant's reduced
-ordered decision diagrams (1986) with letters in place of variables.  A
-trie is True (full), False (empty) or one child trie per next letter,
-and a node whose children are all True, or all False, collapses to that
-leaf.  Reduced tries are canonical, so set equality is trie equality.
-Equality and inclusion are one lockstep walk over pairs of nodes, which
-differ only in the leaf pairs that pass.  Union, intersection,
-difference and complement are one kernel: a single depth-first pass
-over pairs of nodes, which builds each pair's row of children once, on
-a stack of frames, and reduces it as soon as it is full; difference
-reads the right trie's leaves negated as it goes, and complement is the
-difference from the full space.  Membership reads one letter per level.
+cylinders, held in one of two kinds of node.
+
+A reduced k-ary decision trie is Bryant's reduced ordered decision
+diagram (1986) with letters in place of variables: True (full), False
+(empty) or one child trie per next letter, and a node whose children are
+all True, or all False, collapses to that leaf.  Reduced tries are
+canonical, so set equality is trie equality.  Equality and inclusion
+are one lockstep walk over pairs of nodes, which differ only in the leaf
+pairs that pass.  Union, intersection, difference and complement are
+one kernel: a single depth-first pass over pairs of nodes, which builds
+each pair's row of children once, on a stack of frames, and reduces it
+as soon as it is full; difference reads the right trie's leaves negated
+as it goes, and complement is the difference from the full space.
+Membership reads one letter per level.
+
+A packed table (`_Bits`) holds a set of height at most D(k), the largest
+D with k^D <= 4096 (12 over two letters), as its truth table: one bit
+per cylinder of length D, in one int (the small-function representation
+of BDD packages; Knuth, TAOCP 4A, 7.1.3).  A set built from words of at
+most D letters is packed, and union, intersection, difference,
+complement, equality and inclusion of two tables, or of a table and a
+leaf, are one |, &, & ~ or == on ints, whose results stay packed.
+Membership indexes the point's first D letters, the least point reads
+the lowest set bit, and the antichain is read off the runs of set bits.
+Every other walk (a table against a trie in the kernel, `preimage`,
+`out_map`) reads the table's trie through `_tree`, built once and kept
+on the table; evaluation steps into a table's parts (`_child`).  A set
+built from longer words, and a result of `preimage`, `image` or of a
+table against a trie, stays a trie even when it is shallow.  Exactness
+does not rest on one form per set: every comparison of a table with a
+trie expands the table first, and reduced tries are canonical.
+
 The canonical antichain (the words leading to True leaves: pairwise
 incomparable under the prefix order, never all k siblings present,
 sorted) is derived on demand; it is the printed and codec form.
@@ -161,34 +181,33 @@ class UpPoint:
 
 
 # ---------------------------------------------------------------------------
-# Reduced decision tries, and packed tables for shallow ones.  A node of
-# a set is one of two kinds.  A trie is True (the whole cylinder), False
-# (none of it) or a k-tuple holding one child trie per next letter; no
-# node has k children that are all True or all False.  A packed table
-# (_Bits) is a set of height at most D(k) held as its truth table, one
-# bit per cylinder of length D; it is never empty or full, as those sets
-# are the leaves, and it appears only as the root of a set, never as a
-# trie's child.
+# Reduced decision tries, and packed tables for shallow ones.  A trie is
+# True (the whole cylinder), False (none of it) or a k-tuple holding one
+# child trie per next letter; no node has k children that are all True
+# or all False.  A packed table (_Bits) is never empty or full, as those
+# sets are the leaves.  It is the root of a set, or a part of one that
+# an outcome cell holds (`_child`), and never a trie's child.
 #
-# Two tables, or a table and a leaf, combine and compare with one int
-# operation.  Every walk that reads children reads a table through
-# `_tree`, which builds the table's reduced trie once and keeps it on the
-# table for as long as the table lives.  Every walk over tries below is
-# a loop over an explicit stack, so a trie may be deeper than the
-# recursion limit (a table's expansion is at most D + 1 deep).  Memo
-# tables key nodes by id() and live for one call, while the tries they
-# index are alive: so a walk indexes only kept tries, never children
-# made on the fly, whose ids could be reused.  A trie built from words
-# shares its equal subtries, so it is a small DAG; walks over it stay
-# memoised.
+# Every walk over tries below is a loop over an explicit stack, so a
+# trie may be deeper than the recursion limit; a table's expansion is at
+# most D + 1 deep and is built by recursion.  Memo tables key nodes by
+# id() and live for one call, while the tries they index are alive: so
+# a walk that memoises indexes only a table's kept expansion (`_tree`),
+# never children made on the fly, whose ids could be reused.  A trie
+# built from words shares its equal subtries, so it is a small DAG;
+# walks over it stay memoised.  A table's expansion shares only its
+# leaves: it has one inner node per word on whose cylinder the set is
+# neither empty nor full.
 
 Trie = bool | tuple
 
 # The widest packed table, in bits.  An operation on two tables costs
-# time linear in their width, whatever the sets hold, and a table's
-# expansion and packing cost grow with it too; at 4096 bits (D = 12 over
-# two letters) one operation takes well under a microsecond, tens of
-# times less than the trie walk on the sets the workloads build.
+# time linear in their width, whatever the sets hold, and so do a
+# table's packing and its expansion.  At 4096 bits (D = 12 over two
+# letters) the union of two sets of 128 words of 8 to 10 letters took
+# about 3 us through `ClopenSet.union`, against 157 us for the trie walk
+# (Python 3.11, 2-vCPU VM), while every set the benchmark's workloads
+# build over two letters fits.
 _TABLE_BITS = 4096
 
 
@@ -254,21 +273,16 @@ def _tree(t) -> Trie:
     if tree is None:
         shape = t.shape
         k, spans, blocks = shape.k, shape.spans, shape.blocks
-        # Equal parts at one level become one node.
-        shared: dict[tuple[int, int], tuple] = {}
 
         def split(bits: int, n: int) -> tuple:
             # The node of the part `bits` of one cylinder of length n,
             # neither empty nor full.
-            node = shared.get((n, bits))
-            if node is None:
-                span, block = spans[n + 1], blocks[n + 1]
-                kids = []
-                for a in range(k):
-                    part = bits >> a * span & block
-                    kids.append(part == block if not part or part == block else split(part, n + 1))
-                node = shared[n, bits] = tuple(kids)
-            return node
+            span, block = spans[n + 1], blocks[n + 1]
+            kids = []
+            for a in range(k):
+                part = bits >> a * span & block
+                kids.append(part == block if not part or part == block else split(part, n + 1))
+            return tuple(kids)
 
         tree = t.tree = split(t.bits, 0)
     return tree
@@ -412,6 +426,9 @@ def _combine(x: Trie, y: Trie, absorb: bool, negate: bool = False) -> Trie:
     reduced, memoised and appended to its parent's row, and the parent
     resumes.  Tries are DAGs, so no pair is met again while its own
     frame is open, and each pair is built once.
+
+    Two tables, or a table and a leaf, are one int operation instead;
+    a table against a trie is walked as its expansion.
     """
     unit = not absorb
     # y's leaf that decides the pair, and y's leaf that leaves x as it is.
@@ -424,9 +441,8 @@ def _combine(x: Trie, y: Trie, absorb: bool, negate: bool = False) -> Trie:
         return absorb if negate else x
     if x is unit and not negate:
         return y
-    # y is not a leaf here.  A table against a table or a leaf is one int
-    # operation, the unit leaf counting as its own table (False is 0);
-    # against a trie it is walked as its trie.
+    # y is not a leaf here, and x is the unit leaf only under negation:
+    # as a table, the union's unit False is 0, not the full mask.
     if x.__class__ is _Bits or y.__class__ is _Bits:
         if x.__class__ is not tuple and y.__class__ is not tuple:
             shape = y.shape
