@@ -249,7 +249,12 @@ class _Bits:
         self.bits, self.shape, self.tree = bits, shape, None
 
     def __eq__(self, other):
-        return other.__class__ is _Bits and self.bits == other.bits and self.shape is other.shape
+        # By the shape's numbers, not its identity: `_shape` may make a
+        # new shape for k letters once it has dropped the old one.
+        if other.__class__ is not _Bits:
+            return False
+        p, q = self.shape, other.shape
+        return self.bits == other.bits and (p.k, p.depth) == (q.k, q.depth)
 
     def __hash__(self):
         return hash(self.bits)
@@ -276,12 +281,15 @@ def _tree(t) -> Trie:
 
         def split(bits: int, n: int) -> tuple:
             # The node of the part `bits` of one cylinder of length n,
-            # neither empty nor full.
-            span, block = spans[n + 1], blocks[n + 1]
+            # neither empty nor full: its parts one letter longer are
+            # its blocks of bits from the lowest up.
+            n += 1
+            span, block = spans[n], blocks[n]
             kids = []
-            for a in range(k):
-                part = bits >> a * span & block
-                kids.append(part == block if not part or part == block else split(part, n + 1))
+            for _ in range(k):
+                part = bits & block
+                bits >>= span
+                kids.append(part == block if not part or part == block else split(part, n))
             return tuple(kids)
 
         tree = t.tree = split(t.bits, 0)

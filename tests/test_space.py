@@ -14,6 +14,7 @@ from vebflow.space import (
     _TWO,
     ClopenSet,
     _Bits,
+    _Shape,
     _canonical,
     _canonical_antichain,
     _combine,
@@ -529,6 +530,10 @@ def test_packing_depth_and_the_unit_leaf_of_a_table():
     t = a.trie
     # A table is not an int: the kernel's leaf tests must not pass it.
     assert t.__class__ is _Bits and not isinstance(t, (int, bool))
+    # Tables compare by their bits and shape numbers, so a shape made
+    # anew for the same letters and depth (once _shape dropped the old
+    # one) keeps equal tables equal.
+    assert t == _Bits(t.bits, _Shape(2, 12)) and t != _Bits(t.bits, _shape(2).below)
     assert hash(a) == hash((SP2, a.antichain))
     # The union's unit leaf False is the empty table, so the union of it
     # with a table's complement (make_strongly_total pads a join member
