@@ -27,9 +27,10 @@ complement, equality and inclusion of two tables, or of a table and a
 leaf, are one |, &, & ~ or == on ints, whose results stay packed.
 Membership indexes the point's first D letters, the least point reads
 the lowest set bit, and the antichain is read off the runs of set bits.
-Every other walk (a table against a trie in the kernel, `preimage`,
-`out_map`) reads the table's trie through `_tree`, built once and kept
-on the table; evaluation steps into a table's parts (`_child`).  A set
+A table against a trie in the kernel, and `out_map`, read the table's
+trie through `_tree`, built once and kept on the table; evaluation
+steps into a table's parts (`_child`), and `transducer.preimage` walks
+them, memoised on their bits, so neither expands the table.  A set
 built from longer words, and a result of `preimage`, `image` or of a
 table against a trie, stays a trie even when it is shallow.  Exactness
 does not rest on one form per set: every comparison of a table with a
@@ -193,7 +194,8 @@ class UpPoint:
 # most D + 1 deep and is built by recursion.  Memo tables key nodes by
 # id() and live for one call, while the tries they index are alive: so
 # a walk that memoises indexes only a table's kept expansion (`_tree`),
-# never children made on the fly, whose ids could be reused.  A trie
+# never children made on the fly, whose ids could be reused; or it keys
+# a table's parts by their bits, as `transducer.preimage` does.  A trie
 # built from words shares its equal subtries, so it is a small DAG;
 # walks over it stay memoised.  A table's expansion shares only its
 # leaves: it has one inner node per word on whose cylinder the set is

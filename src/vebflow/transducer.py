@@ -53,6 +53,7 @@ from .errors import DocumentError, EmptySetError, ParseError, SpaceMismatchError
 from .space import (
     ClopenSet,
     Space,
+    _Bits,
     Trie,
     UpPoint,
     Word,
@@ -387,13 +388,17 @@ def preimage(f: Transducer, a: ClopenSet) -> ClopenSet:
     The walk is `space._combine`'s: one frame per pair being built,
     resuming at its next letter once the pair that letter reaches is
     built, so each letter's step and descent is made once.  Silent
-    cycles are banned, so a pair never waits on itself.
+    cycles are banned, so a pair never waits on itself.  A packed table
+    is walked over its parts in place of trie nodes (`_table_preimage`),
+    so it is not expanded.
     """
     if a.space is not f.output_space and a.space != f.output_space:
         raise SpaceMismatchError("set in %r, map emits %r" % (a.space, f.output_space))
     if f._identity:
         return a
-    t = _tree(a.trie)
+    t = a.trie
+    if t.__class__ is _Bits:
+        return ClopenSet._of(f.input_space, _table_preimage(f, t), a.declared_level)
     if t.__class__ is not tuple:
         return ClopenSet._of(f.input_space, t, a.declared_level)
     steps = f.steps
@@ -427,6 +432,43 @@ def preimage(f: Transducer, a: ClopenSet) -> ClopenSet:
             kids.append(t)
     return ClopenSet._of(f.input_space, t, a.declared_level)
 
+
+def _table_preimage(f: Transducer, t) -> Trie:
+    """`preimage`'s walk over a packed table t: a node is t's part
+    below a word of length n, the bits of that word's block, and a pair
+    is memoised on (state, n, part).  Equal parts at one depth are one
+    set, so they share an entry as equal subtries of a trie do, and no
+    id of a node made on the way is kept."""
+    spans, blocks = t.shape.spans, t.shape.blocks
+    steps = f.steps
+    done: dict = {}
+    stack: list = []
+    moves, n, bits, key, kids = iter(steps[f.init]), 0, t.bits, None, []
+    while True:
+        for nxt, out in moves:
+            m, part = n, bits
+            for c in out:
+                m += 1
+                part = part >> c * spans[m] & blocks[m]
+                if not part or part == blocks[m]:
+                    break
+            if not part or part == blocks[m]:
+                kids.append(part != 0)
+                continue
+            pair = (nxt, m, part)
+            r = done.get(pair)
+            if r is None:
+                stack.append((moves, n, bits, key, kids))
+                moves, n, bits, key, kids = iter(steps[nxt]), m, part, pair, []
+                break
+            kids.append(r)
+        else:
+            r = _node(kids)
+            if not stack:
+                return r
+            done[key] = r
+            moves, n, bits, key, kids = stack.pop()
+            kids.append(r)
 
 # ---------------------------------------------------------------------------
 # Exact forward image with refusal.

@@ -63,6 +63,8 @@ from vebflow.space import (
     _lockstep,
     _node,
     _shape,
+    _tree,
+    _Bits,
     UpPoint,
     least_point,
     parse_clopen,
@@ -1042,7 +1044,7 @@ def test_kernel_on_a_deep_pair():
 
 def test_preimage_matches_the_revisiting_walk():
     rng = random.Random(31)
-    walked = 0
+    walked = packed = 0
     for k in (1, 2, 3, 4):
         space = Space(k)
         retracts = (random_clopen(rng, space, 3) for _ in range(8))
@@ -1050,7 +1052,8 @@ def test_preimage_matches_the_revisiting_walk():
         machines += [_random_machine(rng, k) for _ in range(30)]
         for f in machines:
             for _ in range(12):
-                a = past_packing(rng, random_clopen(rng, space, 5))
+                b = random_clopen(rng, space, 5)
+                a = past_packing(rng, b)
                 got, ref = preimage(f, a), ref_preimage(f, a)
                 assert (got is a) == (ref is a)
                 assert got == ref
@@ -1058,7 +1061,13 @@ def test_preimage_matches_the_revisiting_walk():
                 assert len(_inner(got.trie)) == len(_inner(ref.trie))
                 assert _same_dag(got.trie, ref.trie, _inner(a.trie))
                 walked += got.trie.__class__ is tuple
-    assert walked > 300
+                if b.trie.__class__ is _Bits:
+                    # A packed table's parts are walked in place of its
+                    # trie: the result is the walk's over the expansion.
+                    want = ref_preimage(f, ClopenSet._of(space, _tree(b.trie), b.declared_level))
+                    assert preimage(f, b) == want
+                    packed += 1
+    assert walked > 300 and packed > 300
 
 
 # -- the document decoder ------------------------------------------------------
