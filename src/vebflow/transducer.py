@@ -433,7 +433,7 @@ def preimage(f: Transducer, a: ClopenSet) -> ClopenSet:
     return ClopenSet._of(f.input_space, t, a.declared_level)
 
 
-def _table_preimage(f: Transducer, t) -> Trie:
+def _table_preimage(f: Transducer, t: _Bits) -> Trie:
     """`preimage`'s walk over a packed table t: a node is t's part
     below a word of length n, the bits of that word's block, and a pair
     is memoised on (state, n, part).  Equal parts at one depth are one
@@ -469,6 +469,7 @@ def _table_preimage(f: Transducer, t) -> Trie:
             done[key] = r
             moves, n, bits, key, kids = stack.pop()
             kids.append(r)
+
 
 # ---------------------------------------------------------------------------
 # Exact forward image with refusal.
