@@ -25,16 +25,15 @@ of BDD packages; Knuth, TAOCP 4A, 7.1.3).  A set built from words of at
 most D letters is packed, and union, intersection, difference,
 complement, equality and inclusion of two tables, or of a table and a
 leaf, are one |, &, & ~ or == on ints, whose results stay packed.
-Membership indexes the point's first D letters, the least point reads
-the lowest set bit, and the antichain is read off the runs of set bits.
-A table against a trie in the kernel, and `out_map`, read the table's
-trie through `_tree`, built once and kept on the table; evaluation
-steps into a table's parts (`_child`), and `transducer.preimage` walks
-them, memoised on their bits, so neither expands the table.  A set
-built from longer words, and a result of `preimage`, `image` or of a
-table against a trie, stays a trie even when it is shallow.  Exactness
-does not rest on one form per set: every comparison of a table with a
-trie expands the table first, and reduced tries are canonical.
+The least point reads the lowest set bit.  Every other walk reads the
+trie that `_tree` builds once and keeps on the table: membership, which
+so reads only as many letters as the set is tall, the antichain, a
+table against a trie in the kernel, the outcome cells of `flowchart`,
+`transducer.preimage` and `out_map`.  A set built from longer words,
+and a result of `preimage`, `image` or of a table against a trie, stays
+a trie even when it is shallow.  Exactness does not rest on one form
+per set: every comparison of a table with a trie expands the table
+first, and reduced tries are canonical.
 
 The canonical antichain (the words leading to True leaves: pairwise
 incomparable under the prefix order, never all k siblings present,
@@ -186,16 +185,15 @@ class UpPoint:
 # True (the whole cylinder), False (none of it) or a k-tuple holding one
 # child trie per next letter; no node has k children that are all True
 # or all False.  A packed table (_Bits) is never empty or full, as those
-# sets are the leaves.  It is the root of a set, or a part of one that
-# an outcome cell holds (`_child`), and never a trie's child.
+# sets are the leaves.  It is only ever the root of a set, never a
+# trie's child.
 #
 # Every walk over tries below is a loop over an explicit stack, so a
 # trie may be deeper than the recursion limit; a table's expansion is at
 # most D + 1 deep and is built by recursion.  Memo tables key nodes by
 # id() and live for one call, while the tries they index are alive: so
 # a walk that memoises indexes only a table's kept expansion (`_tree`),
-# never children made on the fly, whose ids could be reused; or it keys
-# a table's parts by their bits, as `transducer.preimage` does.  A trie
+# never children made on the fly, whose ids could be reused.  A trie
 # built from words shares its equal subtries, so it is a small DAG;
 # walks over it stay memoised.  A table's expansion shares only its
 # leaves: it has one inner node per word on whose cylinder the set is
@@ -216,17 +214,15 @@ _TABLE_BITS = 4096
 class _Shape:
     """The tables of depth `depth` over k letters: per length n <= depth
     the width spans[n] = k^(depth - n) of a cylinder's block of bits and
-    the mask blocks[n] of that many bits, the full table blocks[0], and
-    `below`, the shape one letter shallower."""
+    the mask blocks[n] of that many bits, and the full table blocks[0]."""
 
-    __slots__ = ("k", "depth", "spans", "blocks", "full", "below")
+    __slots__ = ("k", "depth", "spans", "blocks", "full")
 
     def __init__(self, k: int, depth: int):
         self.k, self.depth = k, depth
         self.spans = [k ** (depth - n) for n in range(depth + 1)]
         self.blocks = [(1 << span) - 1 for span in self.spans]
         self.full = self.blocks[0]
-        self.below = _Shape(k, depth - 1) if depth else None
 
 
 @lru_cache(maxsize=64)
@@ -298,46 +294,6 @@ def _tree(t) -> Trie:
     return tree
 
 
-def _child(t: _Bits, a: int) -> Trie:
-    """The node of a table below letter a: its part there, as a table one
-    letter shallower, or a leaf.  It is made anew on every call, so a walk
-    that memoises on ids must read `_tree(t)` instead."""
-    shape = t.shape
-    return _packed(t.bits >> a * shape.spans[1] & shape.blocks[1], shape.below)
-
-
-def _table_words(t: _Bits) -> tuple[Word, ...]:
-    """The words of a table's trie, read off its bits without building
-    the trie: a word is a maximal aligned block of set bits, a cylinder
-    inside the set whose parent is not.  Each run of set bits splits,
-    from its start, into the largest aligned block that starts there and
-    fits; a larger block around it would hold the bits just before it,
-    which are clear or belong to an earlier block."""
-    shape = t.shape
-    k, depth, spans = shape.k, shape.depth, shape.spans
-    bits, base = t.bits, 0
-    out: list[Word] = []
-    while bits:
-        # The next run of set bits is [start, end).
-        low = (bits & -bits).bit_length() - 1
-        bits >>= low
-        start = base + low
-        ones = (~bits & (bits + 1)).bit_length() - 1
-        bits >>= ones
-        end = base = start + ones
-        while start < end:
-            n = depth
-            while n and start % spans[n - 1] == 0 and start + spans[n - 1] <= end:
-                n -= 1
-            i = start // spans[n]
-            word = [0] * n
-            for j in range(n - 1, -1, -1):
-                i, word[j] = divmod(i, k)
-            out.append(tuple(word))
-            start += spans[n]
-    return tuple(out)
-
-
 def _node(kids: list) -> Trie:
     """The node with these children, collapsed when they are all one leaf."""
     first = kids[0]
@@ -393,8 +349,7 @@ def _trie(k: int, words) -> Trie:
 
 def _words(t: Trie) -> tuple[Word, ...]:
     """The words leading to True leaves, in lexicographic order."""
-    if t.__class__ is _Bits:
-        return _table_words(t)
+    t = _tree(t)
     out: list[Word] = []
     path: list[int] = []
     # (n, a, node): node is reached by path[:n], then letter a if any.
@@ -657,19 +612,13 @@ class ClopenSet:
 
 
 def member(x: UpPoint, a: ClopenSet) -> bool:
-    """Decide x in a: follow the stream's letters down the trie to a
-    leaf, or read a table's bit at the stream's first D letters."""
+    """Decide x in a: follow the stream's letters down the trie (a
+    table's kept expansion) to a leaf."""
     if x.space is not a.space and x.space != a.space:
         raise SpaceMismatchError("point in %r, set in %r" % (x.space, a.space))
     node = a.trie
     if node.__class__ is _Bits:
-        shape = node.shape
-        k, depth = shape.k, shape.depth
-        letters = x.prefix + x.period * (depth // len(x.period) + 1)
-        i = 0
-        for c in letters[:depth]:
-            i = i * k + c
-        return node.bits >> i & 1 == 1
+        node = _tree(node)
     i = 0
     while node.__class__ is tuple:
         node = node[x.letter(i)]

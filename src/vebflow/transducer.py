@@ -53,7 +53,6 @@ from .errors import DocumentError, EmptySetError, ParseError, SpaceMismatchError
 from .space import (
     ClopenSet,
     Space,
-    _Bits,
     Trie,
     UpPoint,
     Word,
@@ -389,16 +388,13 @@ def preimage(f: Transducer, a: ClopenSet) -> ClopenSet:
     resuming at its next letter once the pair that letter reaches is
     built, so each letter's step and descent is made once.  Silent
     cycles are banned, so a pair never waits on itself.  A packed table
-    is walked over its parts in place of trie nodes (`_table_preimage`),
-    so it is not expanded.
+    is walked as the trie it keeps (`space._tree`).
     """
     if a.space is not f.output_space and a.space != f.output_space:
         raise SpaceMismatchError("set in %r, map emits %r" % (a.space, f.output_space))
     if f._identity:
         return a
-    t = a.trie
-    if t.__class__ is _Bits:
-        return ClopenSet._of(f.input_space, _table_preimage(f, t), a.declared_level)
+    t = _tree(a.trie)
     if t.__class__ is not tuple:
         return ClopenSet._of(f.input_space, t, a.declared_level)
     steps = f.steps
@@ -431,44 +427,6 @@ def preimage(f: Transducer, a: ClopenSet) -> ClopenSet:
             moves, node, key, kids = stack.pop()
             kids.append(t)
     return ClopenSet._of(f.input_space, t, a.declared_level)
-
-
-def _table_preimage(f: Transducer, t: _Bits) -> Trie:
-    """`preimage`'s walk over a packed table t: a node is t's part
-    below a word of length n, the bits of that word's block, and a pair
-    is memoised on (state, n, part).  Equal parts at one depth are one
-    set, so they share an entry as equal subtries of a trie do, and no
-    id of a node made on the way is kept."""
-    spans, blocks = t.shape.spans, t.shape.blocks
-    steps = f.steps
-    done: dict = {}
-    stack: list = []
-    moves, n, bits, key, kids = iter(steps[f.init]), 0, t.bits, None, []
-    while True:
-        for nxt, out in moves:
-            m, part = n, bits
-            for c in out:
-                m += 1
-                part = part >> c * spans[m] & blocks[m]
-                if not part or part == blocks[m]:
-                    break
-            if not part or part == blocks[m]:
-                kids.append(part != 0)
-                continue
-            pair = (nxt, m, part)
-            r = done.get(pair)
-            if r is None:
-                stack.append((moves, n, bits, key, kids))
-                moves, n, bits, key, kids = iter(steps[nxt]), m, part, pair, []
-                break
-            kids.append(r)
-        else:
-            r = _node(kids)
-            if not stack:
-                return r
-            done[key] = r
-            moves, n, bits, key, kids = stack.pop()
-            kids.append(r)
 
 
 # ---------------------------------------------------------------------------

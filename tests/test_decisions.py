@@ -1062,8 +1062,8 @@ def test_preimage_matches_the_revisiting_walk():
                 assert _same_dag(got.trie, ref.trie, _inner(a.trie))
                 walked += got.trie.__class__ is tuple
                 if b.trie.__class__ is _Bits:
-                    # A packed table's parts are walked in place of its
-                    # trie: the result is the walk's over the expansion.
+                    # A packed table is walked as the trie it keeps:
+                    # the result is the walk's over that expansion.
                     want = ref_preimage(f, ClopenSet._of(space, _tree(b.trie), b.declared_level))
                     assert preimage(f, b) == want
                     packed += 1

@@ -533,7 +533,7 @@ def test_packing_depth_and_the_unit_leaf_of_a_table():
     # Tables compare by their bits and shape numbers, so a shape made
     # anew for the same letters and depth (once _shape dropped the old
     # one) keeps equal tables equal.
-    assert t == _Bits(t.bits, _Shape(2, 12)) and t != _Bits(t.bits, _shape(2).below)
+    assert t == _Bits(t.bits, _Shape(2, 12)) and t != _Bits(t.bits, _Shape(2, 11))
     assert hash(a) == hash((SP2, a.antichain))
     # The union's unit leaf False is the empty table, so the union of it
     # with a table's complement (make_strongly_total pads a join member
