@@ -57,7 +57,7 @@ from .errors import (
     UnsupportedError,
 )
 from .ordinal import ONE, cmp, parse_ordinal, render_ordinal
-from .space import ClopenSet, Space, Trie, UpPoint, _Bits, _check_alphabet, _combine, _leftmost, _level, _lockstep, _tree, member, parse_clopen, render_clopen, render_point, render_word
+from .space import ClopenSet, Space, Trie, UpPoint, _check_alphabet, _child, _combine, _leftmost, _level, _lockstep, member, parse_clopen, render_clopen, render_point, render_word
 from .term import (
     Address,
     ArrowL,
@@ -234,12 +234,13 @@ class Flowchart(_Assigned):
 
         A cell is a list: one slot per letter, None until first used,
         and last the tuple of the labels' reach-trie nodes at the cell's
-        word, in _reach order; a packed table is read as the trie it
-        keeps (`space._tree`).  A slot holds the next cell, or the
-        outcome token once every node there is a leaf.  Each cell stands
-        for one word: none is ever merged with another.
+        word, in _reach order; below a packed table, the node is the
+        table's part at the word (`space._child`), so evaluation at a
+        few points does not expand a deep table.  A slot holds the next
+        cell, or the outcome token once every node there is a leaf.
+        Each cell stands for one word: none is ever merged with another.
         """
-        return _cell(self, tuple([_tree(t) if t.__class__ is _Bits else t for t in self._reach.values()]))
+        return _cell(self, tuple(self._reach.values()))
 
     def __repr__(self):
         return "Flowchart(%d assigned nodes, %r)" % (len(self.assign), self.space)
@@ -350,7 +351,7 @@ def _cell(f: Flowchart, nodes: tuple):
     """The outcome-trie cell over these reach-trie nodes, or the outcome
     when they are all leaves."""
     for n in nodes:
-        if n.__class__ is tuple:
+        if n.__class__ is not bool:
             return [None] * f.space.alphabet_size + [nodes]
     return _outcome([q for q, n in zip(f._reach, nodes) if n])
 
@@ -385,7 +386,9 @@ def eval_outcome(f: Flowchart, x: UpPoint) -> tuple:
         a = letters[i]
         nxt = cell[a]
         if nxt is None:
-            nodes = tuple(n[a] if n.__class__ is tuple else n for n in cell[-1])
+            nodes = tuple(
+                n[a] if n.__class__ is tuple else n if n.__class__ is bool else _child(n, a) for n in cell[-1]
+            )
             nxt = cell[a] = _cell(f, nodes)
         cell = nxt
         i += 1

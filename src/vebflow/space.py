@@ -25,10 +25,12 @@ of BDD packages; Knuth, TAOCP 4A, 7.1.3).  A set built from words of at
 most D letters is packed, and union, intersection, difference,
 complement, equality and inclusion of two tables, or of a table and a
 leaf, are one |, &, & ~ or == on ints, whose results stay packed.
-The least point reads the lowest set bit.  Every other walk reads the
-trie that `_tree` builds once and keeps on the table: membership, which
-so reads only as many letters as the set is tall, the antichain, a
-table against a trie in the kernel, the outcome cells of `flowchart`,
+The least point reads the lowest set bit, and the antichain is read off
+the runs of set bits, so printing a set keeps no trie beside it.
+Evaluation steps into a table's parts (`_child`), so a few points do not
+expand a deep table.  Every other walk reads the trie that `_tree`
+builds once and keeps on the table: membership, which so reads only as
+many letters as the set is tall, a table against a trie in the kernel,
 `transducer.preimage` and `out_map`.  A set built from longer words,
 and a result of `preimage`, `image` or of a table against a trie, stays
 a trie even when it is shallow.  Exactness does not rest on one form
@@ -185,8 +187,8 @@ class UpPoint:
 # True (the whole cylinder), False (none of it) or a k-tuple holding one
 # child trie per next letter; no node has k children that are all True
 # or all False.  A packed table (_Bits) is never empty or full, as those
-# sets are the leaves.  It is only ever the root of a set, never a
-# trie's child.
+# sets are the leaves.  It is the root of a set, or a part of one that
+# an outcome cell holds (`_child`), and never a trie's child.
 #
 # Every walk over tries below is a loop over an explicit stack, so a
 # trie may be deeper than the recursion limit; a table's expansion is at
@@ -216,13 +218,14 @@ class _Shape:
     the width spans[n] = k^(depth - n) of a cylinder's block of bits and
     the mask blocks[n] of that many bits, and the full table blocks[0]."""
 
-    __slots__ = ("k", "depth", "spans", "blocks", "full")
+    __slots__ = ("k", "depth", "spans", "blocks", "full", "below")
 
     def __init__(self, k: int, depth: int):
         self.k, self.depth = k, depth
         self.spans = [k ** (depth - n) for n in range(depth + 1)]
         self.blocks = [(1 << span) - 1 for span in self.spans]
         self.full = self.blocks[0]
+        self.below = _Shape(k, depth - 1) if depth else None
 
 
 @lru_cache(maxsize=64)
@@ -294,6 +297,46 @@ def _tree(t) -> Trie:
     return tree
 
 
+def _child(t: _Bits, a: int) -> Trie:
+    """The node of a table below letter a: its part there, as a table one
+    letter shallower, or a leaf.  It is made anew on every call, so a walk
+    that memoises on ids must read `_tree(t)` instead."""
+    shape = t.shape
+    return _packed(t.bits >> a * shape.spans[1] & shape.blocks[1], shape.below)
+
+
+def _table_words(t: _Bits) -> tuple[Word, ...]:
+    """The words of a table's trie, read off its bits without building
+    the trie: a word is a maximal aligned block of set bits, a cylinder
+    inside the set whose parent is not.  Each run of set bits splits,
+    from its start, into the largest aligned block that starts there and
+    fits; a larger block around it would hold the bits just before it,
+    which are clear or belong to an earlier block."""
+    shape = t.shape
+    k, depth, spans = shape.k, shape.depth, shape.spans
+    bits, base = t.bits, 0
+    out: list[Word] = []
+    while bits:
+        # The next run of set bits is [start, end).
+        low = (bits & -bits).bit_length() - 1
+        bits >>= low
+        start = base + low
+        ones = (~bits & (bits + 1)).bit_length() - 1
+        bits >>= ones
+        end = base = start + ones
+        while start < end:
+            n = depth
+            while n and start % spans[n - 1] == 0 and start + spans[n - 1] <= end:
+                n -= 1
+            i = start // spans[n]
+            word = [0] * n
+            for j in range(n - 1, -1, -1):
+                i, word[j] = divmod(i, k)
+            out.append(tuple(word))
+            start += spans[n]
+    return tuple(out)
+
+
 def _node(kids: list) -> Trie:
     """The node with these children, collapsed when they are all one leaf."""
     first = kids[0]
@@ -349,7 +392,8 @@ def _trie(k: int, words) -> Trie:
 
 def _words(t: Trie) -> tuple[Word, ...]:
     """The words leading to True leaves, in lexicographic order."""
-    t = _tree(t)
+    if t.__class__ is _Bits:
+        return _table_words(t)
     out: list[Word] = []
     path: list[int] = []
     # (n, a, node): node is reached by path[:n], then letter a if any.
